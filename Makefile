@@ -2,7 +2,7 @@
 
 GOBIN ?= $(shell go env GOPATH)/bin
 
-.PHONY: build test race lint nslint vet-nslint fuzz-smoke alloc-budget chaos-overload delivery-fanout
+.PHONY: build test race lint nslint vet-nslint fuzz-smoke alloc-budget chaos-overload delivery-fanout bench-selftest
 
 build:
 	go build ./...
@@ -67,3 +67,14 @@ delivery-fanout:
 	go test -race -timeout 10m -run 'TestEdgeSingleFlight|TestEdgeSubscribeFanout|TestEdgeUpstreamChaos' ./internal/edge
 	go test -timeout 10m -run 'TestRunFanout' ./internal/driver
 	go test -run xxx -bench 'BenchmarkEdgeFanout' -benchtime 1x -timeout 15m ./internal/driver
+
+# cmd/nsbench is a module of its own, so build/test/nslint above never
+# compile it although it wraps media's public types (EnhancerPool, the
+# ModelProvider and AnchorEnhancer seams). This builds it, runs its
+# self-test, and makes one short ingest_gpu run whose result line must
+# say "correct":true — byte-identity against the serial origin and a
+# closed anchor ledger are checked inside the run (mirrors the
+# bench-selftest CI job).
+bench-selftest:
+	cd cmd/nsbench && go vet . && go test .
+	sh cmd/nsbench/run.sh --workload ingest_gpu --seed 1 --seconds 5 --trace 0 | tail -n 1 | grep -q '"correct":true'

@@ -9,6 +9,7 @@ import (
 	"errors"
 	"fmt"
 	"math/bits"
+	"slices"
 )
 
 // ErrTruncated reports a read past the end of the stream.
@@ -22,6 +23,13 @@ type Writer struct {
 	buf  []byte
 	bits uint8 // number of bits pending in cur, always < 8 between calls
 	cur  uint64
+}
+
+// Grow ensures room for n more bytes without another allocation, for
+// callers that can bound their output up front. Output bytes are
+// unaffected. n must not be negative.
+func (w *Writer) Grow(n int) {
+	w.buf = slices.Grow(w.buf, n)
 }
 
 // flush moves every complete byte from the accumulator to the buffer.

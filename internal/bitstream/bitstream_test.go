@@ -1,6 +1,7 @@
 package bitstream
 
 import (
+	"bytes"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -146,6 +147,29 @@ func TestWriterReset(t *testing.T) {
 	b := w.Bytes()
 	if len(b) != 1 || b[0] != 0x80 {
 		t.Errorf("after Reset, Bytes() = %x", b)
+	}
+}
+
+// TestWriterGrow pins the two halves of Grow's contract: the bytes are
+// those of an unsized writer, and writes inside the reserved room do not
+// reallocate.
+func TestWriterGrow(t *testing.T) {
+	write := func(w *Writer) []byte {
+		for i := 0; i < 1000; i++ {
+			w.WriteUE(uint64(i))
+		}
+		return w.Bytes()
+	}
+	var plain Writer
+	want := write(&plain)
+	var sized Writer
+	sized.Grow(len(want))
+	reserved := cap(sized.buf)
+	if got := write(&sized); !bytes.Equal(got, want) {
+		t.Error("Grow changed the output bytes")
+	}
+	if cap(sized.buf) != reserved {
+		t.Errorf("writer reallocated inside its reserved room: cap %d -> %d", reserved, cap(sized.buf))
 	}
 }
 

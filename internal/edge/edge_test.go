@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -124,6 +125,20 @@ func startEdge(t testing.TB, origin *testOrigin, cfg Config) *Edge {
 	return e
 }
 
+// heldConn is an upstream connection whose reads wait (up to 10 s) for
+// release to report true.
+type heldConn struct {
+	net.Conn
+	release func() bool
+}
+
+func (c *heldConn) Read(p []byte) (int, error) {
+	for limit := time.Now().Add(10 * time.Second); !c.release() && time.Now().Before(limit); {
+		time.Sleep(100 * time.Microsecond)
+	}
+	return c.Conn.Read(p)
+}
+
 // TestEdgeSingleFlight is the tentpole coalescing contract: 32 viewers
 // concurrently requesting the same cold chunk cause exactly one
 // upstream fetch and exactly one enhancement build, asserted via the
@@ -134,7 +149,21 @@ func TestEdgeSingleFlight(t *testing.T) {
 	if got := origin.pool.Counters().Calls; got != 0 {
 		t.Fatalf("lazy origin enhanced %d anchors at ingest, want 0", got)
 	}
-	e := startEdge(t, origin, Config{})
+	// The origin's reply is held back until every other viewer has joined
+	// the leader's flight: how many of them arrive inside a build of a few
+	// milliseconds is scheduling luck, and the contract under test is what
+	// happens to those that do.
+	var edge atomic.Pointer[Edge]
+	e := startEdge(t, origin, Config{DialUpstream: func(addr string) (net.Conn, error) {
+		conn, err := net.Dial("tcp", addr)
+		if err != nil {
+			return nil, err
+		}
+		return &heldConn{Conn: conn, release: func() bool {
+			return edge.Load().Counters().CoalescedWaits == viewers-1
+		}}, nil
+	}})
+	edge.Store(e)
 
 	clients := make([]*Client, viewers)
 	for i := range clients {

@@ -46,6 +46,10 @@ func Encode(f *frame.Frame, opts Options) ([]byte, Stats, error) {
 		return nil, Stats{}, fmt.Errorf("icodec: quality %d out of [1, 100]", opts.Quality)
 	}
 	var w bitstream.Writer
+	// One allocation up front instead of append-doubling through a dozen:
+	// a quarter byte per pixel covers every anchor quality the system
+	// uses, and a busier frame just grows from there.
+	w.Grow(f.W*f.H/4 + 64)
 	w.WriteBits(magic, 32)
 	w.WriteBits(version, 8)
 	w.WriteBits(uint64(f.W), 16)

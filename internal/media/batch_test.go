@@ -9,10 +9,13 @@ import (
 )
 
 // TestBatchedOutputByteIdentical extends the determinism contract to the
-// coalesced dispatch path: for every batch size and in-flight bound, the
-// stored containers must be byte-identical to the serial per-anchor
-// reference. Batch 1 degenerates to the per-anchor path by construction;
-// larger batches must not change output bytes either, only round trips.
+// coalesced dispatch path: for every batch size, in-flight bound and pool
+// size, the stored containers must be byte-identical to the serial
+// per-anchor reference. Batch 1 degenerates to the per-anchor path by
+// construction; larger batches must not change output bytes either, only
+// round trips; and the pool size decides how placement splits a batch
+// (a chunk's two anchors whole on 1 replica, one each from 2 up), which
+// must not show in the bytes.
 func TestBatchedOutputByteIdentical(t *testing.T) {
 	const chunks = 3
 	serial := runStream(t, ServerConfig{
@@ -23,18 +26,20 @@ func TestBatchedOutputByteIdentical(t *testing.T) {
 			t.Fatal("healthy serial run produced a degraded chunk")
 		}
 	}
-	for _, batch := range []int{1, 2, 8} {
-		for _, inFlight := range []int{1, 4} {
-			name := fmt.Sprintf("batch-%d-inflight-%d", batch, inFlight)
-			t.Run(name, func(t *testing.T) {
-				got := runStream(t, ServerConfig{
-					AnchorFraction:     0.15,
-					MaxInFlightAnchors: inFlight,
-					MaxAnchorBatch:     batch,
-					PipelineDepth:      -1,
-				}, chunks, false, fourReplicaPool, nil)
-				requireIdenticalRuns(t, serial, got, name)
-			})
+	for _, replicas := range []int{1, 2, 3, 4} {
+		for _, batch := range []int{1, 2, 8} {
+			for _, inFlight := range []int{1, 4} {
+				name := fmt.Sprintf("replicas-%d-batch-%d-inflight-%d", replicas, batch, inFlight)
+				t.Run(name, func(t *testing.T) {
+					got := runStream(t, ServerConfig{
+						AnchorFraction:     0.15,
+						MaxInFlightAnchors: inFlight,
+						MaxAnchorBatch:     batch,
+						PipelineDepth:      -1,
+					}, chunks, false, replicaPool(replicas), nil)
+					requireIdenticalRuns(t, serial, got, name)
+				})
+			}
 		}
 	}
 }
@@ -118,4 +123,5 @@ func TestBatchMidChaosDegradesOnlyAffectedAnchors(t *testing.T) {
 	if ctr.AnchorsRejected != 1 || ctr.AnchorsEnhanced != 3 || ctr.ChunksDegraded != 1 {
 		t.Errorf("counters = %+v, want 1 rejected / 3 enhanced / 1 degraded chunk", ctr)
 	}
+	requireLedgerClosed(t, pool)
 }

@@ -236,6 +236,7 @@ func TestChaosKillAndRecoverSingleReplica(t *testing.T) {
 	if stats.States["solo"] != "closed" {
 		t.Errorf("replica states = %v", stats.States)
 	}
+	requireLedgerClosed(t, pool)
 }
 
 // TestChaosFailoverHidesReplicaLoss kills one of two replicas mid-stream
@@ -290,6 +291,7 @@ func TestChaosFailoverHidesReplicaLoss(t *testing.T) {
 	if sc.AnchorsDropped != 0 {
 		t.Errorf("anchors dropped despite a healthy replica: %+v", sc)
 	}
+	requireLedgerClosed(t, pool)
 
 	httpSrv := httptest.NewServer(srv.DistributionHandler())
 	defer httpSrv.Close()
@@ -402,6 +404,7 @@ func TestChaosStressConcurrentStreams(t *testing.T) {
 	if sc.ChunksProcessed != nStreams*chunks {
 		t.Errorf("processed %d chunks, want %d", sc.ChunksProcessed, nStreams*chunks)
 	}
+	requireLedgerClosed(t, pool)
 }
 
 // TestChaosCorruptAnchorsRejected forces every anchor payload to arrive

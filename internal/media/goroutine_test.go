@@ -117,6 +117,7 @@ func TestGoroutineCountStability(t *testing.T) {
 			t.Fatal(err)
 		}
 		time.Sleep(20 * time.Millisecond)
+		requireLedgerClosed(t, pool)
 		if err := pool.Close(); err != nil {
 			t.Fatalf("cycle %d: close pool: %v", cycle, err)
 		}

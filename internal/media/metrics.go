@@ -109,3 +109,21 @@ func WriteCounter(w io.Writer, name, help string, v uint64) {
 func WriteGauge(w io.Writer, name, help string, v float64) {
 	fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s gauge\n%s %g\n", name, help, name, name, v)
 }
+
+// writeReplicaMetrics emits the pool's per-replica series — traffic
+// counters and the placement ledger — one sample per replica under each
+// name, so an idle replica beside a loaded one shows on a dashboard.
+func writeReplicaMetrics(w io.Writer, stats []ReplicaStat) {
+	emit := func(name, typ, help string, value func(ReplicaStat) int64) {
+		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s %s\n", name, help, name, typ)
+		for _, st := range stats {
+			fmt.Fprintf(w, "%s{replica=%q} %d\n", name, st.ID, value(st))
+		}
+	}
+	emit("neuroscaler_pool_replica_dispatches_total", "counter", "Round trips sent to the replica (a batch is one).",
+		func(st ReplicaStat) int64 { return int64(st.Dispatches) })
+	emit("neuroscaler_pool_replica_anchors_total", "counter", "Anchor jobs placed on the replica.",
+		func(st ReplicaStat) int64 { return int64(st.Anchors) })
+	emit("neuroscaler_pool_replica_outstanding", "gauge", "Modelled work (LR anchor pixels) dispatched to the replica and not yet returned.",
+		func(st ReplicaStat) int64 { return st.Outstanding })
+}

@@ -1,6 +1,7 @@
 package media
 
 import (
+	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -368,6 +369,7 @@ func TestPoolBreakerHalfOpenExactlyOnce(t *testing.T) {
 	if c := p.Counters(); c.BreakerCloses == 0 {
 		t.Error("breaker close not recorded")
 	}
+	requireLedgerClosed(t, p)
 }
 
 // --- typed overload errors across the wire ---
@@ -803,6 +805,7 @@ func TestChaosOverloadBurstBoundedLatency(t *testing.T) {
 	if err := srv.Close(); err != nil {
 		t.Fatal(err)
 	}
+	requireLedgerClosed(t, pool)
 	if err := pool.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -869,10 +872,58 @@ func TestMetricsEndpoint(t *testing.T) {
 		"neuroscaler_pool_calls_total",
 		"neuroscaler_pool_deadline_expired_total",
 		"# TYPE neuroscaler_admit_to_store_seconds histogram",
+		// Per-replica series: the chunk's two anchors were placed on the
+		// idle four-replica pool one each — a round trip and an anchor on
+		// two replicas, nothing on the others — and every ledger is closed.
+		"# TYPE neuroscaler_pool_replica_dispatches_total counter",
+		"# TYPE neuroscaler_pool_replica_outstanding gauge",
+		`neuroscaler_pool_replica_outstanding{replica="r0"} 0`,
+		`neuroscaler_pool_replica_outstanding{replica="r3"} 0`,
 	} {
 		if !strings.Contains(text, want) {
 			t.Errorf("metrics output missing %q", want)
 		}
+	}
+	for _, name := range []string{"neuroscaler_pool_replica_dispatches_total", "neuroscaler_pool_replica_anchors_total"} {
+		ones := 0
+		for i := 0; i < 4; i++ {
+			if strings.Contains(text, fmt.Sprintf("%s{replica=\"r%d\"} 1\n", name, i)) {
+				ones++
+			}
+		}
+		if ones != 2 {
+			t.Errorf("%s: %d replicas carry exactly one, want 2", name, ones)
+		}
+	}
+
+	// /stats carries the same per-replica view inside its pool object.
+	sresp, err := http.Get(httpSrv.URL + "/stats")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sresp.Body.Close()
+	var stats struct {
+		Pool struct {
+			Calls    *uint64 `json:"calls"`
+			Replicas []struct {
+				ID      string `json:"id"`
+				State   string `json:"state"`
+				Anchors uint64 `json:"anchors"`
+			} `json:"replicas"`
+		} `json:"pool"`
+	}
+	if err := json.NewDecoder(sresp.Body).Decode(&stats); err != nil {
+		t.Fatal(err)
+	}
+	if stats.Pool.Calls == nil || len(stats.Pool.Replicas) != 4 {
+		t.Fatalf("/stats pool object = %+v, want counters and 4 replicas", stats.Pool)
+	}
+	var anchors uint64
+	for _, st := range stats.Pool.Replicas {
+		anchors += st.Anchors
+	}
+	if r0 := stats.Pool.Replicas[0]; anchors != 2 || r0.ID != "r0" || r0.State != "closed" {
+		t.Errorf("/stats replicas = %+v, want 2 anchors placed, pool order, states by name", stats.Pool.Replicas)
 	}
 }
 
@@ -959,6 +1010,7 @@ func TestChaosGrayFailureContainedByDeadlines(t *testing.T) {
 	if err := srv.Close(); err != nil {
 		t.Fatal(err)
 	}
+	requireLedgerClosed(t, pool)
 	if err := pool.Close(); err != nil {
 		t.Fatal(err)
 	}

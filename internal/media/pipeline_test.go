@@ -3,6 +3,7 @@ package media
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -87,23 +88,49 @@ func runStream(t *testing.T, cfg ServerConfig, chunks int, async bool,
 		out.containers = append(out.containers, data)
 		out.degraded = append(out.degraded, deg)
 	}
+	requireLedgerClosed(t, enh)
 	return out
 }
 
 func fourReplicaPool(t *testing.T, provider ModelProvider) AnchorEnhancer {
+	return replicaPool(4)(t, provider)
+}
+
+// replicaPool is a runStream enhancer factory: n healthy in-process
+// replicas r0..r(n-1) behind one pool.
+func replicaPool(n int) func(*testing.T, ModelProvider) AnchorEnhancer {
+	return func(t *testing.T, provider ModelProvider) AnchorEnhancer {
+		t.Helper()
+		local, err := NewLocalEnhancer(provider)
+		if err != nil {
+			t.Fatal(err)
+		}
+		replicas := make([]Replica, n)
+		for i := range replicas {
+			replicas[i] = StaticReplica(fmt.Sprintf("r%d", i), local)
+		}
+		pool, err := NewEnhancerPool(replicas, chaosPoolConfig())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return pool
+	}
+}
+
+// requireLedgerClosed asserts the placement ledger's invariant: with no
+// call in flight, every replica's outstanding work reads 0. Enhancers
+// that are not pools have no ledger and pass.
+func requireLedgerClosed(t testing.TB, enh AnchorEnhancer) {
 	t.Helper()
-	local, err := NewLocalEnhancer(provider)
-	if err != nil {
-		t.Fatal(err)
+	p, ok := enh.(*EnhancerPool)
+	if !ok {
+		return
 	}
-	pool, err := NewEnhancerPool([]Replica{
-		StaticReplica("r0", local), StaticReplica("r1", local),
-		StaticReplica("r2", local), StaticReplica("r3", local),
-	}, chaosPoolConfig())
-	if err != nil {
-		t.Fatal(err)
+	for _, st := range p.ReplicaStats() {
+		if st.Outstanding != 0 {
+			t.Errorf("replica %s: ledger reads %d at quiescence, want 0", st.ID, st.Outstanding)
+		}
 	}
-	return pool
 }
 
 func requireIdenticalRuns(t *testing.T, want, got pipelineRun, label string) {

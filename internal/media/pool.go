@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"log"
+	"math/bits"
 	"math/rand"
 	"sync"
 	"sync/atomic"
@@ -12,6 +13,10 @@ import (
 
 	"github.com/neuroscaler/neuroscaler/internal/wire"
 )
+
+// maxPoolReplicas bounds a pool so any set of its replicas is one uint64
+// bitmask: placement and the retry ladder's tried-set allocate nothing.
+const maxPoolReplicas = 64
 
 // BreakerState is a per-replica circuit-breaker state.
 type BreakerState int32
@@ -39,6 +44,9 @@ func (s BreakerState) String() string {
 		return fmt.Sprintf("BreakerState(%d)", int32(s))
 	}
 }
+
+// MarshalText makes the state read as its name in JSON reports.
+func (s BreakerState) MarshalText() ([]byte, error) { return []byte(s.String()), nil }
 
 // PoolConfig tunes the fault-tolerance envelope of an EnhancerPool.
 type PoolConfig struct {
@@ -131,7 +139,8 @@ type poolCounters struct {
 	deadlineExpired             atomic.Uint64
 }
 
-// EnhancerPool is an AnchorEnhancer over N replicas with bounded retry
+// EnhancerPool is an AnchorEnhancer over N replicas with anchor-level
+// least-outstanding-work placement (placeJobs), bounded retry
 // (exponential backoff + seeded jitter), per-replica circuit breakers
 // (closed → open → half-open), heartbeat health checks, automatic
 // reconnect, and failover of failed anchor jobs to healthy replicas.
@@ -150,7 +159,8 @@ type EnhancerPool struct {
 	hellos     map[uint32]wire.Hello
 	helloEpoch uint64
 
-	// rr is the lock-free round-robin cursor.
+	// rr is the lock-free round-robin cursor; it only breaks placement
+	// ties between equally loaded replicas.
 	rr       atomic.Uint64
 	counters poolCounters
 
@@ -163,6 +173,9 @@ type EnhancerPool struct {
 func NewEnhancerPool(replicas []Replica, cfg PoolConfig) (*EnhancerPool, error) {
 	if len(replicas) == 0 {
 		return nil, errors.New("media: pool needs at least one replica")
+	}
+	if len(replicas) > maxPoolReplicas {
+		return nil, fmt.Errorf("media: pool of %d replicas exceeds the limit of %d", len(replicas), maxPoolReplicas)
 	}
 	p := &EnhancerPool{
 		cfg:    cfg.withDefaults(),
@@ -178,7 +191,7 @@ func NewEnhancerPool(replicas []Replica, cfg PoolConfig) (*EnhancerPool, error) 
 		if id == "" {
 			id = fmt.Sprintf("replica-%d", i)
 		}
-		p.replicas = append(p.replicas, &poolReplica{id: id, dialFn: r.Dial, pool: p})
+		p.replicas = append(p.replicas, &poolReplica{id: id, index: i, dialFn: r.Dial, pool: p})
 	}
 	if p.cfg.HeartbeatInterval > 0 {
 		p.closeWG.Add(1)
@@ -226,10 +239,39 @@ func (p *EnhancerPool) Counters() PoolCounters {
 // ReplicaStates reports each replica's breaker state by ID.
 func (p *EnhancerPool) ReplicaStates() map[string]BreakerState {
 	out := make(map[string]BreakerState, len(p.replicas))
-	for _, r := range p.replicas {
+	for _, st := range p.ReplicaStats() {
+		out[st.ID] = st.State
+	}
+	return out
+}
+
+// ReplicaStat is one replica's share of the pool's work. Dispatches
+// counts round trips sent to it (a batch is one), Anchors the jobs they
+// carried. Outstanding is the placement ledger: modelled work (LR pixels
+// of anchors) dispatched and not yet returned, 0 on every replica when
+// the pool is quiescent.
+type ReplicaStat struct {
+	ID          string       `json:"id"`
+	State       BreakerState `json:"state"`
+	Dispatches  uint64       `json:"dispatches"`
+	Anchors     uint64       `json:"anchors"`
+	Outstanding int64        `json:"outstanding"`
+}
+
+// ReplicaStats reports every replica's stats, in pool order.
+func (p *EnhancerPool) ReplicaStats() []ReplicaStat {
+	out := make([]ReplicaStat, len(p.replicas))
+	for i, r := range p.replicas {
 		r.mu.Lock()
-		out[r.id] = r.state
+		state := r.state
 		r.mu.Unlock()
+		out[i] = ReplicaStat{
+			ID:          r.id,
+			State:       state,
+			Dispatches:  r.dispatches.Load(),
+			Anchors:     r.anchors.Load(),
+			Outstanding: r.outstanding.Load(),
+		}
 	}
 	return out
 }
@@ -268,6 +310,13 @@ func (p *EnhancerPool) Register(streamID uint32, h wire.Hello) error {
 // chunk's deadline to honor a fixed attempt count would only delay the
 // degraded chunk it ships regardless.
 func (p *EnhancerPool) Enhance(streamID uint32, job wire.AnchorJob) (wire.AnchorResult, error) {
+	return p.enhance(streamID, job, 0)
+}
+
+// enhance is the per-anchor ladder. failed is the set of replicas that
+// already failed this job (a batch group that did not land it): they
+// count as tried, and the first attempt elsewhere is a failover.
+func (p *EnhancerPool) enhance(streamID uint32, job wire.AnchorJob, failed uint64) (wire.AnchorResult, error) {
 	p.counters.calls.Add(1)
 	deadline := job.Deadline
 	if expired(deadline, time.Now()) {
@@ -276,7 +325,9 @@ func (p *EnhancerPool) Enhance(streamID uint32, job wire.AnchorJob) (wire.Anchor
 			job.Packet, streamID, ErrDeadlineExceeded)
 	}
 	attempts := p.cfg.MaxRetries + 1
-	tried := make(map[*poolReplica]bool, len(p.replicas))
+	tried := failed
+	jobs := [1]wire.AnchorJob{job}
+	var assign [1]int8
 	var lastErr error
 	attempt := 0
 	for {
@@ -300,23 +351,25 @@ func (p *EnhancerPool) Enhance(streamID uint32, job wire.AnchorJob) (wire.Anchor
 				break
 			}
 		}
-		rep := p.next(tried)
-		if rep == nil {
+		placed := p.place(jobs[:], tried, assign[:])
+		if placed == 0 {
 			// Every replica tried or breaker-rejected this round; start a
 			// fresh round (a cooldown may have elapsed by the next try).
-			clear(tried)
-			rep = p.next(tried)
+			tried = 0
+			placed = p.place(jobs[:], 0, assign[:])
 		}
-		if rep == nil {
+		if placed == 0 {
 			lastErr = fmt.Errorf("all %d breakers open", len(p.replicas))
 			attempt++
 			continue
 		}
-		tried[rep] = true
-		if attempt > 0 {
+		rep := p.replicas[assign[0]]
+		tried |= placed
+		if attempt > 0 || failed != 0 {
 			p.counters.failovers.Add(1)
 		}
 		res, err := rep.enhance(streamID, job)
+		rep.release(job)
 		if err == nil {
 			return res, nil
 		}
@@ -334,13 +387,15 @@ func (p *EnhancerPool) Enhance(streamID uint32, job wire.AnchorJob) (wire.Anchor
 		job.Packet, streamID, attempts, lastErr, ErrEnhancerUnavailable)
 }
 
-// EnhanceBatch implements BatchAnchorEnhancer: one batched attempt on a
-// round-robin-admitted replica amortizes the per-anchor round trip, then
-// any anchor the batch did not land falls over to the full per-anchor
-// Enhance retry ladder. A mid-batch fault therefore degrades only the
-// anchors it actually touched: the siblings keep their batch results and
-// the failed ones get the same retry/failover treatment the per-anchor
-// path gives them. A batch of one is exactly the per-anchor path.
+// EnhanceBatch implements BatchAnchorEnhancer with anchor-level
+// placement: the jobs are spread over the admissible replicas by least
+// outstanding work, each replica's group is one round trip (a group of
+// one a plain anchor job), the groups run concurrently, and any anchor
+// its group did not land falls over to the per-anchor ladder, starting
+// away from the replica that failed it. A mid-batch fault therefore
+// degrades only the anchors it actually touched. Outcomes land by job
+// index, so neither placement nor completion order shows in the result.
+// A batch of one is exactly the per-anchor path.
 func (p *EnhancerPool) EnhanceBatch(streamID uint32, jobs []wire.AnchorJob) ([]AnchorOutcome, error) {
 	if len(jobs) == 0 {
 		return nil, nil
@@ -351,28 +406,50 @@ func (p *EnhancerPool) EnhanceBatch(streamID uint32, jobs []wire.AnchorJob) ([]A
 		outs[0] = AnchorOutcome{Res: res, Err: err}
 		return outs, nil
 	}
-	done := make([]bool, len(jobs))
-	// Skip the batch round trip when the whole batch has already
-	// expired; the per-anchor rescue below answers each job with the
-	// typed deadline error (and charges the counter) without any wire
-	// traffic.
-	if !expired(minJobDeadline(jobs), time.Now()) {
-		p.batchAttempt(streamID, jobs, outs, done)
+	// assign[i] is the replica job i was placed on, or -1. A placed job
+	// that did not land carries its group's error in outs[i] until the
+	// rescue below overwrites it.
+	assign := make([]int8, len(jobs))
+	for i := range assign {
+		assign[i] = -1
 	}
-	// Per-anchor rescue: counters are charged by Enhance itself, so the
-	// batch attempt above stays invisible to the per-anchor call ledger.
-	// Rescued anchors fan out concurrently — the same parallelism the
-	// per-anchor dispatch path gives them — and outcomes land by index,
-	// so completion order never shows in the result.
 	var wg sync.WaitGroup
+	// Skip the round trips when the whole batch has already expired; the
+	// per-anchor rescue answers each job with the typed deadline error
+	// (and charges the counter) without any wire traffic.
+	if !expired(minJobDeadline(jobs), time.Now()) {
+		groups := p.place(jobs, 0, assign)
+		// The first group runs here, the rest beside it.
+		first := bits.TrailingZeros64(groups)
+		for r := first + 1; r < len(p.replicas); r++ {
+			if groups>>r&1 != 0 {
+				wg.Add(1)
+				go func(rep *poolReplica) {
+					defer wg.Done()
+					p.runGroup(rep, streamID, jobs, assign, outs)
+				}(p.replicas[r])
+			}
+		}
+		if groups != 0 {
+			p.runGroup(p.replicas[first], streamID, jobs, assign, outs)
+		}
+		wg.Wait()
+	}
+	// Per-anchor rescue: counters are charged by the ladder itself, so the
+	// groups above stay invisible to the per-anchor call ledger. Rescued
+	// anchors fan out concurrently, as per-anchor dispatch would.
 	for i := range jobs {
-		if done[i] {
+		if assign[i] >= 0 && outs[i].Err == nil {
 			continue
+		}
+		var failed uint64
+		if assign[i] >= 0 && !errors.Is(outs[i].Err, errBatchUnsupported) {
+			failed = 1 << assign[i]
 		}
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			res, err := p.Enhance(streamID, jobs[i])
+			res, err := p.enhance(streamID, jobs[i], failed)
 			outs[i] = AnchorOutcome{Res: res, Err: err}
 		}(i)
 	}
@@ -380,23 +457,34 @@ func (p *EnhancerPool) EnhanceBatch(streamID uint32, jobs []wire.AnchorJob) ([]A
 	return outs, nil
 }
 
-// batchAttempt runs one batched dispatch on a round-robin-admitted
-// replica, marking the anchors it landed in done.
-func (p *EnhancerPool) batchAttempt(streamID uint32, jobs []wire.AnchorJob, outs []AnchorOutcome, done []bool) {
-	rep := p.next(make(map[*poolReplica]bool, len(p.replicas)))
-	if rep == nil {
-		return
-	}
-	bouts, err := rep.enhanceBatch(streamID, jobs)
-	if err == nil {
-		for i, o := range bouts {
-			if o.Err == nil {
-				outs[i] = o
-				done[i] = true
-			}
+// runGroup dispatches the jobs placed on rep (assign[i] == rep.index) as
+// one round trip and releases their ledger charge. Outcomes go to outs by
+// job index; a group-level failure is every member's outcome.
+func (p *EnhancerPool) runGroup(rep *poolReplica, streamID uint32, jobs []wire.AnchorJob, assign []int8, outs []AnchorOutcome) {
+	group := make([]wire.AnchorJob, 0, len(jobs))
+	for i, a := range assign {
+		if int(a) == rep.index {
+			group = append(group, jobs[i])
 		}
-	} else if !errors.Is(err, errBatchUnsupported) {
-		p.cfg.Logf("media: pool replica %s batch of %d stream %d: %v", rep.id, len(jobs), streamID, err)
+	}
+	bouts, err := rep.enhanceBatch(streamID, group)
+	for _, job := range group {
+		rep.release(job)
+	}
+	if err != nil && !errors.Is(err, errBatchUnsupported) {
+		p.cfg.Logf("media: pool replica %s group of %d stream %d: %v", rep.id, len(group), streamID, err)
+	}
+	k := 0
+	for i, a := range assign {
+		if int(a) != rep.index {
+			continue
+		}
+		if err != nil {
+			outs[i].Err = err
+		} else {
+			outs[i] = bouts[k]
+		}
+		k++
 	}
 }
 
@@ -412,23 +500,70 @@ type wireBatchEnhancer interface {
 	EnhanceBatch(streamID uint32, jobs []wire.AnchorJob) ([]wire.AnchorBatchOutcome, error)
 }
 
-// next picks the first admissible replica in round-robin order that is
-// not in tried; breaker-rejected replicas are skipped (and marked tried
-// for this round).
-func (p *EnhancerPool) next(tried map[*poolReplica]bool) *poolReplica {
-	start := int(p.rr.Add(1)) - 1
-	now := time.Now()
-	for i := 0; i < len(p.replicas); i++ {
-		rep := p.replicas[(start+i)%len(p.replicas)]
-		if tried[rep] {
-			continue
-		}
-		if rep.admit(now) {
-			return rep
-		}
-		tried[rep] = true
+// jobCost is the modelled work of one anchor: its LR frame area, so
+// streams of unequal resolution balance by pixels; between equal streams
+// it is a count.
+func jobCost(job wire.AnchorJob) int64 {
+	if job.Frame == nil {
+		return 1
 	}
-	return nil
+	return int64(job.Frame.W) * int64(job.Frame.H)
+}
+
+// placeJobs is the pool's placement rule: each job, in order, goes to the
+// replica with the least load — outstanding work plus what this call has
+// already given it — among those outside skip that admit; equal loads go
+// to the replica nearest the round-robin cursor start. admit is asked at
+// most once per replica, and only when a job is about to land there, so
+// an admitted replica (a half-open breaker's one probe) always receives
+// work. assign[i] becomes job i's replica, or -1 when none admits; load
+// is updated in place; the set of replicas given work is returned.
+func placeJobs(load []int64, skip uint64, start int, jobs []wire.AnchorJob, assign []int8, admit func(r int) bool) (placed uint64) {
+	for i, job := range jobs {
+		assign[i] = -1
+		for assign[i] < 0 {
+			best := -1
+			for k := range load {
+				r := (start + k) % len(load)
+				if skip>>r&1 == 0 && (best < 0 || load[r] < load[best]) {
+					best = r
+				}
+			}
+			if best < 0 {
+				break
+			}
+			if placed>>best&1 == 0 && !admit(best) {
+				skip |= 1 << best
+				continue
+			}
+			placed |= 1 << best
+			assign[i] = int8(best)
+			load[best] += jobCost(job)
+		}
+	}
+	return placed
+}
+
+// place is the one point where Enhance, EnhanceBatch and the rescue
+// ladder choose replicas: placeJobs over the live ledgers and breakers.
+// Each placed job is charged to its replica's ledger; the caller
+// dispatches every one and releases it when the call returns.
+func (p *EnhancerPool) place(jobs []wire.AnchorJob, skip uint64, assign []int8) (placed uint64) {
+	var load [maxPoolReplicas]int64
+	for i, rep := range p.replicas {
+		load[i] = rep.outstanding.Load()
+	}
+	start := int((p.rr.Add(1) - 1) % uint64(len(p.replicas)))
+	now := time.Now()
+	placed = placeJobs(load[:len(p.replicas)], skip, start, jobs, assign, func(r int) bool {
+		return p.replicas[r].admit(now)
+	})
+	for i, a := range assign {
+		if a >= 0 {
+			p.replicas[a].charge(jobs[i])
+		}
+	}
+	return placed
 }
 
 // backoff returns the jittered exponential delay for retry k.
@@ -479,8 +614,15 @@ func (p *EnhancerPool) Heartbeat() {
 // poolReplica is one replica plus its breaker state machine.
 type poolReplica struct {
 	id     string
+	index  int // position in pool.replicas, the replica's bit in a set
 	dialFn func() (AnchorEnhancer, error)
 	pool   *EnhancerPool
+
+	// outstanding is the placement ledger (see ReplicaStat.Outstanding):
+	// charge before a job is dispatched, release when its call returns.
+	outstanding atomic.Int64
+	dispatches  atomic.Uint64
+	anchors     atomic.Uint64
 
 	mu sync.Mutex
 	// Breaker and registration state, guarded by mu.
@@ -492,6 +634,13 @@ type poolReplica struct {
 	regEpoch   uint64
 	registered map[uint32]bool
 }
+
+func (r *poolReplica) charge(job wire.AnchorJob) {
+	r.outstanding.Add(jobCost(job))
+	r.anchors.Add(1)
+}
+
+func (r *poolReplica) release(job wire.AnchorJob) { r.outstanding.Add(-jobCost(job)) }
 
 // admit runs the breaker's admission decision for one call at time now:
 // closed admits, open admits one probe after the cooldown (moving to
@@ -613,6 +762,7 @@ func (r *poolReplica) enhance(streamID uint32, job wire.AnchorJob) (wire.AnchorR
 		r.dropIfUnavailable(err)
 		return wire.AnchorResult{}, fmt.Errorf("replica %s: %w", r.id, err)
 	}
+	r.dispatches.Add(1)
 	res, err := enh.Enhance(streamID, job)
 	if err == nil && res.Packet != job.Packet {
 		err = fmt.Errorf("replica %s returned anchor %d for job %d", r.id, res.Packet, job.Packet)
@@ -625,12 +775,17 @@ func (r *poolReplica) enhance(streamID uint32, job wire.AnchorJob) (wire.AnchorR
 	return res, nil
 }
 
-// enhanceBatch runs one admitted batch on this replica. Per-anchor job
-// failures ride back inside the outcomes; the error return voids the
+// enhanceBatch runs one admitted batch on this replica; a batch of one
+// goes out as a plain anchor job. Per-anchor job failures of a real batch
+// ride back inside the outcomes; the error return voids the
 // whole attempt (transport failure, protocol violation, or a replica
 // that cannot batch at all — the latter flagged with errBatchUnsupported
 // and not charged to the breaker, since the connection is healthy).
 func (r *poolReplica) enhanceBatch(streamID uint32, jobs []wire.AnchorJob) ([]AnchorOutcome, error) {
+	if len(jobs) == 1 {
+		res, err := r.enhance(streamID, jobs[0])
+		return []AnchorOutcome{{Res: res}}, err
+	}
 	r.mu.Lock()
 	err := r.connectLocked()
 	if err == nil {
@@ -646,8 +801,10 @@ func (r *poolReplica) enhanceBatch(streamID uint32, jobs []wire.AnchorJob) ([]An
 	var outs []AnchorOutcome
 	switch be := enh.(type) {
 	case BatchAnchorEnhancer:
+		r.dispatches.Add(1)
 		outs, err = be.EnhanceBatch(streamID, jobs)
 	case wireBatchEnhancer:
+		r.dispatches.Add(1)
 		var wouts []wire.AnchorBatchOutcome
 		wouts, err = be.EnhanceBatch(streamID, jobs)
 		if err == nil {

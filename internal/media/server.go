@@ -1383,7 +1383,7 @@ func (s *Server) DistributionHandler() http.Handler {
 			BrownoutLevel int               `json:"brownout_level"`
 			QueueDelayP99 float64           `json:"queue_delay_p99_ms"`
 			AdmitStoreP99 float64           `json:"admit_store_p99_ms"`
-			Pool          *PoolCounters     `json:"pool,omitempty"`
+			Pool          *poolStats        `json:"pool,omitempty"`
 			States        map[string]string `json:"replica_states,omitempty"`
 		}{
 			Server:        s.Counters(),
@@ -1394,11 +1394,10 @@ func (s *Server) DistributionHandler() http.Handler {
 			AdmitStoreP99: float64(s.admitStoreHist.Quantile(0.99)) / float64(time.Millisecond),
 		}
 		if p, ok := s.enhancer.(*EnhancerPool); ok {
-			c := p.Counters()
-			out.Pool = &c
+			out.Pool = &poolStats{PoolCounters: p.Counters(), Replicas: p.ReplicaStats()}
 			out.States = make(map[string]string)
-			for id, st := range p.ReplicaStates() {
-				out.States[id] = st.String()
+			for _, st := range out.Pool.Replicas {
+				out.States[st.ID] = st.State.String()
 			}
 		}
 		w.Header().Set("Content-Type", "application/json")
@@ -1411,6 +1410,13 @@ func (s *Server) DistributionHandler() http.Handler {
 		s.writeMetrics(w)
 	})
 	return mux
+}
+
+// poolStats is /stats's pool object: the fault counters, then each
+// replica's share of the work.
+type poolStats struct {
+	PoolCounters
+	Replicas []ReplicaStat `json:"replicas"`
 }
 
 // writeMetrics emits the server's overload-control observables in
@@ -1446,5 +1452,6 @@ func (s *Server) writeMetrics(w io.Writer) {
 		WriteCounter(w, "neuroscaler_pool_breaker_opens_total", "Replica breakers opened.", pc.BreakerOpens)
 		WriteCounter(w, "neuroscaler_pool_unavailable_total", "Pool calls exhausted on every replica.", pc.Unavailable)
 		WriteCounter(w, "neuroscaler_pool_deadline_expired_total", "Pool calls abandoned on deadline budget exhaustion.", pc.DeadlineExpired)
+		writeReplicaMetrics(w, p.ReplicaStats())
 	}
 }
