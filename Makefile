@@ -2,7 +2,7 @@
 
 GOBIN ?= $(shell go env GOPATH)/bin
 
-.PHONY: build test race lint nslint vet-nslint fuzz-smoke alloc-budget chaos-overload delivery-fanout bench-selftest
+.PHONY: build test race lint nslint vet-nslint fuzz-smoke chaos-overload delivery-fanout bench-selftest loc
 
 build:
 	go build ./...
@@ -49,11 +49,6 @@ fuzz-smoke:
 	go test -tags fuzz -run xxx -fuzz FuzzContainerRoundTrip -fuzztime 30s ./internal/hybrid
 	go test -tags fuzz -run xxx -fuzz FuzzWireFrame -fuzztime 30s ./internal/wire
 
-# Serving-path allocation gate: allocs/op on BenchmarkServerChunk versus
-# the checked-in bench_budget.json, failing on a >10% regression.
-alloc-budget:
-	./scripts/check_alloc_budget.sh
-
 # Overload-control tier under the race detector: deadline propagation,
 # queue discipline, brownout ladder, and the burst / gray-failure chaos
 # scenarios (mirrors the chaos-overload CI job).
@@ -71,10 +66,20 @@ delivery-fanout:
 # cmd/nsbench is a module of its own, so build/test/nslint above never
 # compile it although it wraps media's public types (EnhancerPool, the
 # ModelProvider and AnchorEnhancer seams). This builds it, runs its
-# self-test, and makes one short ingest_gpu run whose result line must
-# say "correct":true — byte-identity against the serial origin and a
-# closed anchor ledger are checked inside the run (mirrors the
-# bench-selftest CI job).
+# self-test, and makes two short runs whose result lines must say
+# "correct":true — ingest_gpu over TCP replicas and ingest_cpu over
+# in-process ones; byte-identity against the serial origin and a closed
+# anchor ledger are checked inside each run (mirrors the bench-selftest
+# CI job). The allocation gate is nsbench's allocs_per_op under its 2%
+# bound, on every PR.
 bench-selftest:
 	cd cmd/nsbench && go vet . && go test .
 	sh cmd/nsbench/run.sh --workload ingest_gpu --seed 1 --seconds 5 --trace 0 | tail -n 1 | grep -q '"correct":true'
+	sh cmd/nsbench/run.sh --workload ingest_cpu --seed 1 --seconds 5 --trace 0 | tail -n 1 | grep -q '"correct":true'
+
+# Non-test lines of the three serving-path packages (ROADMAP "One serving
+# path, one world" counts its target against these).
+loc:
+	@find internal/media -name '*.go' ! -name '*_test.go' | xargs cat | wc -l
+	@find internal/edge -name '*.go' ! -name '*_test.go' | xargs cat | wc -l
+	@find internal/wire -name '*.go' ! -name '*_test.go' | xargs cat | wc -l

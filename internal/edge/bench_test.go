@@ -12,7 +12,8 @@ import (
 // conn fetching a cache-resident chunk over raw wire frames. The
 // interesting number is allocs/op — the zero-copy fanout write
 // (marshal-once prefix + per-delivery flags tail) must not re-marshal
-// the container per delivery. Gated in CI against bench_budget.json.
+// the container per delivery (8 at the time of writing; the gate is
+// nsbench's allocs_per_op @ delivery_zipf).
 func BenchmarkEdgeServe(b *testing.B) {
 	origin := startOrigin(b, true, []uint32{5}, 1)
 	e := startEdge(b, origin, Config{})

@@ -453,6 +453,11 @@ func TestEdgeMetricsEndpoint(t *testing.T) {
 	if _, err := c.FetchChunk(5, 0, 0); err != nil {
 		t.Fatal(err)
 	}
+	// The edge observes a delivery's latency after writing its reply, so
+	// the client can get here first; wait for the observation, not for luck.
+	for wait := time.Now().Add(5 * time.Second); e.HitLatency().Count() == 0 && time.Now().Before(wait); {
+		time.Sleep(time.Millisecond)
+	}
 
 	rec := httptest.NewRecorder()
 	e.MetricsHandler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/metrics", nil))

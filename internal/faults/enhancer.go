@@ -53,18 +53,13 @@ func (f *FlakyEnhancer) Enhance(streamID uint32, job wire.AnchorJob) (wire.Ancho
 // injector draw, so a seeded fault mid-batch degrades only the anchors it
 // hits while the siblings return their real results. A dead gate fails
 // the whole batch like the dropped connection it models.
-func (f *FlakyEnhancer) EnhanceBatch(streamID uint32, jobs []wire.AnchorJob) ([]wire.AnchorBatchOutcome, error) {
+func (f *FlakyEnhancer) EnhanceBatch(streamID uint32, jobs []wire.AnchorJob) ([]wire.AnchorOutcome, error) {
 	if f.Gate != nil && f.Gate.Dead() {
 		return nil, fmt.Errorf("faults: enhance batch stream %d: %w", streamID, ErrKilled)
 	}
-	outs := make([]wire.AnchorBatchOutcome, len(jobs))
+	outs := make([]wire.AnchorOutcome, len(jobs))
 	for i, job := range jobs {
-		res, err := f.Enhance(streamID, job)
-		if err != nil {
-			outs[i] = wire.AnchorBatchOutcome{Res: wire.AnchorResult{Packet: job.Packet}, Err: err.Error()}
-			continue
-		}
-		outs[i] = wire.AnchorBatchOutcome{Res: res}
+		outs[i].Res, outs[i].Err = f.Enhance(streamID, job)
 	}
 	return outs, nil
 }

@@ -46,7 +46,7 @@ func (s *SlowEnhancer) Enhance(streamID uint32, job wire.AnchorJob) (wire.Anchor
 
 // EnhanceBatch serves a batch after the configured delay (scaled by the
 // batch size when PerJob is set).
-func (s *SlowEnhancer) EnhanceBatch(streamID uint32, jobs []wire.AnchorJob) ([]wire.AnchorBatchOutcome, error) {
+func (s *SlowEnhancer) EnhanceBatch(streamID uint32, jobs []wire.AnchorJob) ([]wire.AnchorOutcome, error) {
 	if s.slow() {
 		s.calls.Add(1)
 		d := s.Delay
@@ -55,14 +55,9 @@ func (s *SlowEnhancer) EnhanceBatch(streamID uint32, jobs []wire.AnchorJob) ([]w
 		}
 		time.Sleep(d)
 	}
-	outs := make([]wire.AnchorBatchOutcome, len(jobs))
+	outs := make([]wire.AnchorOutcome, len(jobs))
 	for i, job := range jobs {
-		res, err := s.Inner.Enhance(streamID, job)
-		if err != nil {
-			outs[i] = wire.AnchorBatchOutcome{Res: wire.AnchorResult{Packet: job.Packet}, Err: err.Error()}
-			continue
-		}
-		outs[i] = wire.AnchorBatchOutcome{Res: res}
+		outs[i].Res, outs[i].Err = s.Inner.Enhance(streamID, job)
 	}
 	return outs, nil
 }

@@ -18,8 +18,8 @@ var goLeakPkgs = []string{"media", "wire", "sched", "enhance", "par", "driver", 
 //   - WaitGroup balance: some function Adds on the same WaitGroup
 //     (matched by "Type.field" across functions, or by object identity
 //     for locals captured by closures) and the spawned body Dones on it,
-//     directly or through a callee — `pc.wg.Add(n)` before
-//     `go s.enhanceAnchor(pc, si)` with `defer pc.wg.Done()` inside;
+//     directly or through a callee — `pc.wg.Add(1)` before the
+//     `go func()` of dispatchAnchors with `defer pc.wg.Done()` inside;
 //   - a closed-channel wait: the spawned body receives from or ranges
 //     over a channel that some statement in the program closes —
 //     `for f := range tasks` joined by `close(pool)`, or a

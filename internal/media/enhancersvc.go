@@ -57,12 +57,9 @@ type AnchorEnhancer interface {
 	Enhance(streamID uint32, job wire.AnchorJob) (wire.AnchorResult, error)
 }
 
-// AnchorOutcome is one anchor's result within a batch: exactly one of
-// Res or Err is meaningful. Batch members fail independently.
-type AnchorOutcome struct {
-	Res wire.AnchorResult
-	Err error
-}
+// AnchorOutcome is one anchor's result within a batch, the same value
+// in process and on the wire.
+type AnchorOutcome = wire.AnchorOutcome
 
 // BatchAnchorEnhancer is an AnchorEnhancer that can coalesce several
 // anchors into one dispatch (one wire round trip for a remote, one
@@ -73,6 +70,33 @@ type AnchorOutcome struct {
 type BatchAnchorEnhancer interface {
 	AnchorEnhancer
 	EnhanceBatch(streamID uint32, jobs []wire.AnchorJob) ([]AnchorOutcome, error)
+}
+
+// enhanceGroup runs jobs on e as one dispatch, the only way the server
+// and the pool hand anchors to an enhancer: EnhanceBatch when e has it,
+// otherwise one concurrent Enhance per job. It returns one outcome per
+// job, in job order; a non-nil error voids the whole group and the
+// outcomes with it.
+func enhanceGroup(e AnchorEnhancer, streamID uint32, jobs []wire.AnchorJob) ([]AnchorOutcome, error) {
+	if be, ok := e.(BatchAnchorEnhancer); ok {
+		outs, err := be.EnhanceBatch(streamID, jobs)
+		if err == nil && len(outs) != len(jobs) {
+			err = fmt.Errorf("media: enhancer returned %d outcomes for %d jobs", len(outs), len(jobs))
+		}
+		return outs, err
+	}
+	outs := make([]AnchorOutcome, len(jobs))
+	var wg sync.WaitGroup
+	for i := 1; i < len(jobs); i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			outs[i].Res, outs[i].Err = e.Enhance(streamID, jobs[i])
+		}(i)
+	}
+	outs[0].Res, outs[0].Err = e.Enhance(streamID, jobs[0])
+	wg.Wait()
+	return outs, nil
 }
 
 // registrar is implemented by enhancers needing per-stream registration.
@@ -149,8 +173,7 @@ func (e *LocalEnhancer) Enhance(streamID uint32, job wire.AnchorJob) (wire.Ancho
 func (e *LocalEnhancer) EnhanceBatch(streamID uint32, jobs []wire.AnchorJob) ([]AnchorOutcome, error) {
 	outs := make([]AnchorOutcome, len(jobs))
 	for i, job := range jobs {
-		res, err := e.Enhance(streamID, job)
-		outs[i] = AnchorOutcome{Res: res, Err: err}
+		outs[i].Res, outs[i].Err = e.Enhance(streamID, job)
 	}
 	return outs, nil
 }
@@ -186,11 +209,12 @@ type EnhancerServerCounters struct {
 }
 
 // EnhancerServer exposes a LocalEnhancer over TCP using the wire
-// protocol: Hello registers the stream, AnchorJob frames are answered
-// with AnchorResult frames, Ping frames with Pong (heartbeats). Anchor
-// jobs on one connection are served concurrently (bounded by
-// MaxConcurrentJobs) and replies carry the request's Seq, so clients
-// must demultiplex by Seq rather than assuming FIFO replies.
+// protocol: Hello registers the stream, AnchorBatchJob frames (a batch
+// may be of one) are answered with AnchorBatchResult frames, Ping frames
+// with Pong (heartbeats). Batches on one connection are served
+// concurrently (bounded by MaxConcurrentJobs) and replies carry the
+// request's Seq, so clients must demultiplex by Seq rather than assuming
+// FIFO replies.
 type EnhancerServer struct {
 	enhancer *LocalEnhancer
 	ln       net.Listener
@@ -307,26 +331,31 @@ func (w *connWriter) write(msg wire.Message) error {
 }
 
 func (w *connWriter) writeError(msg wire.Message, cause error) error {
-	return w.write(wire.Message{
+	return w.write(errorReply(msg, cause))
+}
+
+// errorReply is the TypeError frame answering msg with cause.
+func errorReply(msg wire.Message, cause error) wire.Message {
+	return wire.Message{
 		Type:     wire.TypeError,
 		StreamID: msg.StreamID,
 		Seq:      msg.Seq,
 		Payload:  []byte(cause.Error()),
-	})
+	}
 }
 
 // serveConn demultiplexes one client connection: hellos and pings are
 // answered inline (a hello must land before the jobs that rely on it),
-// anchor jobs land in a bounded earliest-deadline-first queue served by
-// MaxConcurrentJobs workers that reply with the job's Seq on
-// completion. A full queue sheds the job with a typed ErrShed reply,
+// anchor batches land in a bounded earliest-deadline-first queue served
+// by MaxConcurrentJobs workers that reply with the batch's Seq on
+// completion. A full queue sheds the batch with a typed ErrShed reply,
 // and workers drop entries whose deadline expired while queued with a
 // typed ErrDeadlineExceeded reply — replies are demultiplexed by Seq,
 // so out-of-order shed/expiry answers are harmless. Job-level failures
-// (unregistered stream, model error) answer TypeError and keep the
-// connection alive so other in-flight jobs are unaffected;
-// protocol-level failures (undecodable payloads, unexpected types) drop
-// the connection.
+// (unregistered stream, model error) ride back as that anchor's outcome
+// inside the batch result, leaving its siblings and the connection
+// untouched; protocol-level failures (undecodable payloads, unexpected
+// types) drop the connection.
 func (s *EnhancerServer) serveConn(conn net.Conn) error {
 	w := &connWriter{conn: conn, timeout: s.cfg.WriteTimeout}
 	queue := newJobQueue(s.cfg.JobQueueDepth)
@@ -367,21 +396,6 @@ func (s *EnhancerServer) serveConn(conn net.Conn) error {
 			if err := w.write(wire.Message{Type: wire.TypeAck, StreamID: msg.StreamID, Seq: msg.Seq}); err != nil {
 				return err
 			}
-		case wire.TypeAnchorJob:
-			job, err := wire.DecodeAnchorJob(msg.Payload)
-			if err != nil {
-				_ = w.writeError(msg, err)
-				return err
-			}
-			now := time.Now()
-			entry := &jobEntry{msg: msg, job: job, enqueued: now}
-			if msg.Budget > 0 {
-				// The wire budget is relative; re-derive the local deadline
-				// from arrival time so peer clock skew never leaks in.
-				entry.deadline = now.Add(msg.Budget)
-				entry.job.Deadline = entry.deadline
-			}
-			s.admit(queue, w, entry)
 		case wire.TypeAnchorBatchJob:
 			batch, err := wire.DecodeAnchorBatchJob(msg.Payload)
 			if err != nil {
@@ -394,6 +408,8 @@ func (s *EnhancerServer) serveConn(conn net.Conn) error {
 			now := time.Now()
 			entry := &jobEntry{msg: msg, batch: batch, enqueued: now}
 			if msg.Budget > 0 {
+				// The wire budget is relative; re-derive the local deadline
+				// from arrival time so peer clock skew never leaks in.
 				entry.deadline = now.Add(msg.Budget)
 				for i := range entry.batch {
 					entry.batch[i].Deadline = entry.deadline
@@ -428,90 +444,46 @@ func (s *EnhancerServer) admit(queue *jobQueue, w *connWriter, entry *jobEntry) 
 	}
 }
 
-// jobWorker serves one connection's queue until it closes: expired
-// entries are dropped at dequeue with a typed deadline reply, live ones
-// run on the enhancer and answer with the request's Seq.
+// jobWorker serves one connection's queue until it closes, answering
+// each dispatch with the request's Seq.
 func (s *EnhancerServer) jobWorker(queue *jobQueue, w *connWriter) {
 	for {
 		e, ok := queue.pop()
 		if !ok {
 			return
 		}
-		if expired(e.deadline, time.Now()) {
-			s.jobsExpired.Add(1)
-			err := fmt.Errorf("media: job expired after %v in queue: %w", time.Since(e.enqueued).Round(time.Microsecond), ErrDeadlineExceeded)
-			if werr := w.writeError(e.msg, err); werr != nil {
-				s.cfg.Logf("media: enhancer reply: %v", werr)
-			}
-			continue
-		}
-		if e.batch != nil {
-			s.runBatch(w, e.msg, e.batch)
-		} else {
-			s.runJob(w, e.msg, e.job)
+		if err := w.write(s.runBatch(e)); err != nil {
+			s.cfg.Logf("media: enhancer reply: %v", err)
 		}
 	}
 }
 
-func (s *EnhancerServer) runJob(w *connWriter, msg wire.Message, job wire.AnchorJob) {
-	res, err := s.enhancer.Enhance(msg.StreamID, job)
+// runBatch serves one dequeued dispatch and returns its reply frame: a
+// typed deadline error when the entry expired in the queue, otherwise the
+// per-anchor outcomes of one run on the enhancer.
+func (s *EnhancerServer) runBatch(e *jobEntry) wire.Message {
+	if expired(e.deadline, time.Now()) {
+		s.jobsExpired.Add(1)
+		return errorReply(e.msg, fmt.Errorf("media: job expired after %v in queue: %w",
+			time.Since(e.enqueued).Round(time.Microsecond), ErrDeadlineExceeded))
+	}
+	outs, err := s.enhancer.EnhanceBatch(e.msg.StreamID, e.batch)
 	if err != nil {
-		if errors.Is(err, ErrDeadlineExceeded) {
-			s.jobsExpired.Add(1)
-		}
-		if werr := w.writeError(msg, err); werr != nil {
-			s.cfg.Logf("media: enhancer reply: %v", werr)
-		}
-		return
+		return errorReply(e.msg, err)
 	}
-	reply := wire.Message{
-		Type:     wire.TypeAnchorResult,
-		StreamID: msg.StreamID,
-		Seq:      msg.Seq,
-		Payload:  wire.EncodeAnchorResult(res),
-	}
-	if err := w.write(reply); err != nil {
-		s.cfg.Logf("media: enhancer reply: %v", err)
-	}
-}
-
-func (s *EnhancerServer) runBatch(w *connWriter, msg wire.Message, batch []wire.AnchorJob) {
-	outs, err := s.enhancer.EnhanceBatch(msg.StreamID, batch)
-	if err != nil {
-		if werr := w.writeError(msg, err); werr != nil {
-			s.cfg.Logf("media: enhancer reply: %v", werr)
-		}
-		return
-	}
-	wouts := make([]wire.AnchorBatchOutcome, len(outs))
 	for i, o := range outs {
 		if o.Err != nil {
 			if errors.Is(o.Err, ErrDeadlineExceeded) {
 				s.jobsExpired.Add(1)
 			}
-			wouts[i] = wire.AnchorBatchOutcome{
-				Res: wire.AnchorResult{Packet: batch[i].Packet},
-				Err: o.Err.Error(),
-			}
-		} else {
-			wouts[i] = wire.AnchorBatchOutcome{Res: o.Res}
+			outs[i].Res = wire.AnchorResult{Packet: e.batch[i].Packet}
 		}
 	}
-	payload, err := wire.EncodeAnchorBatchResult(wouts)
-	if err != nil {
-		if werr := w.writeError(msg, err); werr != nil {
-			s.cfg.Logf("media: enhancer reply: %v", werr)
-		}
-		return
-	}
-	reply := wire.Message{
+	return wire.Message{
 		Type:     wire.TypeAnchorBatchResult,
-		StreamID: msg.StreamID,
-		Seq:      msg.Seq,
-		Payload:  payload,
-	}
-	if err := w.write(reply); err != nil {
-		s.cfg.Logf("media: enhancer reply: %v", err)
+		StreamID: e.msg.StreamID,
+		Seq:      e.msg.Seq,
+		Payload:  wire.EncodeAnchorBatchResult(outs),
 	}
 }
 
@@ -630,33 +602,22 @@ func (r *RemoteEnhancer) Register(streamID uint32, h wire.Hello) error {
 	return nil
 }
 
-// Enhance implements AnchorEnhancer. A job with a deadline ships its
-// remaining budget on the wire so the replica can queue and expire it
-// deadline-aware; an already-expired job fails locally without spending
-// a round trip (a near-zero budget would only trip the call timer and
-// tear down the shared connection).
+// Enhance implements AnchorEnhancer as a batch of one.
 func (r *RemoteEnhancer) Enhance(streamID uint32, job wire.AnchorJob) (wire.AnchorResult, error) {
-	if expired(job.Deadline, time.Now()) {
-		return wire.AnchorResult{}, fmt.Errorf("media: enhance stream %d packet %d: %w", streamID, job.Packet, ErrDeadlineExceeded)
-	}
-	reply, err := r.call(wire.Message{
-		Type:     wire.TypeAnchorJob,
-		StreamID: streamID,
-		Payload:  wire.EncodeAnchorJob(job),
-		Budget:   jobBudget(job.Deadline, time.Now()),
-	})
+	outs, err := r.EnhanceBatch(streamID, []wire.AnchorJob{job})
 	if err != nil {
 		return wire.AnchorResult{}, err
 	}
-	if reply.Type != wire.TypeAnchorResult {
-		return wire.AnchorResult{}, fmt.Errorf("media: enhance: unexpected reply %v", reply.Type)
-	}
-	return wire.DecodeAnchorResult(reply.Payload)
+	return outs[0].Res, outs[0].Err
 }
 
 // EnhanceBatch implements BatchAnchorEnhancer with a single multiplexed
 // round trip: one TypeAnchorBatchJob frame out, one TypeAnchorBatchResult
-// frame back, per-anchor outcomes demultiplexed from the reply. Transport
+// frame back, per-anchor outcomes demultiplexed from the reply. Jobs with
+// a deadline ship their remaining budget on the wire so the replica can
+// queue and expire them deadline-aware; an already-expired batch fails
+// locally without spending a round trip (a near-zero budget would only
+// trip the call timer and tear down the shared connection). Transport
 // failures void the whole batch (wrapped in ErrEnhancerUnavailable);
 // per-anchor job failures come back as outcome errors.
 func (r *RemoteEnhancer) EnhanceBatch(streamID uint32, jobs []wire.AnchorJob) ([]AnchorOutcome, error) {
@@ -678,19 +639,16 @@ func (r *RemoteEnhancer) EnhanceBatch(streamID uint32, jobs []wire.AnchorJob) ([
 	if reply.Type != wire.TypeAnchorBatchResult {
 		return nil, fmt.Errorf("media: enhance batch: unexpected reply %v", reply.Type)
 	}
-	wouts, err := wire.DecodeAnchorBatchResult(reply.Payload)
+	outs, err := wire.DecodeAnchorBatchResult(reply.Payload)
 	if err != nil {
 		return nil, err
 	}
-	if len(wouts) != len(jobs) {
-		return nil, fmt.Errorf("media: enhance batch: %d outcomes for %d jobs", len(wouts), len(jobs))
+	if len(outs) != len(jobs) {
+		return nil, fmt.Errorf("media: enhance batch: %d outcomes for %d jobs", len(outs), len(jobs))
 	}
-	outs := make([]AnchorOutcome, len(jobs))
-	for i, o := range wouts {
-		if o.Err != "" {
-			outs[i].Err = remoteError("media: remote", []byte(o.Err))
-		} else {
-			outs[i].Res = o.Res
+	for i, o := range outs {
+		if o.Err != nil {
+			outs[i].Err = remoteError("media: remote", []byte(o.Err.Error()))
 		}
 	}
 	return outs, nil

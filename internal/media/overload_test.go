@@ -1,6 +1,7 @@
 package media
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -443,8 +444,8 @@ func TestEnhancerServerTypedOverloadReplies(t *testing.T) {
 	sendJob := func(seq uint32, budget time.Duration) {
 		t.Helper()
 		job := wire.AnchorJob{Packet: 0, DisplayIndex: 0, QP: 30, Frame: lr[0]}
-		msg := wire.Message{Type: wire.TypeAnchorJob, StreamID: streamID, Seq: seq,
-			Payload: wire.EncodeAnchorJob(job), Budget: budget}
+		msg := wire.Message{Type: wire.TypeAnchorBatchJob, StreamID: streamID, Seq: seq,
+			Payload: wire.EncodeAnchorBatchJob([]wire.AnchorJob{job}), Budget: budget}
 		if err := wire.Write(conn, msg); err != nil {
 			t.Fatalf("send job %d: %v", seq, err)
 		}
@@ -475,8 +476,11 @@ func TestEnhancerServerTypedOverloadReplies(t *testing.T) {
 	time.Sleep(60 * time.Millisecond)
 	close(gate)
 
-	if reply, err = wire.Read(conn, wire.DefaultMaxPayload); err != nil || reply.Seq != 1 || reply.Type != wire.TypeAnchorResult {
-		t.Fatalf("job 1 reply = seq %d type %v err %v, want an anchor result", reply.Seq, reply.Type, err)
+	if reply, err = wire.Read(conn, wire.DefaultMaxPayload); err != nil || reply.Seq != 1 || reply.Type != wire.TypeAnchorBatchResult {
+		t.Fatalf("job 1 reply = seq %d type %v err %v, want a batch result", reply.Seq, reply.Type, err)
+	}
+	if outs, err := wire.DecodeAnchorBatchResult(reply.Payload); err != nil || len(outs) != 1 || outs[0].Err != nil || len(outs[0].Res.Encoded) == 0 {
+		t.Fatalf("job 1 outcomes = %+v, %v; want one enhanced anchor", outs, err)
 	}
 	if reply, err = wire.Read(conn, wire.DefaultMaxPayload); err != nil || reply.Seq != 2 || reply.Type != wire.TypeError {
 		t.Fatalf("job 2 reply = seq %d type %v err %v, want a deadline error", reply.Seq, reply.Type, err)
@@ -488,6 +492,23 @@ func TestEnhancerServerTypedOverloadReplies(t *testing.T) {
 	c := es.Counters()
 	if c.JobsShed != 1 || c.JobsExpired != 1 {
 		t.Fatalf("counters = %+v, want one shed and one expired", c)
+	}
+
+	// A frame of a retired type (3 was the per-anchor job) never reaches a
+	// handler: the server's reader refuses it as corrupt and drops the
+	// connection without a reply.
+	var frame bytes.Buffer
+	if err := wire.Write(&frame, wire.Message{Type: wire.TypePing, Seq: 9}); err != nil {
+		t.Fatal(err)
+	}
+	raw := frame.Bytes()
+	raw[2] = 3
+	if _, err := conn.Write(raw); err != nil {
+		t.Fatal(err)
+	}
+	_ = conn.SetReadDeadline(time.Now().Add(2 * time.Second))
+	if reply, err := wire.Read(conn, wire.DefaultMaxPayload); err == nil {
+		t.Fatalf("retired frame type answered with %v", reply.Type)
 	}
 }
 

@@ -8,7 +8,9 @@ import (
 	"net/http/httptest"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"github.com/neuroscaler/neuroscaler/internal/faults"
 	"github.com/neuroscaler/neuroscaler/internal/wire"
@@ -528,5 +530,64 @@ func TestServerRetentionAndStageStats(t *testing.T) {
 	ss := srv.StageStats()
 	if ss.Chunks != chunks {
 		t.Errorf("StageStats().Chunks = %d", ss.Chunks)
+	}
+}
+
+// peakEnhancer fails its first call the way a dead transport would, then
+// serves slowly enough for calls to meet, and records how many were ever
+// inside it together.
+type peakEnhancer struct {
+	inner            *LocalEnhancer
+	calls, cur, peak atomic.Int32
+}
+
+func (e *peakEnhancer) Register(id uint32, h wire.Hello) error { return e.inner.Register(id, h) }
+
+func (e *peakEnhancer) Enhance(id uint32, job wire.AnchorJob) (wire.AnchorResult, error) {
+	n := e.cur.Add(1)
+	defer e.cur.Add(-1)
+	for p := e.peak.Load(); n > p && !e.peak.CompareAndSwap(p, n); p = e.peak.Load() {
+	}
+	if e.calls.Add(1) == 1 {
+		return wire.AnchorResult{}, fmt.Errorf("scripted outage: %w", ErrEnhancerUnavailable)
+	}
+	time.Sleep(20 * time.Millisecond)
+	return e.inner.Enhance(id, job)
+}
+
+// TestRescuePassHoldsInFlightBound: the package stage's retry of a
+// transport-failed anchor goes through the same slot-holding dispatch as
+// the first attempt. With MaxInFlightAnchors 1 and a second chunk's
+// anchors already queued for the slot, the rescue of chunk 0 must wait its
+// turn: the enhancer never sees two calls at once, both chunks still ship
+// whole, and the pool's ledger closes.
+func TestRescuePassHoldsInFlightBound(t *testing.T) {
+	var enh *peakEnhancer
+	run := runStream(t, ServerConfig{AnchorFraction: 0.15, MaxInFlightAnchors: 1}, 2, true,
+		func(t *testing.T, provider ModelProvider) AnchorEnhancer {
+			local, err := NewLocalEnhancer(provider)
+			if err != nil {
+				t.Fatal(err)
+			}
+			enh = &peakEnhancer{inner: local}
+			cfg := chaosPoolConfig()
+			cfg.MaxRetries = -1 // one attempt: the outage reaches the server's rescue pass
+			cfg.BreakerThreshold = 1 << 30
+			pool, err := NewEnhancerPool([]Replica{StaticReplica("solo", enh)}, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return pool
+		}, nil)
+	if peak := enh.peak.Load(); peak != 1 {
+		t.Errorf("enhancer saw %d calls at once under MaxInFlightAnchors 1", peak)
+	}
+	if calls := enh.calls.Load(); calls != 5 {
+		t.Errorf("enhancer saw %d calls, want 5 (4 anchors + 1 rescue)", calls)
+	}
+	for seq, deg := range run.degraded {
+		if deg {
+			t.Errorf("chunk %d shipped degraded; the rescue should have landed its anchor", seq)
+		}
 	}
 }

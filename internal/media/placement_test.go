@@ -1,10 +1,13 @@
 package media
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"slices"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"github.com/neuroscaler/neuroscaler/internal/faults"
 	"github.com/neuroscaler/neuroscaler/internal/frame"
@@ -275,4 +278,150 @@ func TestPoolRejectsMoreReplicasThanTheMaskHolds(t *testing.T) {
 	} else {
 		p.Close()
 	}
+}
+
+// firstFail is a batch-capable replica whose first n jobs of every group
+// fail, each on its own.
+type firstFail struct{ n atomic.Int32 }
+
+func (e *firstFail) Enhance(_ uint32, job wire.AnchorJob) (wire.AnchorResult, error) {
+	return wire.AnchorResult{Packet: job.Packet, Encoded: []byte{1}}, nil
+}
+
+func (e *firstFail) EnhanceBatch(_ uint32, jobs []wire.AnchorJob) ([]AnchorOutcome, error) {
+	outs := make([]AnchorOutcome, len(jobs))
+	for i, job := range jobs {
+		if i < int(e.n.Load()) {
+			outs[i].Err = fmt.Errorf("anchor %d: scripted failure", job.Packet)
+		} else {
+			outs[i].Res = wire.AnchorResult{Packet: job.Packet, Encoded: []byte{1}}
+		}
+	}
+	return outs, nil
+}
+
+// TestReplicaBreakerHearsWholeGroupFailuresOnly is the breaker rule of the
+// one dispatch method: a round trip none of whose anchors landed is a
+// failure, any other a success, whatever the group size — for a group of
+// one that is the per-anchor rule. From a closed breaker (threshold 1) and
+// from a half-open one whose probe the group is: exactly one report either
+// way, the probe cleared, the ledger back at 0.
+func TestReplicaBreakerHearsWholeGroupFailuresOnly(t *testing.T) {
+	type tc struct{ size, failing int }
+	cases := []tc{{1, 0}, {1, 1}, {2, 0}, {2, 1}, {2, 2}, {4, 0}, {4, 2}, {4, 4}}
+	for _, c := range cases {
+		for _, halfOpen := range []bool{false, true} {
+			t.Run(fmt.Sprintf("group-%d-failing-%d-halfopen-%v", c.size, c.failing, halfOpen), func(t *testing.T) {
+				e := &firstFail{}
+				cfg := quickPoolConfig()
+				cfg.BreakerThreshold = 1
+				p, err := NewEnhancerPool([]Replica{StaticReplica("solo", e)}, cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer p.Close()
+				rep := p.replicas[0]
+				run := func(size, failing int) []AnchorOutcome {
+					t.Helper()
+					e.n.Store(int32(failing))
+					jobs, assign := make([]wire.AnchorJob, size), make([]int8, size)
+					for i := range jobs {
+						jobs[i].Packet = i
+					}
+					if p.place(jobs, 0, assign) == 0 {
+						t.Fatal("breaker admitted nothing")
+					}
+					outs := make([]AnchorOutcome, size)
+					p.runGroup(rep, 1, jobs, assign, outs)
+					return outs
+				}
+				if halfOpen {
+					run(1, 1) // opens the breaker
+					time.Sleep(2 * cfg.BreakerCooldown)
+				}
+				before := p.Counters()
+				dispatches := rep.dispatches.Load()
+				outs := run(c.size, c.failing)
+
+				for i, o := range outs {
+					if (o.Err != nil) != (i < c.failing) {
+						t.Errorf("outcome %d = %+v with the first %d scripted to fail", i, o, c.failing)
+					}
+				}
+				after := p.Counters()
+				opens, closes := after.BreakerOpens-before.BreakerOpens, after.BreakerCloses-before.BreakerCloses
+				landed := c.failing < c.size
+				wantState, wantOpens, wantCloses := BreakerClosed, uint64(0), uint64(0)
+				switch {
+				case !landed:
+					wantState, wantOpens = BreakerOpen, 1
+				case halfOpen:
+					wantCloses = 1
+				}
+				if st := p.ReplicaStates()["solo"]; st != wantState || opens != wantOpens || closes != wantCloses {
+					t.Errorf("breaker %v after %d opens / %d closes, want %v after %d / %d",
+						st, opens, closes, wantState, wantOpens, wantCloses)
+				}
+				rep.mu.Lock()
+				probing := rep.probing
+				rep.mu.Unlock()
+				if probing {
+					t.Error("the group's one report did not clear the half-open probe")
+				}
+				if got := rep.dispatches.Load() - dispatches; got != 1 {
+					t.Errorf("group cost %d dispatches, want 1", got)
+				}
+				requireLedgerClosed(t, p)
+			})
+		}
+	}
+}
+
+// meetEnhancer has Enhance only, and every call waits until `want` calls
+// are inside it together.
+type meetEnhancer struct {
+	want int32
+	in   atomic.Int32
+	all  chan struct{}
+}
+
+func (e *meetEnhancer) Enhance(_ uint32, job wire.AnchorJob) (wire.AnchorResult, error) {
+	if e.in.Add(1) == e.want {
+		close(e.all)
+	}
+	select {
+	case <-e.all:
+		return wire.AnchorResult{Packet: job.Packet, Encoded: []byte{1}}, nil
+	case <-time.After(5 * time.Second):
+		return wire.AnchorResult{}, errors.New("the group's calls did not run side by side")
+	}
+}
+
+// TestEnhanceOnlyReplicaGetsAGroupAsConcurrentCalls: a replica without
+// EnhanceBatch receives a placed group of three as three concurrent
+// Enhance calls inside one dispatch — no breaker charge, no rescue ladder.
+func TestEnhanceOnlyReplicaGetsAGroupAsConcurrentCalls(t *testing.T) {
+	e := &meetEnhancer{want: 3, all: make(chan struct{})}
+	p, err := NewEnhancerPool([]Replica{StaticReplica("plain", e)}, quickPoolConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.Close()
+	jobs := []wire.AnchorJob{{Packet: 2}, {Packet: 5}, {Packet: 9}}
+	outs, err := p.EnhanceBatch(1, jobs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, o := range outs {
+		if o.Err != nil || o.Res.Packet != jobs[i].Packet {
+			t.Errorf("outcome %d = %+v, want anchor %d", i, o, jobs[i].Packet)
+		}
+	}
+	if st := p.ReplicaStats()[0]; st.Dispatches != 1 || st.Anchors != 3 || st.State != BreakerClosed {
+		t.Errorf("replica = %+v, want 1 dispatch of 3 anchors, breaker closed", st)
+	}
+	if c := p.Counters(); c.Calls != 0 || c.Retries != 0 || c.Failovers != 0 || c.BreakerOpens != 0 {
+		t.Errorf("counters = %+v, want the rescue ladder and the breaker untouched", c)
+	}
+	requireLedgerClosed(t, p)
 }

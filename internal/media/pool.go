@@ -368,10 +368,13 @@ func (p *EnhancerPool) enhance(streamID uint32, job wire.AnchorJob, failed uint6
 		if attempt > 0 || failed != 0 {
 			p.counters.failovers.Add(1)
 		}
-		res, err := rep.enhance(streamID, job)
+		outs, err := rep.enhanceBatch(streamID, jobs[:])
 		rep.release(job)
 		if err == nil {
-			return res, nil
+			err = outs[0].Err
+		}
+		if err == nil {
+			return outs[0].Res, nil
 		}
 		lastErr = err
 		p.cfg.Logf("media: pool replica %s anchor %d stream %d: %v", rep.id, job.Packet, streamID, err)
@@ -389,21 +392,20 @@ func (p *EnhancerPool) enhance(streamID uint32, job wire.AnchorJob, failed uint6
 
 // EnhanceBatch implements BatchAnchorEnhancer with anchor-level
 // placement: the jobs are spread over the admissible replicas by least
-// outstanding work, each replica's group is one round trip (a group of
-// one a plain anchor job), the groups run concurrently, and any anchor
-// its group did not land falls over to the per-anchor ladder, starting
-// away from the replica that failed it. A mid-batch fault therefore
-// degrades only the anchors it actually touched. Outcomes land by job
-// index, so neither placement nor completion order shows in the result.
-// A batch of one is exactly the per-anchor path.
+// outstanding work, each replica's group is one round trip, the groups
+// run concurrently, and any anchor its group did not land falls over to
+// the per-anchor ladder, starting away from the replica that failed it.
+// A mid-batch fault therefore degrades only the anchors it actually
+// touched. Outcomes land by job index, so neither placement nor
+// completion order shows in the result. A batch of one goes straight to
+// the ladder, as Enhance does.
 func (p *EnhancerPool) EnhanceBatch(streamID uint32, jobs []wire.AnchorJob) ([]AnchorOutcome, error) {
 	if len(jobs) == 0 {
 		return nil, nil
 	}
 	outs := make([]AnchorOutcome, len(jobs))
 	if len(jobs) == 1 {
-		res, err := p.Enhance(streamID, jobs[0])
-		outs[0] = AnchorOutcome{Res: res, Err: err}
+		outs[0].Res, outs[0].Err = p.Enhance(streamID, jobs[0])
 		return outs, nil
 	}
 	// assign[i] is the replica job i was placed on, or -1. A placed job
@@ -443,14 +445,13 @@ func (p *EnhancerPool) EnhanceBatch(streamID uint32, jobs []wire.AnchorJob) ([]A
 			continue
 		}
 		var failed uint64
-		if assign[i] >= 0 && !errors.Is(outs[i].Err, errBatchUnsupported) {
+		if assign[i] >= 0 {
 			failed = 1 << assign[i]
 		}
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			res, err := p.enhance(streamID, jobs[i], failed)
-			outs[i] = AnchorOutcome{Res: res, Err: err}
+			outs[i].Res, outs[i].Err = p.enhance(streamID, jobs[i], failed)
 		}(i)
 	}
 	wg.Wait()
@@ -461,24 +462,37 @@ func (p *EnhancerPool) EnhanceBatch(streamID uint32, jobs []wire.AnchorJob) ([]A
 // one round trip and releases their ledger charge. Outcomes go to outs by
 // job index; a group-level failure is every member's outcome.
 func (p *EnhancerPool) runGroup(rep *poolReplica, streamID uint32, jobs []wire.AnchorJob, assign []int8, outs []AnchorOutcome) {
-	group := make([]wire.AnchorJob, 0, len(jobs))
+	lo, hi, n := 0, 0, 0
 	for i, a := range assign {
 		if int(a) == rep.index {
-			group = append(group, jobs[i])
+			if n == 0 {
+				lo = i
+			}
+			hi, n = i+1, n+1
+		}
+	}
+	// A run of neighbours (every group of one, and a call that landed whole
+	// on one replica) goes out as it lies in jobs; only a group placement
+	// interleaved with another is gathered.
+	group := jobs[lo:hi]
+	if hi-lo != n {
+		group = make([]wire.AnchorJob, 0, n)
+		for i, a := range assign[:hi] {
+			if int(a) == rep.index {
+				group = append(group, jobs[i])
+			}
 		}
 	}
 	bouts, err := rep.enhanceBatch(streamID, group)
-	for _, job := range group {
-		rep.release(job)
-	}
-	if err != nil && !errors.Is(err, errBatchUnsupported) {
-		p.cfg.Logf("media: pool replica %s group of %d stream %d: %v", rep.id, len(group), streamID, err)
+	if err != nil {
+		p.cfg.Logf("media: pool replica %s group of %d stream %d: %v", rep.id, n, streamID, err)
 	}
 	k := 0
-	for i, a := range assign {
+	for i, a := range assign[:hi] {
 		if int(a) != rep.index {
 			continue
 		}
+		rep.release(jobs[i])
 		if err != nil {
 			outs[i].Err = err
 		} else {
@@ -486,18 +500,6 @@ func (p *EnhancerPool) runGroup(rep *poolReplica, streamID uint32, jobs []wire.A
 		}
 		k++
 	}
-}
-
-// errBatchUnsupported reports a replica whose enhancer cannot coalesce
-// anchors; the pool falls back to per-anchor dispatch without charging
-// the replica's breaker.
-var errBatchUnsupported = errors.New("media: replica does not support batched enhancement")
-
-// wireBatchEnhancer is the wire-typed batch shape (outcome errors as
-// strings). Fault-injection tiers implement this form because they mirror
-// the media interfaces structurally without importing the package.
-type wireBatchEnhancer interface {
-	EnhanceBatch(streamID uint32, jobs []wire.AnchorJob) ([]wire.AnchorBatchOutcome, error)
 }
 
 // jobCost is the modelled work of one anchor: its LR frame area, so
@@ -741,51 +743,19 @@ func (r *poolReplica) syncRegistrations(now time.Time) error {
 	}
 	r.mu.Unlock()
 	r.report(err == nil, time.Now())
-	if err != nil {
-		r.dropIfUnavailable(err)
-	}
+	r.dropIfUnavailable(err)
 	return err
 }
 
-// enhance runs one admitted job on this replica, handling connect,
-// registration replay, and breaker reporting.
-func (r *poolReplica) enhance(streamID uint32, job wire.AnchorJob) (wire.AnchorResult, error) {
-	r.mu.Lock()
-	err := r.connectLocked()
-	if err == nil {
-		err = r.syncRegistrationsLocked()
-	}
-	enh := r.enh
-	r.mu.Unlock()
-	if err != nil {
-		r.report(false, time.Now())
-		r.dropIfUnavailable(err)
-		return wire.AnchorResult{}, fmt.Errorf("replica %s: %w", r.id, err)
-	}
-	r.dispatches.Add(1)
-	res, err := enh.Enhance(streamID, job)
-	if err == nil && res.Packet != job.Packet {
-		err = fmt.Errorf("replica %s returned anchor %d for job %d", r.id, res.Packet, job.Packet)
-	}
-	r.report(err == nil, time.Now())
-	if err != nil {
-		r.dropIfUnavailable(err)
-		return wire.AnchorResult{}, fmt.Errorf("replica %s: %w", r.id, err)
-	}
-	return res, nil
-}
-
-// enhanceBatch runs one admitted batch on this replica; a batch of one
-// goes out as a plain anchor job. Per-anchor job failures of a real batch
-// ride back inside the outcomes; the error return voids the
-// whole attempt (transport failure, protocol violation, or a replica
-// that cannot batch at all — the latter flagged with errBatchUnsupported
-// and not charged to the breaker, since the connection is healthy).
+// enhanceBatch runs one admitted group on this replica — the one place
+// the pool hands anchors to an enhancer — handling connect, registration
+// replay and breaker reporting. Per-anchor failures ride back inside the
+// outcomes; the error return voids the whole attempt (dial, transport or
+// protocol failure). The breaker hears a failure when the attempt is
+// voided or when none of its anchors landed (the first anchor's error
+// then stands for the group); a group that landed any anchor is a
+// healthy round trip.
 func (r *poolReplica) enhanceBatch(streamID uint32, jobs []wire.AnchorJob) ([]AnchorOutcome, error) {
-	if len(jobs) == 1 {
-		res, err := r.enhance(streamID, jobs[0])
-		return []AnchorOutcome{{Res: res}}, err
-	}
 	r.mu.Lock()
 	err := r.connectLocked()
 	if err == nil {
@@ -793,57 +763,36 @@ func (r *poolReplica) enhanceBatch(streamID uint32, jobs []wire.AnchorJob) ([]An
 	}
 	enh := r.enh
 	r.mu.Unlock()
-	if err != nil {
-		r.report(false, time.Now())
-		r.dropIfUnavailable(err)
-		return nil, fmt.Errorf("replica %s: %w", r.id, err)
-	}
 	var outs []AnchorOutcome
-	switch be := enh.(type) {
-	case BatchAnchorEnhancer:
-		r.dispatches.Add(1)
-		outs, err = be.EnhanceBatch(streamID, jobs)
-	case wireBatchEnhancer:
-		r.dispatches.Add(1)
-		var wouts []wire.AnchorBatchOutcome
-		wouts, err = be.EnhanceBatch(streamID, jobs)
-		if err == nil {
-			outs = make([]AnchorOutcome, len(wouts))
-			for i, o := range wouts {
-				if o.Err != "" {
-					outs[i].Err = errors.New(o.Err)
-				} else {
-					outs[i].Res = o.Res
-				}
-			}
-		}
-	default:
-		// Connect + registration replay succeeded, so this was a healthy
-		// probe (ping semantics) even though no batch ran.
-		r.report(true, time.Now())
-		return nil, fmt.Errorf("replica %s: %w", r.id, errBatchUnsupported)
-	}
-	if err == nil && len(outs) != len(jobs) {
-		err = fmt.Errorf("replica %s returned %d outcomes for %d jobs", r.id, len(outs), len(jobs))
-	}
 	if err == nil {
+		r.dispatches.Add(1)
+		outs, err = enhanceGroup(enh, streamID, jobs)
+	}
+	fail := err
+	if err == nil {
+		landed := false
 		for i := range outs {
 			if outs[i].Err == nil && outs[i].Res.Packet != jobs[i].Packet {
 				outs[i] = AnchorOutcome{Err: fmt.Errorf("replica %s returned anchor %d for job %d",
 					r.id, outs[i].Res.Packet, jobs[i].Packet)}
 			}
+			landed = landed || outs[i].Err == nil
+		}
+		if !landed {
+			fail = outs[0].Err
 		}
 	}
-	r.report(err == nil, time.Now())
+	r.report(fail == nil, time.Now())
+	r.dropIfUnavailable(fail)
 	if err != nil {
-		r.dropIfUnavailable(err)
 		return nil, fmt.Errorf("replica %s: %w", r.id, err)
 	}
 	return outs, nil
 }
 
 // dropIfUnavailable discards the cached enhancer after a transport-level
-// failure so the next admitted call re-dials and replays registrations.
+// failure (any other err, nil included, is a no-op) so the next admitted
+// call re-dials and replays registrations.
 func (r *poolReplica) dropIfUnavailable(err error) {
 	if !errors.Is(err, ErrEnhancerUnavailable) {
 		return
@@ -876,9 +825,7 @@ func (r *poolReplica) ping(now time.Time) error {
 	}
 	r.mu.Unlock()
 	r.report(err == nil, time.Now())
-	if err != nil {
-		r.dropIfUnavailable(err)
-	}
+	r.dropIfUnavailable(err)
 	return err
 }
 

@@ -8,12 +8,11 @@ import (
 	"github.com/neuroscaler/neuroscaler/internal/wire"
 )
 
-// jobEntry is one queued enhancer dispatch: a single anchor job or a
-// batch, with the request frame it must answer and its local deadline.
+// jobEntry is one queued enhancer dispatch: a batch of anchor jobs with
+// the request frame it must answer and its local deadline.
 type jobEntry struct {
 	msg      wire.Message
-	job      wire.AnchorJob
-	batch    []wire.AnchorJob // non-nil for batch dispatches
+	batch    []wire.AnchorJob
 	deadline time.Time
 	fifo     uint64
 	enqueued time.Time

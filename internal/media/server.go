@@ -60,8 +60,8 @@ type ServerConfig struct {
 	// fail independently); it only amortizes per-dispatch overhead. The
 	// effective cap never exceeds MaxInFlightAnchors. Zero uses
 	// DefaultMaxAnchorBatch; 1 or negative dispatches per anchor exactly
-	// like the unbatched path. Enhancers that cannot batch fall back to
-	// per-anchor dispatch regardless.
+	// like the unbatched path. An enhancer without EnhanceBatch gets a
+	// group's anchors as concurrent Enhance calls.
 	MaxAnchorBatch int
 	// PipelineDepth bounds how many chunks per connection may occupy the
 	// ingest pipeline stages (decode+select → enhance → package+store)
@@ -79,10 +79,6 @@ type ServerConfig struct {
 	// WriteTimeout bounds each reply write; zero uses
 	// DefaultWriteTimeout, negative disables the bound.
 	WriteTimeout time.Duration
-	// DisableAnchorValidation skips the decode check on enhancer
-	// results. Validation rejects corrupt or mismatched anchor payloads
-	// (degrading the chunk) at the cost of one image decode per anchor.
-	DisableAnchorValidation bool
 	// DefaultChunkBudget is the deadline budget assigned to chunks that
 	// arrive without one on the wire. Zero leaves such chunks
 	// deadline-free (the legacy behavior); chunks that do carry a wire
@@ -628,18 +624,22 @@ func (s *Server) admitChunk(job *ingestJob) {
 	}
 }
 
-// decodeStage is stage one for a chunk: look up the stream, decode its
-// packets on the stream's pinned decoder, run zero-inference anchor
-// selection, and dispatch the selected anchors into the concurrent
-// fan-out. Failures annotate the job; the package stage reports them in
-// order.
+// decodeStage is stage one for a chunk: look up the stream, wrap its
+// packets in a packets-only container, and — unless the chunk ships as it
+// is — build it on the stream's pinned decoder (prepareChunk). Failures
+// annotate the job; the package stage reports them in order.
 //
 // It is also where the overload ladder observes and acts: the chunk's
 // measured queue delay (admit → here) plus the dispatcher's in-flight
 // occupancy feed the brownout controller, a chunk whose deadline has
 // already passed ships at the bilinear floor instead of spending
 // enhancer budget nobody can use, and at the ladder's top level
-// low-priority streams are floored outright.
+// low-priority streams are floored outright. A floored chunk's container
+// carries only the video packets (no anchors), so viewers reconstruct
+// every frame with codec-guided reuse over the upscaled base layer.
+// Chunks are GOP-aligned, so skipping a chunk's decode entirely leaves
+// the stream's decoder state valid for the next chunk — the floor and
+// lazy paths spend no decode, no selection, and no enhancer budget.
 func (s *Server) decodeStage(job *ingestJob) {
 	msg := job.msg
 	s.mu.Lock()
@@ -649,184 +649,133 @@ func (s *Server) decodeStage(job *ingestJob) {
 		job.err = fmt.Errorf("chunk before hello on stream %d", msg.StreamID)
 		return
 	}
-
-	if !job.admitted.IsZero() {
-		now := time.Now()
-		queueDelay := now.Sub(job.admitted)
-		s.queueDelayHist.Observe(queueDelay)
-		occupancy := float64(s.stages.anchorsInFlight.Load()) / float64(s.cfg.MaxInFlightAnchors)
-		s.brownout.observe(now, queueDelay, occupancy)
-		if expired(job.deadline, now) {
-			s.counters.chunksExpired.Add(1)
-			s.floorChunk(job, st)
-			return
-		}
-	}
-	if st.hello.Priority > 0 && s.brownout.floorLowPriority() {
-		s.counters.chunksFloored.Add(1)
-		s.floorChunk(job, st)
-		return
-	}
-	if s.cfg.LazyEnhancement {
-		// Delivery-tier amortization: store the packets-only container now
-		// (cheap — no decode, no selection) and run the enhancement build
-		// when a fetch first asks for this chunk. GOP alignment keeps the
-		// stream's decoder state valid across the skip, exactly as in
-		// floorChunk.
-		s.counters.chunksDeferred.Add(1)
-		s.floorChunk(job, st)
-		if job.pc != nil {
-			job.pc.floored = false
-			job.pc.pending = true
-		}
-		return
-	}
 	// Packets alias the pooled payload rather than copying out of it; the
-	// aliases die when packageChunk finishes marshaling, strictly before
+	// aliases die when assembleChunk finishes marshaling, strictly before
 	// the package stage recycles the payload.
 	packets, err := wire.DecodeChunkAlias(msg.Payload)
 	if err != nil {
 		job.err = err
 		return
 	}
-
-	start := time.Now()
-	decoded := make([]*vcodec.Decoded, len(packets))
-	infos := make([]vcodec.Info, len(packets))
-	st.decodeMu.Lock()
+	container := &hybrid.Container{
+		Config: st.hello.Config,
+		Scale:  st.hello.Scale,
+		Frames: make([]hybrid.ContainerFrame, len(packets)),
+	}
 	for i, pkt := range packets {
-		d, err := st.decoder.Decode(pkt)
+		container.Frames[i] = hybrid.ContainerFrame{VideoPacket: pkt}
+	}
+	pc := &pendingChunk{streamID: msg.StreamID, st: st, container: container}
+	job.pc = pc
+
+	now := time.Now()
+	if !job.admitted.IsZero() {
+		queueDelay := now.Sub(job.admitted)
+		s.queueDelayHist.Observe(queueDelay)
+		occupancy := float64(s.stages.anchorsInFlight.Load()) / float64(s.cfg.MaxInFlightAnchors)
+		s.brownout.observe(now, queueDelay, occupancy)
+	}
+	switch {
+	case !job.admitted.IsZero() && expired(job.deadline, now):
+		s.counters.chunksExpired.Add(1)
+		pc.floored = true
+	case st.hello.Priority > 0 && s.brownout.floorLowPriority():
+		s.counters.chunksFloored.Add(1)
+		pc.floored = true
+	case s.cfg.LazyEnhancement:
+		// Delivery-tier amortization: store the packets-only container now
+		// and run prepareChunk when a fetch first asks for this chunk.
+		s.counters.chunksDeferred.Add(1)
+		pc.pending = true
+	default:
+		st.decodeMu.Lock()
+		job.err = s.prepareChunk(pc, st.decoder, job.deadline)
+		st.decodeMu.Unlock()
+		if job.err == nil {
+			s.dispatchAnchors(pc)
+		}
+	}
+}
+
+// prepareChunk is the one chunk builder: decode pc's packets on dec, run
+// zero-inference anchor selection at the budgeted fraction, and fill in
+// the selected anchors' jobs. Eager ingest calls it on the stream's pinned
+// decoder (holding decodeMu), the lazy build on a fresh one; chunks are
+// GOP-aligned and key frames reset both reference slots, so the two
+// decode bit-identically and build byte-identical containers.
+//
+//nslint:lock-order serverStream.decodeMu -> Budget.mu -- Budget.mu is a leaf: Fraction never calls out of sched, so no path can close a cycle back to decodeMu
+func (s *Server) prepareChunk(pc *pendingChunk, dec *vcodec.Decoder, deadline time.Time) error {
+	frames := pc.container.Frames
+	start := time.Now()
+	decoded := make([]*vcodec.Decoded, len(frames))
+	infos := make([]vcodec.Info, len(frames))
+	for i := range frames {
+		d, err := dec.Decode(frames[i].VideoPacket)
 		if err != nil {
-			st.decodeMu.Unlock()
-			job.err = fmt.Errorf("media: stream %d packet %d: %w", msg.StreamID, i, err)
-			return
+			return fmt.Errorf("media: stream %d packet %d: %w", pc.streamID, i, err)
 		}
 		decoded[i] = d
 		infos[i] = d.Info
 	}
-	st.decodeMu.Unlock()
 	s.stages.decodeNanos.Add(int64(time.Since(start)))
 	s.stages.decodeCount.Add(1)
 
 	// Each container must be independently decodable by viewers joining
 	// mid-stream, so distribution chunks are GOP-aligned (as in HLS/DASH).
 	if infos[0].Type != vcodec.Key {
-		job.err = fmt.Errorf("media: stream %d chunk does not start with a key frame; send GOP-aligned chunks", msg.StreamID)
-		return
+		return fmt.Errorf("media: stream %d chunk does not start with a key frame; send GOP-aligned chunks", pc.streamID)
 	}
 
 	start = time.Now()
-	metas := anchor.MetasFromInfos(infos)
-	cands := anchor.ZeroInferenceGains(metas)
+	cands := anchor.ZeroInferenceGains(anchor.MetasFromInfos(infos))
 	// The effective fraction is the configured base scaled by the
 	// brownout budget; with no budget (or scale 1.0) the base float64
 	// passes through untouched, so the idle controller is bit-invisible
 	// to selection.
-	frac := s.budget.Fraction(msg.StreamID, s.cfg.AnchorFraction)
-	n := int(frac*float64(len(packets)) + 0.5)
+	frac := s.budget.Fraction(pc.streamID, s.cfg.AnchorFraction)
+	n := int(frac*float64(len(frames)) + 0.5)
 	if n < 1 {
 		n = 1
 	}
-	selected := anchor.SelectTopN(cands, n)
-	s.counters.anchorsSelected.Add(uint64(len(selected)))
+	pc.selected = anchor.SelectTopN(cands, n)
+	s.counters.anchorsSelected.Add(uint64(len(pc.selected)))
 	s.stages.selectNanos.Add(int64(time.Since(start)))
 	s.stages.selectCount.Add(1)
 
-	container := &hybrid.Container{
-		Config: st.hello.Config,
-		Scale:  st.hello.Scale,
-		Frames: make([]hybrid.ContainerFrame, len(packets)),
-	}
-	for i, pkt := range packets {
-		container.Frames[i] = hybrid.ContainerFrame{VideoPacket: pkt}
-	}
-
-	pc := &pendingChunk{
-		streamID:  msg.StreamID,
-		st:        st,
-		container: container,
-		selected:  selected,
-		jobs:      make([]wire.AnchorJob, len(selected)),
-		outcomes:  make([]anchorOutcome, len(selected)),
-	}
-	for si, c := range selected {
+	pc.jobs = make([]wire.AnchorJob, len(pc.selected))
+	pc.outcomes = make([]AnchorOutcome, len(pc.selected))
+	for si, c := range pc.selected {
 		i := c.Meta.Packet
 		pc.jobs[si] = wire.AnchorJob{
 			Packet:       i,
 			DisplayIndex: decoded[i].Info.DisplayIndex,
-			QP:           st.qp,
+			QP:           pc.st.qp,
 			Frame:        decoded[i].Frame,
-			Deadline:     job.deadline,
+			Deadline:     deadline,
 		}
 	}
-	s.dispatchAnchors(pc)
-	job.pc = pc
+	return nil
 }
 
-// floorChunk ships a chunk at the bilinear floor: the container carries
-// only the video packets (no anchors), so viewers reconstruct every
-// frame with codec-guided reuse over the upscaled base layer. Chunks are
-// GOP-aligned, so skipping this chunk's decode entirely leaves the
-// stream's decoder state valid for the next chunk — the floor path
-// spends no decode, no selection, and no enhancer budget.
-func (s *Server) floorChunk(job *ingestJob, st *serverStream) {
-	packets, err := wire.DecodeChunkAlias(job.msg.Payload)
-	if err != nil {
-		job.err = err
-		return
-	}
-	container := &hybrid.Container{
-		Config: st.hello.Config,
-		Scale:  st.hello.Scale,
-		Frames: make([]hybrid.ContainerFrame, len(packets)),
-	}
-	for i, pkt := range packets {
-		container.Frames[i] = hybrid.ContainerFrame{VideoPacket: pkt}
-	}
-	job.pc = &pendingChunk{
-		streamID:  job.msg.StreamID,
-		st:        st,
-		container: container,
-		floored:   true,
-	}
-}
-
-// dispatchAnchors fans a chunk's selected anchors out to the enhancer:
-// coalesced into batches of up to MaxAnchorBatch when the enhancer can
-// take them, per-anchor otherwise. Outcomes land by selection index
-// either way, so the configuration never changes output bytes.
+// dispatchAnchors fans a prepared chunk's anchors out to the enhancer in
+// groups of up to MaxAnchorBatch, each one dispatch. Outcomes land by
+// selection index, so the grouping never changes output bytes.
 func (s *Server) dispatchAnchors(pc *pendingChunk) {
 	batch := s.cfg.MaxAnchorBatch
 	// Brownout L2+ doubles the effective batch (still within the
 	// in-flight bound): fewer, larger dispatches shrink per-anchor
 	// overhead exactly when the enhancer tier is the bottleneck.
 	if boost := s.brownout.batchBoost(); boost > 1 {
-		batch *= boost
-		if batch > s.cfg.MaxInFlightAnchors {
-			batch = s.cfg.MaxInFlightAnchors
-		}
-	}
-	be, canBatch := s.enhancer.(BatchAnchorEnhancer)
-	if !canBatch || batch < 2 {
-		pc.wg.Add(len(pc.jobs))
-		for si := range pc.jobs {
-			go s.enhanceAnchor(pc, si)
-		}
-		return
+		batch = min(batch*boost, s.cfg.MaxInFlightAnchors)
 	}
 	for lo := 0; lo < len(pc.jobs); lo += batch {
-		hi := lo + batch
-		if hi > len(pc.jobs) {
-			hi = len(pc.jobs)
-		}
+		hi := min(lo+batch, len(pc.jobs))
 		pc.wg.Add(1)
-		if hi-lo == 1 {
-			// A leftover singleton takes the per-anchor path so a batch of
-			// one degenerates to today's dispatch bit-exactly.
-			go s.enhanceAnchor(pc, lo)
-			continue
-		}
-		go s.enhanceBatch(be, pc, lo, hi)
+		go func() {
+			defer pc.wg.Done()
+			copy(pc.outcomes[lo:hi], s.enhanceJobs(pc.streamID, pc.jobs[lo:hi]))
+		}()
 	}
 }
 
@@ -839,7 +788,7 @@ type pendingChunk struct {
 	container *hybrid.Container
 	selected  []anchor.Candidate
 	jobs      []wire.AnchorJob
-	outcomes  []anchorOutcome
+	outcomes  []AnchorOutcome
 	wg        sync.WaitGroup
 	// floored marks a chunk shipped at the bilinear floor (expired
 	// deadline or brownout): no anchors were selected or dispatched.
@@ -849,30 +798,13 @@ type pendingChunk struct {
 	pending bool
 }
 
-type anchorOutcome struct {
-	res wire.AnchorResult
-	err error
-}
-
-// enhanceAnchor runs one anchor RPC under the server-wide in-flight
-// bound.
-func (s *Server) enhanceAnchor(pc *pendingChunk, si int) {
-	defer pc.wg.Done()
-	s.anchorSlots <- struct{}{}
-	defer func() { <-s.anchorSlots }()
-	s.stages.anchorsInFlight.Add(1)
-	defer s.stages.anchorsInFlight.Add(-1)
-	res, err := s.enhancer.Enhance(pc.streamID, pc.jobs[si])
-	pc.outcomes[si] = anchorOutcome{res: res, err: err}
-}
-
-// enhanceBatch runs one coalesced dispatch for jobs[lo:hi) under the
-// in-flight bound (a batch of n holds n slots, acquired under slotMu so
-// concurrent batches cannot deadlock on partial holdings). A batch-level
-// failure annotates every member; per-anchor failures stay individual.
-func (s *Server) enhanceBatch(be BatchAnchorEnhancer, pc *pendingChunk, lo, hi int) {
-	defer pc.wg.Done()
-	n := hi - lo
+// enhanceJobs is the server's one dispatch: it runs jobs as a single
+// enhancer group under the server-wide in-flight bound (a group of n holds
+// n slots, acquired under slotMu so concurrent groups cannot deadlock on
+// partial holdings) and returns one outcome per job. A group-level
+// failure is every member's outcome; per-anchor failures stay individual.
+func (s *Server) enhanceJobs(streamID uint32, jobs []wire.AnchorJob) []AnchorOutcome {
+	n := len(jobs)
 	s.slotMu.Lock()
 	for i := 0; i < n; i++ {
 		s.anchorSlots <- struct{}{}
@@ -885,19 +817,14 @@ func (s *Server) enhanceBatch(be BatchAnchorEnhancer, pc *pendingChunk, lo, hi i
 	}()
 	s.stages.anchorsInFlight.Add(int64(n))
 	defer s.stages.anchorsInFlight.Add(-int64(n))
-	outs, err := be.EnhanceBatch(pc.streamID, pc.jobs[lo:hi])
-	if err == nil && len(outs) != n {
-		err = fmt.Errorf("media: enhancer returned %d outcomes for a batch of %d", len(outs), n)
-	}
+	outs, err := enhanceGroup(s.enhancer, streamID, jobs)
 	if err != nil {
-		for si := lo; si < hi; si++ {
-			pc.outcomes[si] = anchorOutcome{err: err}
+		outs = make([]AnchorOutcome, n)
+		for i := range outs {
+			outs[i].Err = err
 		}
-		return
 	}
-	for i, o := range outs {
-		pc.outcomes[lo+i] = anchorOutcome{res: o.Res, err: o.Err}
-	}
+	return outs
 }
 
 // packageStage is the final stage: wait for the chunk's fan-out, rescue
@@ -1016,12 +943,11 @@ func (s *Server) assembleChunk(pc *pendingChunk, deadline time.Time) ([]byte, bo
 	if !expired(deadline, time.Now()) {
 		for si := range pc.outcomes {
 			out := &pc.outcomes[si]
-			if out.err == nil || !errors.Is(out.err, ErrEnhancerUnavailable) || errors.Is(out.err, ErrDeadlineExceeded) {
+			if out.Err == nil || !errors.Is(out.Err, ErrEnhancerUnavailable) || errors.Is(out.Err, ErrDeadlineExceeded) {
 				continue
 			}
-			res, err := s.enhancer.Enhance(pc.streamID, pc.jobs[si])
-			if err == nil {
-				*out = anchorOutcome{res: res}
+			if again := s.enhanceJobs(pc.streamID, pc.jobs[si:si+1])[0]; again.Err == nil {
+				*out = again
 			}
 		}
 	}
@@ -1030,26 +956,24 @@ func (s *Server) assembleChunk(pc *pendingChunk, deadline time.Time) ([]byte, bo
 	for si, c := range pc.selected {
 		i := c.Meta.Packet
 		out := pc.outcomes[si]
-		if out.err != nil {
-			if errors.Is(out.err, ErrDeadlineExceeded) {
+		if out.Err != nil {
+			if errors.Is(out.Err, ErrDeadlineExceeded) {
 				s.counters.anchorsExpired.Add(1)
 			} else {
 				s.counters.anchorsDropped.Add(1)
 			}
 			degraded = true
-			s.cfg.Logf("media: stream %d: anchor %d dropped, shipping degraded chunk: %v", pc.streamID, i, out.err)
+			s.cfg.Logf("media: stream %d: anchor %d dropped, shipping degraded chunk: %v", pc.streamID, i, out.Err)
 			continue
 		}
-		if !s.cfg.DisableAnchorValidation {
-			if err := validateAnchor(out.res, i, pc.st); err != nil {
-				s.counters.anchorsRejected.Add(1)
-				degraded = true
-				s.cfg.Logf("media: stream %d: anchor %d rejected: %v", pc.streamID, i, err)
-				continue
-			}
+		if err := validateAnchor(out.Res, i, pc.st); err != nil {
+			s.counters.anchorsRejected.Add(1)
+			degraded = true
+			s.cfg.Logf("media: stream %d: anchor %d rejected: %v", pc.streamID, i, err)
+			continue
 		}
 		s.counters.anchorsEnhanced.Add(1)
-		pc.container.Frames[i].Anchor = out.res.Encoded
+		pc.container.Frames[i].Anchor = out.Res.Encoded
 	}
 
 	// The chunk's bytes are allocated exactly once: one right-sized
@@ -1198,12 +1122,9 @@ func (s *Server) buildEnhanced(streamID uint32, seq int, deadline time.Time) ([]
 	return c.data, c.degraded, c.err
 }
 
-// buildChunk runs one deferred enhancement build: decode the stored
-// packets-only container on a fresh decoder (bit-identical to the
-// ingest-time decode — chunks are GOP-aligned and key frames reset both
-// reference slots), select anchors with the same budgeted fraction,
-// dispatch through the same fan-out, and assemble. When retention is on
-// the finished container replaces the pending one.
+// buildChunk runs one deferred enhancement build: prepareChunk over the
+// stored packets-only container on a fresh decoder, then assemble. When
+// retention is on the finished container replaces the pending one.
 func (s *Server) buildChunk(streamID uint32, seq int, deadline time.Time) ([]byte, bool, error) {
 	s.mu.Lock()
 	st := s.streams[streamID]
@@ -1219,63 +1140,17 @@ func (s *Server) buildChunk(streamID uint32, seq int, deadline time.Time) ([]byt
 		// Raced a concurrent build's write-back: the chunk is final.
 		return stored, degraded, nil
 	}
-	container := new(hybrid.Container)
-	if err := container.UnmarshalBinary(stored); err != nil {
+	pc := &pendingChunk{streamID: streamID, st: st, container: new(hybrid.Container)}
+	if err := pc.container.UnmarshalBinary(stored); err != nil {
 		return nil, false, fmt.Errorf("media: stream %d chunk %d: %w", streamID, seq, err)
 	}
-
 	dec, err := vcodec.NewDecoder(st.hello.Config.Width, st.hello.Config.Height)
 	if err != nil {
 		return nil, false, err
 	}
 	dec.CaptureResidual = false
-	start := time.Now()
-	decoded := make([]*vcodec.Decoded, len(container.Frames))
-	infos := make([]vcodec.Info, len(container.Frames))
-	for i := range container.Frames {
-		d, err := dec.Decode(container.Frames[i].VideoPacket)
-		if err != nil {
-			return nil, false, fmt.Errorf("media: stream %d packet %d: %w", streamID, i, err)
-		}
-		decoded[i] = d
-		infos[i] = d.Info
-	}
-	s.stages.decodeNanos.Add(int64(time.Since(start)))
-	s.stages.decodeCount.Add(1)
-	if infos[0].Type != vcodec.Key {
-		return nil, false, fmt.Errorf("media: stream %d chunk %d does not start with a key frame", streamID, seq)
-	}
-
-	start = time.Now()
-	metas := anchor.MetasFromInfos(infos)
-	cands := anchor.ZeroInferenceGains(metas)
-	frac := s.budget.Fraction(streamID, s.cfg.AnchorFraction)
-	n := int(frac*float64(len(container.Frames)) + 0.5)
-	if n < 1 {
-		n = 1
-	}
-	selected := anchor.SelectTopN(cands, n)
-	s.counters.anchorsSelected.Add(uint64(len(selected)))
-	s.stages.selectNanos.Add(int64(time.Since(start)))
-	s.stages.selectCount.Add(1)
-
-	pc := &pendingChunk{
-		streamID:  streamID,
-		st:        st,
-		container: container,
-		selected:  selected,
-		jobs:      make([]wire.AnchorJob, len(selected)),
-		outcomes:  make([]anchorOutcome, len(selected)),
-	}
-	for si, c := range selected {
-		i := c.Meta.Packet
-		pc.jobs[si] = wire.AnchorJob{
-			Packet:       i,
-			DisplayIndex: decoded[i].Info.DisplayIndex,
-			QP:           st.qp,
-			Frame:        decoded[i].Frame,
-			Deadline:     deadline,
-		}
+	if err := s.prepareChunk(pc, dec, deadline); err != nil {
+		return nil, false, err
 	}
 	s.dispatchAnchors(pc)
 	data, builtDegraded, err := s.assembleChunk(pc, deadline)

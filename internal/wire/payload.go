@@ -232,7 +232,7 @@ type AnchorJob struct {
 	Deadline time.Time
 }
 
-// anchorJobSize is the encoded size of one anchor job payload.
+// anchorJobSize is the encoded size of one anchor job batch entry.
 func anchorJobSize(j AnchorJob) int {
 	return 12 + 4 + j.Frame.SizeBytes()
 }
@@ -244,13 +244,8 @@ func appendAnchorJob(buf []byte, j AnchorJob) []byte {
 	return appendFrame(buf, j.Frame)
 }
 
-// EncodeAnchorJob serializes an anchor job payload.
-func EncodeAnchorJob(j AnchorJob) []byte {
-	return appendAnchorJob(make([]byte, 0, anchorJobSize(j)), j)
-}
-
-// DecodeAnchorJob parses an anchor job payload.
-func DecodeAnchorJob(data []byte) (AnchorJob, error) {
+// decodeAnchorJob parses one batch entry written by appendAnchorJob.
+func decodeAnchorJob(data []byte) (AnchorJob, error) {
 	var j AnchorJob
 	if len(data) < 12 {
 		return j, errors.New("wire: truncated anchor job")
@@ -272,37 +267,13 @@ type AnchorResult struct {
 	Encoded []byte
 }
 
-// EncodeAnchorResult serializes an anchor result payload.
-func EncodeAnchorResult(r AnchorResult) []byte {
-	buf := make([]byte, 0, 8+len(r.Encoded))
-	buf = binary.BigEndian.AppendUint32(buf, uint32(r.Packet))
-	buf = binary.BigEndian.AppendUint32(buf, uint32(len(r.Encoded)))
-	buf = append(buf, r.Encoded...)
-	return buf
-}
-
-// DecodeAnchorResult parses an anchor result payload.
-func DecodeAnchorResult(data []byte) (AnchorResult, error) {
-	var r AnchorResult
-	if len(data) < 8 {
-		return r, errors.New("wire: truncated anchor result")
-	}
-	r.Packet = int(binary.BigEndian.Uint32(data))
-	n := binary.BigEndian.Uint32(data[4:])
-	if uint32(len(data)-8) != n {
-		return r, errors.New("wire: anchor result length mismatch")
-	}
-	r.Encoded = append([]byte(nil), data[8:]...)
-	return r, nil
-}
-
 // maxAnchorBatch bounds the per-frame anchor count against malformed or
 // malicious batch payloads; real batches are bounded by the server's
 // in-flight anchor cap, far below this.
 const maxAnchorBatch = 4096
 
 // EncodeAnchorBatchJob serializes a batch of anchor jobs into one
-// payload: count(4) then length-prefixed EncodeAnchorJob entries.
+// payload: count(4) then length-prefixed job entries.
 func EncodeAnchorBatchJob(jobs []AnchorJob) []byte {
 	size := 4
 	for _, j := range jobs {
@@ -337,7 +308,7 @@ func DecodeAnchorBatchJob(data []byte) ([]AnchorJob, error) {
 		if uint32(len(data)) < l {
 			return nil, errors.New("wire: truncated anchor batch entry")
 		}
-		j, err := DecodeAnchorJob(data[:l])
+		j, err := decodeAnchorJob(data[:l])
 		if err != nil {
 			return nil, err
 		}
@@ -350,34 +321,38 @@ func DecodeAnchorBatchJob(data []byte) ([]AnchorJob, error) {
 	return jobs, nil
 }
 
-// AnchorBatchOutcome is the per-anchor outcome of a batch job, in job
-// order. Err is empty on success; otherwise it carries the failure
-// reason and Res.Encoded is empty. Anchors fail independently — one bad
-// anchor never poisons its batch siblings.
-type AnchorBatchOutcome struct {
+// AnchorOutcome is one anchor's outcome within a batch, in job order:
+// exactly one of Res or Err is meaningful. Anchors fail independently —
+// one bad anchor never poisons its batch siblings. On the wire Err
+// travels as its message.
+type AnchorOutcome struct {
 	Res AnchorResult
-	Err string
+	Err error
 }
 
-// EncodeAnchorBatchResult serializes per-anchor batch outcomes.
-func EncodeAnchorBatchResult(outs []AnchorBatchOutcome) ([]byte, error) {
+// EncodeAnchorBatchResult serializes per-anchor batch outcomes. An error
+// message longer than its 16-bit length field is cut to fit rather than
+// voiding the frame, and with it the siblings' results.
+func EncodeAnchorBatchResult(outs []AnchorOutcome) []byte {
 	size := 4
 	for _, o := range outs {
-		if len(o.Err) > 0xFFFF {
-			return nil, errors.New("wire: batch outcome error too long")
-		}
-		size += 4 + 2 + len(o.Err) + 4 + len(o.Res.Encoded)
+		size += 4 + 2 + 4 + len(o.Res.Encoded) // error text, rare, grows the buffer
 	}
 	buf := make([]byte, 0, size)
 	buf = binary.BigEndian.AppendUint32(buf, uint32(len(outs)))
 	for _, o := range outs {
+		var msg string
+		if o.Err != nil {
+			msg = o.Err.Error()
+			msg = msg[:min(len(msg), 0xFFFF)]
+		}
 		buf = binary.BigEndian.AppendUint32(buf, uint32(o.Res.Packet))
-		buf = binary.BigEndian.AppendUint16(buf, uint16(len(o.Err)))
-		buf = append(buf, o.Err...)
+		buf = binary.BigEndian.AppendUint16(buf, uint16(len(msg)))
+		buf = append(buf, msg...)
 		buf = binary.BigEndian.AppendUint32(buf, uint32(len(o.Res.Encoded)))
 		buf = append(buf, o.Res.Encoded...)
 	}
-	return buf, nil
+	return buf
 }
 
 // FetchChunk asks a serving tier for one stored chunk of a stream. The
@@ -521,8 +496,11 @@ func DecodeChunkDataAlias(data []byte) (ChunkData, error) {
 	}, nil
 }
 
-// DecodeAnchorBatchResult parses per-anchor batch outcomes.
-func DecodeAnchorBatchResult(data []byte) ([]AnchorBatchOutcome, error) {
+// DecodeAnchorBatchResult parses per-anchor batch outcomes. Each Encoded
+// aliases data instead of copying out of it, so the caller must leave
+// data unmodified (and unrecycled) while the outcomes are referenced — a
+// reply payload from Read, allocated for that frame alone, needs no care.
+func DecodeAnchorBatchResult(data []byte) ([]AnchorOutcome, error) {
 	if len(data) < 4 {
 		return nil, errors.New("wire: truncated anchor batch result")
 	}
@@ -531,19 +509,21 @@ func DecodeAnchorBatchResult(data []byte) ([]AnchorBatchOutcome, error) {
 		return nil, fmt.Errorf("wire: unreasonable anchor batch size %d", n)
 	}
 	data = data[4:]
-	outs := make([]AnchorBatchOutcome, 0, n)
+	outs := make([]AnchorOutcome, 0, n)
 	for i := uint32(0); i < n; i++ {
 		if len(data) < 6 {
 			return nil, errors.New("wire: truncated batch outcome header")
 		}
-		var o AnchorBatchOutcome
+		var o AnchorOutcome
 		o.Res.Packet = int(binary.BigEndian.Uint32(data))
 		el := int(binary.BigEndian.Uint16(data[4:]))
 		data = data[6:]
 		if len(data) < el {
 			return nil, errors.New("wire: truncated batch outcome error")
 		}
-		o.Err = string(data[:el])
+		if el > 0 {
+			o.Err = errors.New(string(data[:el]))
+		}
 		data = data[el:]
 		if len(data) < 4 {
 			return nil, errors.New("wire: truncated batch outcome length")
@@ -554,7 +534,7 @@ func DecodeAnchorBatchResult(data []byte) ([]AnchorBatchOutcome, error) {
 			return nil, errors.New("wire: truncated batch outcome body")
 		}
 		if bl > 0 {
-			o.Res.Encoded = append([]byte(nil), data[:bl]...)
+			o.Res.Encoded = data[:bl:bl]
 		}
 		outs = append(outs, o)
 		data = data[bl:]

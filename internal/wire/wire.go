@@ -25,10 +25,12 @@ const (
 	TypeHello Type = iota + 1
 	// TypeChunk carries one encoded ingest chunk.
 	TypeChunk
-	// TypeAnchorJob carries one decoded anchor frame to an enhancer.
-	TypeAnchorJob
-	// TypeAnchorResult carries one enhanced, image-coded anchor back.
-	TypeAnchorResult
+	// Values 3 and 4 were the per-anchor job/result pair. A batch of one
+	// is a batch (TypeAnchorBatchJob), so they are retired; the slots stay
+	// reserved so every later type keeps its number, and valid refuses
+	// them like any unassigned value.
+	retiredAnchorJob
+	retiredAnchorResult
 	// TypeAck acknowledges a chunk or job.
 	TypeAck
 	// TypeError reports a failure; the payload is a human-readable reason.
@@ -59,9 +61,15 @@ const (
 	TypeSubscribe
 )
 
-// maxType is the highest assigned message type; Read and Write reject
-// frames outside (0, maxType]. Keep it on the last constant above.
+// maxType is the highest assigned message type. Keep it on the last
+// constant above.
 const maxType = TypeSubscribe
+
+// valid reports whether t is an assigned message type; Read and Write
+// reject every frame whose type is not.
+func (t Type) valid() bool {
+	return t != 0 && t <= maxType && t != retiredAnchorJob && t != retiredAnchorResult
+}
 
 // String implements fmt.Stringer.
 func (t Type) String() string {
@@ -70,10 +78,6 @@ func (t Type) String() string {
 		return "hello"
 	case TypeChunk:
 		return "chunk"
-	case TypeAnchorJob:
-		return "anchor-job"
-	case TypeAnchorResult:
-		return "anchor-result"
 	case TypeAck:
 		return "ack"
 	case TypeError:
@@ -159,35 +163,44 @@ var ErrFrameTooLarge = errors.New("wire: frame exceeds payload limit")
 // ErrBadFrame reports a corrupt frame (magic or checksum mismatch).
 var ErrBadFrame = errors.New("wire: corrupt frame")
 
-// Write serializes a message to w.
-// Frame layout: magic(2) type(1) streamID(4) seq(4) len(4) crc32(4)
-// [budgetMicros(8) if v2] payload. A message without a budget is
-// emitted as a v1 frame, so deadline-free traffic stays byte-identical
-// to the legacy protocol.
-func Write(w io.Writer, m Message) error {
+// putHeader fills hdr for m carrying an n-byte payload with checksum sum
+// and returns the header length. A message without a budget gets a v1
+// header, so deadline-free traffic stays byte-identical to the legacy
+// protocol.
+func putHeader(hdr *[headerLen + budgetLen]byte, m Message, n int, sum uint32) (int, error) {
 	// Mirror Read's validation: emitting a frame the peer will reject as
 	// corrupt is a bug at the writer, not the reader.
-	if m.Type == 0 || m.Type > maxType {
-		return fmt.Errorf("wire: invalid message type %d", m.Type)
+	if !m.Type.valid() {
+		return 0, fmt.Errorf("wire: invalid message type %d", m.Type)
 	}
-	var hdr [headerLen + budgetLen]byte
-	n := headerLen
 	binary.BigEndian.PutUint16(hdr[0:], frameMagic)
 	hdr[2] = byte(m.Type)
 	binary.BigEndian.PutUint32(hdr[3:], m.StreamID)
 	binary.BigEndian.PutUint32(hdr[7:], m.Seq)
-	binary.BigEndian.PutUint32(hdr[11:], uint32(len(m.Payload)))
-	binary.BigEndian.PutUint32(hdr[15:], crc32.ChecksumIEEE(m.Payload))
-	if m.Budget > 0 {
-		micros := m.Budget / time.Microsecond
-		if micros < 1 {
-			// Sub-microsecond remainders still mean "a deadline exists";
-			// round up so the receiver sees expiry, not "no deadline".
-			micros = 1
-		}
-		binary.BigEndian.PutUint16(hdr[0:], frameMagicV2)
-		binary.BigEndian.PutUint64(hdr[headerLen:], uint64(micros))
-		n += budgetLen
+	binary.BigEndian.PutUint32(hdr[11:], uint32(n))
+	binary.BigEndian.PutUint32(hdr[15:], sum)
+	if m.Budget <= 0 {
+		return headerLen, nil
+	}
+	micros := m.Budget / time.Microsecond
+	if micros < 1 {
+		// Sub-microsecond remainders still mean "a deadline exists";
+		// round up so the receiver sees expiry, not "no deadline".
+		micros = 1
+	}
+	binary.BigEndian.PutUint16(hdr[0:], frameMagicV2)
+	binary.BigEndian.PutUint64(hdr[headerLen:], uint64(micros))
+	return headerLen + budgetLen, nil
+}
+
+// Write serializes a message to w.
+// Frame layout: magic(2) type(1) streamID(4) seq(4) len(4) crc32(4)
+// [budgetMicros(8) if v2] payload.
+func Write(w io.Writer, m Message) error {
+	var hdr [headerLen + budgetLen]byte
+	n, err := putHeader(&hdr, m, len(m.Payload), crc32.ChecksumIEEE(m.Payload))
+	if err != nil {
+		return err
 	}
 	if _, err := w.Write(hdr[:n]); err != nil {
 		return fmt.Errorf("wire: write header: %w", err)
@@ -217,39 +230,48 @@ func readBudget(r io.Reader, magic uint16) (time.Duration, error) {
 	return time.Duration(micros) * time.Microsecond, nil
 }
 
-// Read parses the next message from r, rejecting frames larger than
-// maxPayload (use DefaultMaxPayload when in doubt). Both v1 and v2
-// (deadline-bearing) frames are accepted.
-func Read(r io.Reader, maxPayload int) (Message, error) {
+// readHeader parses and validates a frame header (and the v2 budget
+// extension), returning the message shell plus the payload length and
+// checksum still to be read.
+func readHeader(r io.Reader, maxPayload int) (m Message, n, sum uint32, err error) {
 	var hdr [headerLen]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
 		if errors.Is(err, io.EOF) {
-			return Message{}, io.EOF
+			return m, 0, 0, io.EOF
 		}
-		return Message{}, fmt.Errorf("wire: read header: %w", err)
+		return m, 0, 0, fmt.Errorf("wire: read header: %w", err)
 	}
 	magic := binary.BigEndian.Uint16(hdr[0:])
 	if magic != frameMagic && magic != frameMagicV2 {
-		return Message{}, ErrBadFrame
+		return m, 0, 0, ErrBadFrame
 	}
-	if hdr[2] == 0 || Type(hdr[2]) > maxType {
-		return Message{}, ErrBadFrame
+	if !Type(hdr[2]).valid() {
+		return m, 0, 0, ErrBadFrame
 	}
-	m := Message{
+	m = Message{
 		Type:     Type(hdr[2]),
 		StreamID: binary.BigEndian.Uint32(hdr[3:]),
 		Seq:      binary.BigEndian.Uint32(hdr[7:]),
 	}
-	n := binary.BigEndian.Uint32(hdr[11:])
-	sum := binary.BigEndian.Uint32(hdr[15:])
+	n = binary.BigEndian.Uint32(hdr[11:])
+	sum = binary.BigEndian.Uint32(hdr[15:])
 	if int64(n) > int64(maxPayload) {
-		return Message{}, ErrFrameTooLarge
+		return Message{}, 0, 0, ErrFrameTooLarge
 	}
-	budget, err := readBudget(r, magic)
+	if m.Budget, err = readBudget(r, magic); err != nil {
+		return Message{}, 0, 0, err
+	}
+	return m, n, sum, nil
+}
+
+// Read parses the next message from r, rejecting frames larger than
+// maxPayload (use DefaultMaxPayload when in doubt). Both v1 and v2
+// (deadline-bearing) frames are accepted.
+func Read(r io.Reader, maxPayload int) (Message, error) {
+	m, n, sum, err := readHeader(r, maxPayload)
 	if err != nil {
 		return Message{}, err
 	}
-	m.Budget = budget
 	if n > 0 {
 		m.Payload = make([]byte, n)
 		if _, err := io.ReadFull(r, m.Payload); err != nil {
@@ -276,25 +298,10 @@ func Read(r io.Reader, maxPayload int) (Message, error) {
 // stays with the caller (a pooled cache entry may go back to its slab
 // pool once the caller's last write returns).
 func WriteShared(w io.Writer, m Message, prefix, tail []byte, crcPrefix uint32) error {
-	if m.Type == 0 || m.Type > maxType {
-		return fmt.Errorf("wire: invalid message type %d", m.Type)
-	}
 	var hdr [headerLen + budgetLen]byte
-	n := headerLen
-	binary.BigEndian.PutUint16(hdr[0:], frameMagic)
-	hdr[2] = byte(m.Type)
-	binary.BigEndian.PutUint32(hdr[3:], m.StreamID)
-	binary.BigEndian.PutUint32(hdr[7:], m.Seq)
-	binary.BigEndian.PutUint32(hdr[11:], uint32(len(prefix)+len(tail)))
-	binary.BigEndian.PutUint32(hdr[15:], crc32.Update(crcPrefix, crc32.IEEETable, tail))
-	if m.Budget > 0 {
-		micros := m.Budget / time.Microsecond
-		if micros < 1 {
-			micros = 1
-		}
-		binary.BigEndian.PutUint16(hdr[0:], frameMagicV2)
-		binary.BigEndian.PutUint64(hdr[headerLen:], uint64(micros))
-		n += budgetLen
+	n, err := putHeader(&hdr, m, len(prefix)+len(tail), crc32.Update(crcPrefix, crc32.IEEETable, tail))
+	if err != nil {
+		return err
 	}
 	if _, err := w.Write(hdr[:n]); err != nil {
 		return fmt.Errorf("wire: write header: %w", err)
@@ -320,35 +327,10 @@ func WriteShared(w io.Writer, m Message, prefix, tail []byte, crcPrefix uint32) 
 //
 //nslint:slab-borrow pool
 func ReadPooled(r io.Reader, maxPayload int, pool *par.SlabPool[byte]) (Message, error) {
-	var hdr [headerLen]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		if errors.Is(err, io.EOF) {
-			return Message{}, io.EOF
-		}
-		return Message{}, fmt.Errorf("wire: read header: %w", err)
-	}
-	magic := binary.BigEndian.Uint16(hdr[0:])
-	if magic != frameMagic && magic != frameMagicV2 {
-		return Message{}, ErrBadFrame
-	}
-	if hdr[2] == 0 || Type(hdr[2]) > maxType {
-		return Message{}, ErrBadFrame
-	}
-	m := Message{
-		Type:     Type(hdr[2]),
-		StreamID: binary.BigEndian.Uint32(hdr[3:]),
-		Seq:      binary.BigEndian.Uint32(hdr[7:]),
-	}
-	n := binary.BigEndian.Uint32(hdr[11:])
-	sum := binary.BigEndian.Uint32(hdr[15:])
-	if int64(n) > int64(maxPayload) {
-		return Message{}, ErrFrameTooLarge
-	}
-	budget, err := readBudget(r, magic)
+	m, n, sum, err := readHeader(r, maxPayload)
 	if err != nil {
 		return Message{}, err
 	}
-	m.Budget = budget
 	if n > 0 {
 		m.Payload = pool.Get(int(n))
 		if _, err := io.ReadFull(r, m.Payload); err != nil {

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"io"
 	"net"
+	"strings"
 	"testing"
 	"testing/quick"
 	"time"
@@ -44,9 +45,28 @@ func TestFrameRoundTrip(t *testing.T) {
 	}
 }
 
-func TestWriteRejectsUnsetType(t *testing.T) {
-	if err := Write(io.Discard, Message{}); err == nil {
-		t.Error("unset type accepted")
+// TestUnassignedTypesRefused covers the unset type, the two retired
+// per-anchor values (3 and 4) and the first value past maxType: no writer
+// emits them and no reader hands them to a handler.
+func TestUnassignedTypesRefused(t *testing.T) {
+	var buf bytes.Buffer
+	_ = Write(&buf, Message{Type: TypeAck, Payload: []byte("x")})
+	for _, typ := range []Type{0, 3, 4, maxType + 1} {
+		if err := Write(io.Discard, Message{Type: typ}); err == nil {
+			t.Errorf("Write accepted type %d", typ)
+		}
+		if err := WriteShared(io.Discard, Message{Type: typ}, nil, nil, 0); err == nil {
+			t.Errorf("WriteShared accepted type %d", typ)
+		}
+		frame := append([]byte(nil), buf.Bytes()...)
+		frame[2] = byte(typ)
+		if _, err := Read(bytes.NewReader(frame), DefaultMaxPayload); !errors.Is(err, ErrBadFrame) {
+			t.Errorf("Read of type %d: err = %v, want ErrBadFrame", typ, err)
+		}
+		var pool par.SlabPool[byte]
+		if _, err := ReadPooled(bytes.NewReader(frame), DefaultMaxPayload, &pool); !errors.Is(err, ErrBadFrame) {
+			t.Errorf("ReadPooled of type %d: err = %v, want ErrBadFrame", typ, err)
+		}
 	}
 }
 
@@ -196,46 +216,11 @@ func TestFramePayloadRoundTrip(t *testing.T) {
 	}
 }
 
-func TestAnchorJobRoundTrip(t *testing.T) {
-	j := AnchorJob{Packet: 5, DisplayIndex: 42, QP: 90, Frame: frame.MustNew(16, 16)}
-	j.Frame.Y.Fill(99)
-	got, err := DecodeAnchorJob(EncodeAnchorJob(j))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Packet != 5 || got.DisplayIndex != 42 || got.QP != 90 {
-		t.Errorf("job fields: %+v", got)
-	}
-	if got.Frame.Y.At(3, 3) != 99 {
-		t.Error("job frame corrupted")
-	}
-	if _, err := DecodeAnchorJob([]byte{1, 2}); err == nil {
-		t.Error("truncated job accepted")
-	}
-}
-
-func TestAnchorResultRoundTrip(t *testing.T) {
-	r := AnchorResult{Packet: 9, Encoded: []byte("jpeg-ish bytes")}
-	got, err := DecodeAnchorResult(EncodeAnchorResult(r))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Packet != 9 || !bytes.Equal(got.Encoded, r.Encoded) {
-		t.Errorf("result round trip: %+v", got)
-	}
-	if _, err := DecodeAnchorResult([]byte{0}); err == nil {
-		t.Error("truncated result accepted")
-	}
-	bad := EncodeAnchorResult(r)
-	if _, err := DecodeAnchorResult(bad[:len(bad)-2]); err == nil {
-		t.Error("length-mismatched result accepted")
-	}
-}
-
 // Property: any message round-trips bit-exactly through Write/Read.
 func TestQuickMessageRoundTrip(t *testing.T) {
 	f := func(typ uint8, stream, seq uint32, payload []byte) bool {
-		m := Message{Type: Type(typ%7 + 1), StreamID: stream, Seq: seq, Payload: payload}
+		// 5..11: the assigned types from TypeAck up (3 and 4 are retired).
+		m := Message{Type: Type(typ%7 + 5), StreamID: stream, Seq: seq, Payload: payload}
 		var buf bytes.Buffer
 		if err := Write(&buf, m); err != nil {
 			return false
@@ -305,7 +290,7 @@ func TestAnchorBatchJobRoundTrip(t *testing.T) {
 	if got, err := DecodeAnchorBatchJob(EncodeAnchorBatchJob(nil)); err != nil || len(got) != 0 {
 		t.Errorf("empty batch: %v %v", got, err)
 	}
-	for _, bad := range [][]byte{{1}, {0, 0, 0, 1}, {0, 0, 0, 1, 0, 0, 0, 9, 1}} {
+	for _, bad := range [][]byte{{1}, {0, 0, 0, 1}, {0, 0, 0, 1, 0, 0, 0, 9, 1}, {0, 0, 0, 1, 0, 0, 0, 2, 1, 2}} {
 		if _, err := DecodeAnchorBatchJob(bad); err == nil {
 			t.Errorf("malformed batch %v accepted", bad)
 		}
@@ -317,15 +302,18 @@ func TestAnchorBatchJobRoundTrip(t *testing.T) {
 }
 
 func TestAnchorBatchResultRoundTrip(t *testing.T) {
-	outs := []AnchorBatchOutcome{
+	errText := func(err error) string {
+		if err == nil {
+			return ""
+		}
+		return err.Error()
+	}
+	outs := []AnchorOutcome{
 		{Res: AnchorResult{Packet: 2, Encoded: []byte("enhanced-a")}},
-		{Res: AnchorResult{Packet: 7}, Err: "enhancer unavailable"},
+		{Res: AnchorResult{Packet: 7}, Err: errors.New("enhancer unavailable")},
 		{Res: AnchorResult{Packet: 9, Encoded: []byte("enhanced-b")}},
 	}
-	enc, err := EncodeAnchorBatchResult(outs)
-	if err != nil {
-		t.Fatal(err)
-	}
+	enc := EncodeAnchorBatchResult(outs)
 	got, err := DecodeAnchorBatchResult(enc)
 	if err != nil {
 		t.Fatal(err)
@@ -334,9 +322,24 @@ func TestAnchorBatchResultRoundTrip(t *testing.T) {
 		t.Fatalf("outcome count = %d, want %d", len(got), len(outs))
 	}
 	for i := range outs {
-		if got[i].Res.Packet != outs[i].Res.Packet || got[i].Err != outs[i].Err ||
+		if got[i].Res.Packet != outs[i].Res.Packet || errText(got[i].Err) != errText(outs[i].Err) ||
 			!bytes.Equal(got[i].Res.Encoded, outs[i].Res.Encoded) {
 			t.Errorf("outcome %d = %+v, want %+v", i, got[i], outs[i])
+		}
+	}
+	// One over-long error message is cut to the field width; it must not
+	// void the frame and with it the siblings' results.
+	outs[1].Err = errors.New(strings.Repeat("x", 70<<10))
+	got, err = DecodeAnchorBatchResult(EncodeAnchorBatchResult(outs))
+	if err != nil || len(got) != 3 {
+		t.Fatalf("batch with a 70 KB error: %d outcomes, err %v", len(got), err)
+	}
+	if got[1].Err == nil || len(got[1].Err.Error()) != 0xFFFF {
+		t.Errorf("middle outcome error = %d bytes, want it cut to %d", len(errText(got[1].Err)), 0xFFFF)
+	}
+	for _, i := range []int{0, 2} {
+		if got[i].Err != nil || !bytes.Equal(got[i].Res.Encoded, outs[i].Res.Encoded) {
+			t.Errorf("sibling %d of the long error = %+v, want its result intact", i, got[i])
 		}
 	}
 	for _, bad := range [][]byte{{9}, {0, 0, 0, 1, 0, 0, 0, 1, 0}, {0, 0, 0, 1, 0, 0, 0, 1, 0, 1, 'x', 0, 0, 0, 5}} {
@@ -468,7 +471,7 @@ func TestDeadlineFrameRoundTrip(t *testing.T) {
 // rejected without leaking pooled payloads.
 func TestDeadlineFramePooledAndTruncated(t *testing.T) {
 	var buf bytes.Buffer
-	in := Message{Type: TypeAnchorJob, StreamID: 1, Seq: 7, Payload: []byte("payload"), Budget: 250 * time.Microsecond}
+	in := Message{Type: TypeAnchorBatchJob, StreamID: 1, Seq: 7, Payload: []byte("payload"), Budget: 250 * time.Microsecond}
 	if err := Write(&buf, in); err != nil {
 		t.Fatal(err)
 	}
