@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"net"
-	"sync"
 	"time"
 
 	"github.com/neuroscaler/neuroscaler/internal/wire"
@@ -16,23 +15,14 @@ type Push struct {
 	Chunk    wire.ChunkData
 }
 
-// Client is a viewer-side edge connection. It demuxes the shared conn:
-// replies (echoed Seq) route to the waiting caller, unsolicited pushes
-// (Seq 0) queue for NextPush. Fetches and subscriptions may be issued
-// concurrently from multiple goroutines.
+// Client is a viewer-side edge connection: a wire.Mux routes replies
+// (echoed Seq) to the waiting caller, so fetches and subscriptions may be
+// issued concurrently from multiple goroutines, and hands unsolicited
+// pushes (Seq 0) to the backlog NextPush drains.
 type Client struct {
-	conn    net.Conn
+	mux     *wire.Mux
 	timeout time.Duration
-	wmu     sync.Mutex
-	seqs    wire.SeqSource
-
-	mu      sync.Mutex
-	pending map[uint32]chan wire.Message
-	readErr error
-
-	pushes chan Push
-	closed chan struct{}
-	wg     sync.WaitGroup
+	pushes  chan Push
 }
 
 // pushBacklog bounds queued pushes per client; a viewer that stops
@@ -41,126 +31,71 @@ type Client struct {
 // backlog).
 const pushBacklog = 256
 
-// Dial connects to an edge. timeout bounds each request round trip
-// (and is the budget stamped on fetches); zero uses
+// Dial connects to an edge. timeout is the budget stamped on every fetch
+// and bounds each request's round trip: the write by timeout, the wait
+// for the reply by timeout plus DefaultWriteTimeout. The edge answers a
+// fetch within its budget — at worst with a typed "budget exhausted"
+// error — and gets that reply out within its write timeout, so only an
+// edge that has stopped answering outlasts the wait, and the connection
+// is then failed for every caller (see wire.Mux). Zero uses
 // DefaultFetchBudget.
 func Dial(addr string, timeout time.Duration) (*Client, error) {
 	if timeout <= 0 {
 		timeout = DefaultFetchBudget
 	}
-	conn, err := net.Dial("tcp", addr)
+	nc, err := net.Dial("tcp", addr)
 	if err != nil {
 		return nil, fmt.Errorf("edge: dial: %w", err)
 	}
-	c := &Client{
-		conn:    conn,
-		timeout: timeout,
-		pending: make(map[uint32]chan wire.Message),
-		pushes:  make(chan Push, pushBacklog),
-		closed:  make(chan struct{}),
-	}
-	c.wg.Add(1)
-	go c.readLoop()
+	c := &Client{timeout: timeout, pushes: make(chan Push, pushBacklog)}
+	// The idle bound is generous — a client parked on a subscription may
+	// legitimately idle; it exists to fail the connection if the edge
+	// silently vanishes.
+	c.mux = wire.NewMux(wire.NewConn(nc, DefaultReadTimeout, timeout), c.queuePush)
 	return c, nil
 }
 
-// Close tears down the connection and joins the reader.
-func (c *Client) Close() error {
-	select {
-	case <-c.closed:
-	default:
-		close(c.closed)
-	}
-	err := c.conn.Close()
-	c.wg.Wait()
-	return err
-}
+// Close says goodbye, tears down the connection and joins the reader.
+func (c *Client) Close() error { return c.mux.Close() }
 
-func (c *Client) readLoop() {
-	defer c.wg.Done()
-	for {
-		// The read deadline re-arms per frame: a client parked on a
-		// subscription may legitimately idle, so the bound is generous —
-		// it exists to kill the goroutine if the edge silently vanishes.
-		_ = c.conn.SetReadDeadline(time.Now().Add(DefaultReadTimeout))
-		msg, err := wire.Read(c.conn, wire.DefaultMaxPayload)
-		if err != nil {
-			c.mu.Lock()
-			c.readErr = err
-			for seq, ch := range c.pending {
-				close(ch)
-				delete(c.pending, seq)
-			}
-			c.mu.Unlock()
-			close(c.pushes)
-			return
-		}
-		if msg.Seq == 0 {
-			if msg.Type != wire.TypeChunkData {
-				continue
-			}
-			cd, err := wire.DecodeChunkData(msg.Payload)
-			if err != nil {
-				continue
-			}
-			select {
-			case c.pushes <- Push{StreamID: msg.StreamID, Chunk: cd}:
-			default:
-				// Backlog full: drop the oldest push to keep the newest.
-				select {
-				case <-c.pushes:
-				default:
-				}
-				select {
-				case c.pushes <- Push{StreamID: msg.StreamID, Chunk: cd}:
-				default:
-				}
-			}
-			continue
-		}
-		c.mu.Lock()
-		ch := c.pending[msg.Seq]
-		delete(c.pending, msg.Seq)
-		c.mu.Unlock()
-		if ch != nil {
-			ch <- msg
-		}
+// queuePush decodes one unsolicited frame into the backlog. It runs on
+// the Mux's reader goroutine and never blocks.
+func (c *Client) queuePush(msg wire.Message) {
+	if msg.Type != wire.TypeChunkData {
+		return
 	}
-}
-
-// roundTrip sends one request frame and waits for its reply.
-func (c *Client) roundTrip(m wire.Message) (wire.Message, error) {
-	seq := c.seqs.Next()
-	m.Seq = seq
-	ch := make(chan wire.Message, 1)
-	c.mu.Lock()
-	if c.readErr != nil {
-		err := c.readErr
-		c.mu.Unlock()
-		return wire.Message{}, fmt.Errorf("edge: conn broken: %w", err)
-	}
-	c.pending[seq] = ch
-	c.mu.Unlock()
-
-	c.wmu.Lock()
-	_ = c.conn.SetWriteDeadline(time.Now().Add(c.timeout))
-	err := wire.Write(c.conn, m)
-	c.wmu.Unlock()
+	cd, err := wire.DecodeChunkData(msg.Payload)
 	if err != nil {
-		c.mu.Lock()
-		delete(c.pending, seq)
-		c.mu.Unlock()
-		return wire.Message{}, fmt.Errorf("edge: write: %w", err)
+		return
 	}
-	reply, ok := <-ch
-	if !ok {
-		c.mu.Lock()
-		err := c.readErr
-		c.mu.Unlock()
+	p := Push{StreamID: msg.StreamID, Chunk: cd}
+	select {
+	case c.pushes <- p:
+	default:
+		// Backlog full: drop the oldest push to keep the newest.
+		select {
+		case <-c.pushes:
+		default:
+		}
+		select {
+		case c.pushes <- p:
+		default:
+		}
+	}
+}
+
+// roundTrip sends one request frame and waits for its reply, which must
+// be of type want.
+func (c *Client) roundTrip(m wire.Message, want wire.Type) (wire.Message, error) {
+	reply, err := c.mux.Call(m, c.timeout+DefaultWriteTimeout)
+	if err != nil {
 		return wire.Message{}, fmt.Errorf("edge: conn broken: %w", err)
 	}
 	if reply.Type == wire.TypeError {
 		return wire.Message{}, fmt.Errorf("edge: remote: %s", reply.Payload)
+	}
+	if reply.Type != want {
+		return wire.Message{}, fmt.Errorf("edge: %v reply type %v", m.Type, reply.Type)
 	}
 	return reply, nil
 }
@@ -172,12 +107,9 @@ func (c *Client) FetchChunk(streamID uint32, seq uint32, quality uint8) (wire.Ch
 	reply, err := c.roundTrip(wire.Message{
 		Type: wire.TypeFetchChunk, StreamID: streamID, Budget: c.timeout,
 		Payload: wire.EncodeFetchChunk(wire.FetchChunk{Seq: seq, Quality: quality}),
-	})
+	}, wire.TypeChunkData)
 	if err != nil {
 		return wire.ChunkData{}, err
-	}
-	if reply.Type != wire.TypeChunkData {
-		return wire.ChunkData{}, fmt.Errorf("edge: fetch reply type %v", reply.Type)
 	}
 	cd, err := wire.DecodeChunkData(reply.Payload)
 	if err != nil {
@@ -190,34 +122,26 @@ func (c *Client) FetchChunk(streamID uint32, seq uint32, quality uint8) (wire.Ch
 // deliveries arrive via NextPush as other viewers' fetches populate the
 // edge.
 func (c *Client) Subscribe(streamID uint32, fromSeq uint32, quality uint8) error {
-	reply, err := c.roundTrip(wire.Message{
+	_, err := c.roundTrip(wire.Message{
 		Type: wire.TypeSubscribe, StreamID: streamID,
 		Payload: wire.EncodeSubscribe(wire.Subscribe{FromSeq: fromSeq, Quality: quality}),
-	})
-	if err != nil {
-		return err
-	}
-	if reply.Type != wire.TypeSubscribe {
-		return fmt.Errorf("edge: subscribe reply type %v", reply.Type)
-	}
-	return nil
+	}, wire.TypeSubscribe)
+	return err
 }
 
-// NextPush returns the next subscribed delivery, waiting up to timeout.
+// ErrNoPush is NextPush's result when nothing arrived within the timeout.
 var ErrNoPush = errors.New("edge: no push within timeout")
 
+// NextPush returns the next subscribed delivery, waiting up to timeout
+// or until the connection fails.
 func (c *Client) NextPush(timeout time.Duration) (Push, error) {
 	t := time.NewTimer(timeout)
 	defer t.Stop()
 	select {
-	case p, ok := <-c.pushes:
-		if !ok {
-			c.mu.Lock()
-			err := c.readErr
-			c.mu.Unlock()
-			return Push{}, fmt.Errorf("edge: conn broken: %w", err)
-		}
+	case p := <-c.pushes:
 		return p, nil
+	case <-c.mux.Failed():
+		return Push{}, fmt.Errorf("edge: conn broken: %w", c.mux.Err())
 	case <-t.C:
 		return Push{}, ErrNoPush
 	}
@@ -226,6 +150,6 @@ func (c *Client) NextPush(timeout time.Duration) (Push, error) {
 // Heartbeat round-trips a liveness probe (and resets the edge's idle
 // reaper for quiet subscriber conns).
 func (c *Client) Heartbeat() error {
-	_, err := c.roundTrip(wire.Message{Type: wire.TypePing})
+	_, err := c.roundTrip(wire.Message{Type: wire.TypePing}, wire.TypePong)
 	return err
 }

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
-	"io"
 	"net"
 	"net/http"
 	"sync"
@@ -31,8 +30,8 @@ const (
 	// DefaultFetchBudget is the end-to-end deadline assumed for a fetch
 	// that arrived without a wire budget.
 	DefaultFetchBudget = 10 * time.Second
-	// DefaultReadTimeout is the viewer-conn idle bound. Subscribers that
-	// send nothing must ping within it or be reaped.
+	// DefaultReadTimeout is the viewer-conn idle bound, at both its ends.
+	// Subscribers that send nothing must ping within it or be reaped.
 	DefaultReadTimeout = 2 * time.Minute
 	// DefaultWriteTimeout bounds each delivery write so one stalled
 	// viewer cannot wedge a fanout goroutine.
@@ -49,20 +48,6 @@ type Config struct {
 	// CacheBytes bounds resident cached payload bytes; zero uses
 	// DefaultCacheBytes.
 	CacheBytes int64
-	// Shards is the cache lock-domain count; zero uses DefaultShards.
-	Shards int
-	// UpstreamConns is the origin connection pool size; zero uses
-	// DefaultUpstreamConns.
-	UpstreamConns int
-	// FetchBudget is the deadline granted to fetches that carry no wire
-	// budget; zero uses DefaultFetchBudget.
-	FetchBudget time.Duration
-	// ReadTimeout bounds the wait for the next viewer frame; zero uses
-	// DefaultReadTimeout.
-	ReadTimeout time.Duration
-	// WriteTimeout bounds each delivery write; zero uses
-	// DefaultWriteTimeout.
-	WriteTimeout time.Duration
 	// DialUpstream overrides how origin connections are made (fault
 	// injection, wrapped conns); nil uses net.Dial.
 	DialUpstream func(addr string) (net.Conn, error)
@@ -107,14 +92,16 @@ func (c Counters) AmortizedRate() float64 {
 // containers from its cache, and fetches misses from the origin with
 // single-flight coalescing and budget-bounded deadlines.
 type Edge struct {
-	cfg       Config
-	ln        net.Listener
+	cfg Config
+	// srv owns the listener, the live viewer conns and their handlers.
+	srv       *wire.Server
 	cache     *Cache
 	flights   *flightGroup
 	pool      par.SlabPool[byte]
 	upstreams chan *upstreamConn
 
-	wg        sync.WaitGroup
+	// closed tells fetches queued for an upstream conn to give up;
+	// closeOnce guards it and the one-shot drain of the upstream pool.
 	closed    chan struct{}
 	closeOnce sync.Once
 
@@ -123,7 +110,7 @@ type Edge struct {
 	// viewer conn's subscriptions for teardown. Both guarded by subMu,
 	// as is every subscriber's lastSeq watermark.
 	subs   map[uint32]map[*subscriber]struct{}
-	byConn map[*viewerConn][]*subscriber
+	byConn map[*wire.Conn][]*subscriber
 	nSubs  atomic.Int64
 
 	hits             atomic.Uint64
@@ -147,21 +134,6 @@ func NewEdge(addr string, cfg Config) (*Edge, error) {
 	if cfg.CacheBytes == 0 {
 		cfg.CacheBytes = DefaultCacheBytes
 	}
-	if cfg.Shards == 0 {
-		cfg.Shards = DefaultShards
-	}
-	if cfg.UpstreamConns == 0 {
-		cfg.UpstreamConns = DefaultUpstreamConns
-	}
-	if cfg.FetchBudget == 0 {
-		cfg.FetchBudget = DefaultFetchBudget
-	}
-	if cfg.ReadTimeout == 0 {
-		cfg.ReadTimeout = DefaultReadTimeout
-	}
-	if cfg.WriteTimeout == 0 {
-		cfg.WriteTimeout = DefaultWriteTimeout
-	}
 	if cfg.DialUpstream == nil {
 		cfg.DialUpstream = func(addr string) (net.Conn, error) { return net.Dial("tcp", addr) }
 	}
@@ -174,45 +146,34 @@ func NewEdge(addr string, cfg Config) (*Edge, error) {
 	}
 	e := &Edge{
 		cfg:         cfg,
-		ln:          ln,
-		cache:       NewCache(cfg.CacheBytes, cfg.Shards),
+		cache:       NewCache(cfg.CacheBytes, DefaultShards),
 		flights:     newFlightGroup(),
-		upstreams:   make(chan *upstreamConn, cfg.UpstreamConns),
+		upstreams:   make(chan *upstreamConn, DefaultUpstreamConns),
 		closed:      make(chan struct{}),
 		subs:        make(map[uint32]map[*subscriber]struct{}),
-		byConn:      make(map[*viewerConn][]*subscriber),
+		byConn:      make(map[*wire.Conn][]*subscriber),
 		hitLatency:  media.NewLatencyHist(),
 		missLatency: media.NewLatencyHist(),
 	}
-	for i := 0; i < cfg.UpstreamConns; i++ {
+	for i := 0; i < DefaultUpstreamConns; i++ {
 		e.upstreams <- &upstreamConn{}
 	}
-	e.wg.Add(1)
-	go e.acceptLoop()
+	e.srv = wire.Serve(ln, DefaultReadTimeout, DefaultWriteTimeout, cfg.Logf, e.serveConn)
 	return e, nil
 }
 
 // Addr returns the edge's listen address.
-func (e *Edge) Addr() string { return e.ln.Addr().String() }
+func (e *Edge) Addr() string { return e.srv.Addr() }
 
-// Close stops accepting, tears down viewer conns, and joins all
-// serving goroutines. Closing twice is a no-op.
+// Close stops accepting, tears down viewer conns, joins all serving
+// goroutines and closes the upstream pool. Closing twice is a no-op.
 func (e *Edge) Close() error {
 	var err error
 	e.closeOnce.Do(func() {
 		close(e.closed)
-		err = e.ln.Close()
-		e.subMu.Lock()
-		for c := range e.byConn {
-			_ = c.conn.Close()
-		}
-		e.subMu.Unlock()
-		e.wg.Wait()
+		err = e.srv.Close()
 		for i := 0; i < cap(e.upstreams); i++ {
-			u := <-e.upstreams
-			if u.conn != nil {
-				_ = u.conn.Close()
-			}
+			(<-e.upstreams).breakConn()
 		}
 	})
 	return err
@@ -233,105 +194,29 @@ func (e *Edge) Counters() Counters {
 	}
 }
 
-// HitLatency exposes the cache-hit serve-latency histogram.
-func (e *Edge) HitLatency() *media.LatencyHist { return e.hitLatency }
-
-// MissLatency exposes the miss (origin round-trip) serve-latency
-// histogram.
-func (e *Edge) MissLatency() *media.LatencyHist { return e.missLatency }
-
-func (e *Edge) acceptLoop() {
-	defer e.wg.Done()
-	for {
-		conn, err := e.ln.Accept()
-		if err != nil {
-			select {
-			case <-e.closed:
-			default:
-				e.cfg.Logf("edge: accept: %v", err)
-			}
-			return
-		}
-		e.wg.Add(1)
-		go func() {
-			defer e.wg.Done()
-			defer conn.Close()
-			if err := e.serveConn(conn); err != nil {
-				e.cfg.Logf("edge: conn %s: %v", conn.RemoteAddr(), err)
-			}
-		}()
-	}
-}
-
-// viewerConn wraps one viewer connection with a write lock so the
-// conn's own request/reply goroutine and fanout pushes from other
-// goroutines interleave whole frames, each under a write deadline.
-type viewerConn struct {
-	conn    net.Conn
-	timeout time.Duration
-	mu      sync.Mutex
-}
-
-func (c *viewerConn) write(m wire.Message) error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	_ = c.conn.SetWriteDeadline(time.Now().Add(c.timeout))
-	return wire.Write(c.conn, m)
-}
-
-func (c *viewerConn) writeShared(m wire.Message, prefix, tail []byte, crcPrefix uint32) error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	_ = c.conn.SetWriteDeadline(time.Now().Add(c.timeout))
-	return wire.WriteShared(c.conn, m, prefix, tail, crcPrefix)
-}
-
-func (c *viewerConn) writeError(streamID, seq uint32, err error) error {
-	return c.write(wire.Message{
-		Type: wire.TypeError, StreamID: streamID, Seq: seq, Payload: []byte(err.Error()),
-	})
-}
-
 // subscriber is one viewer's standing request for a stream's chunks.
 // lastSeq is the highest sequence already pushed (subMu-guarded), the
 // at-most-once watermark for fanout.
 type subscriber struct {
-	c       *viewerConn
+	c       *wire.Conn
 	stream  uint32
 	quality uint8
 	lastSeq int64
 }
 
-func (e *Edge) serveConn(conn net.Conn) error {
-	c := &viewerConn{conn: conn, timeout: e.cfg.WriteTimeout}
-	// Register the conn (with no subscriptions yet) so Close can reach
-	// it even while it idles in a read.
-	e.subMu.Lock()
-	e.byConn[c] = nil
-	e.subMu.Unlock()
+// serveConn answers one viewer conn's requests in order; pushes from
+// other conns' fanout interleave with its replies frame by frame under
+// the conn's write lock.
+func (e *Edge) serveConn(c *wire.Conn) error {
 	defer e.dropConn(c)
-	select {
-	case <-e.closed:
-		return nil
-	default:
-	}
 	for {
-		_ = conn.SetReadDeadline(time.Now().Add(e.cfg.ReadTimeout))
-		msg, err := wire.Read(conn, maxRequestPayload)
+		msg, err := c.Read(maxRequestPayload)
 		if err != nil {
-			select {
-			case <-e.closed:
-				return nil
-			default:
-			}
-			if errors.Is(err, io.EOF) {
-				return nil
-			}
 			return err
 		}
 		switch msg.Type {
 		case wire.TypePing:
-			if err := c.write(wire.Message{Type: wire.TypePong, StreamID: msg.StreamID, Seq: msg.Seq}); err != nil {
+			if err := c.Write(wire.Message{Type: wire.TypePong, StreamID: msg.StreamID, Seq: msg.Seq}); err != nil {
 				return err
 			}
 		case wire.TypeGoodbye:
@@ -354,25 +239,25 @@ func (e *Edge) serveConn(conn net.Conn) error {
 // leader fetch from the origin. Request-level failures (unknown chunk,
 // origin error) answer with a typed error and keep the conn; only a
 // broken viewer conn is fatal.
-func (e *Edge) handleFetch(c *viewerConn, msg wire.Message) error {
+func (e *Edge) handleFetch(c *wire.Conn, msg wire.Message) error {
 	req, err := wire.DecodeFetchChunk(msg.Payload)
 	if err != nil {
-		_ = c.writeError(msg.StreamID, msg.Seq, err)
+		_ = c.Write(wire.ErrorReply(msg, err))
 		return fmt.Errorf("edge: bad fetch payload: %w", err)
 	}
 	start := time.Now()
 	budget := msg.Budget
 	if budget <= 0 {
-		budget = e.cfg.FetchBudget
+		budget = DefaultFetchBudget
 	}
 	k := Key{Stream: msg.StreamID, Seq: req.Seq, Quality: req.Quality}
 	ent, hit, err := e.getChunk(k, start.Add(budget))
 	if err != nil {
-		return c.writeError(msg.StreamID, msg.Seq, err)
+		return c.Write(wire.ErrorReply(msg, err))
 	}
 	e.fetchesServed.Add(1)
 	tail := [1]byte{wire.ChunkDataFlags(ent.degraded, hit)}
-	werr := c.writeShared(wire.Message{
+	werr := c.WriteShared(wire.Message{
 		Type: wire.TypeChunkData, StreamID: k.Stream, Seq: msg.Seq,
 	}, ent.prefix, tail[:], ent.crcPrefix)
 	if hit {
@@ -433,10 +318,10 @@ func (e *Edge) getChunk(k Key, deadline time.Time) (ent *entry, hit bool, err er
 	return ent, false, nil
 }
 
-func (e *Edge) handleSubscribe(c *viewerConn, msg wire.Message) error {
+func (e *Edge) handleSubscribe(c *wire.Conn, msg wire.Message) error {
 	req, err := wire.DecodeSubscribe(msg.Payload)
 	if err != nil {
-		_ = c.writeError(msg.StreamID, msg.Seq, err)
+		_ = c.Write(wire.ErrorReply(msg, err))
 		return fmt.Errorf("edge: bad subscribe payload: %w", err)
 	}
 	sub := &subscriber{c: c, stream: msg.StreamID, quality: req.Quality, lastSeq: int64(req.FromSeq) - 1}
@@ -450,7 +335,7 @@ func (e *Edge) handleSubscribe(c *viewerConn, msg wire.Message) error {
 	e.byConn[c] = append(e.byConn[c], sub)
 	e.subMu.Unlock()
 	e.nSubs.Add(1)
-	return c.write(wire.Message{Type: wire.TypeSubscribe, StreamID: msg.StreamID, Seq: msg.Seq})
+	return c.Write(wire.Message{Type: wire.TypeSubscribe, StreamID: msg.StreamID, Seq: msg.Seq})
 }
 
 // fanout pushes a just-served chunk to every subscriber of its stream
@@ -472,8 +357,8 @@ func (e *Edge) fanout(k Key, ent *entry) {
 	tail := [1]byte{wire.ChunkDataFlags(ent.degraded, true)}
 	msg := wire.Message{Type: wire.TypeChunkData, StreamID: k.Stream, Seq: 0}
 	for _, sub := range targets {
-		if err := sub.c.writeShared(msg, ent.prefix, tail[:], ent.crcPrefix); err != nil {
-			e.cfg.Logf("edge: push to %s: %v", sub.c.conn.RemoteAddr(), err)
+		if err := sub.c.WriteShared(msg, ent.prefix, tail[:], ent.crcPrefix); err != nil {
+			e.cfg.Logf("edge: push to %s: %v", sub.c.RemoteAddr(), err)
 			e.removeSubscriber(sub)
 			continue
 		}
@@ -484,6 +369,12 @@ func (e *Edge) fanout(k Key, ent *entry) {
 func (e *Edge) removeSubscriber(sub *subscriber) {
 	e.subMu.Lock()
 	defer e.subMu.Unlock()
+	e.removeSubscriberLocked(sub)
+}
+
+// removeSubscriberLocked unregisters sub if it still is registered.
+// Callers hold subMu.
+func (e *Edge) removeSubscriberLocked(sub *subscriber) {
 	m := e.subs[sub.stream]
 	if _, ok := m[sub]; !ok {
 		return
@@ -495,29 +386,23 @@ func (e *Edge) removeSubscriber(sub *subscriber) {
 	e.nSubs.Add(-1)
 }
 
-func (e *Edge) dropConn(c *viewerConn) {
+func (e *Edge) dropConn(c *wire.Conn) {
 	e.subMu.Lock()
 	subs := e.byConn[c]
 	delete(e.byConn, c)
 	for _, sub := range subs {
-		m := e.subs[sub.stream]
-		if _, ok := m[sub]; !ok {
-			continue
-		}
-		delete(m, sub)
-		if len(m) == 0 {
-			delete(e.subs, sub.stream)
-		}
-		e.nSubs.Add(-1)
+		e.removeSubscriberLocked(sub)
 	}
 	e.subMu.Unlock()
 }
 
 // upstreamConn is one pooled origin connection; exclusivity comes from
-// the pool channel, so requests on it are strictly serial and replies
-// correlate by echoed Seq.
+// the pool channel, so requests on it are strictly serial — one
+// wire.Conn.RoundTrip at a time, the reply read straight into a pooled
+// slab and checked against the Seq it must echo — rather than
+// multiplexed through a wire.Mux.
 type upstreamConn struct {
-	conn net.Conn
+	conn *wire.Conn
 	seqs wire.SeqSource
 }
 
@@ -552,34 +437,27 @@ func (e *Edge) fetchOn(u *upstreamConn, k Key, deadline time.Time) (*entry, erro
 		return nil, fmt.Errorf("edge: budget exhausted before fetch of stream %d chunk %d", k.Stream, k.Seq)
 	}
 	if u.conn == nil {
-		conn, err := e.cfg.DialUpstream(e.cfg.Upstream)
+		nc, err := e.cfg.DialUpstream(e.cfg.Upstream)
 		if err != nil {
 			return nil, fmt.Errorf("edge: dial upstream: %w", err)
 		}
-		u.conn = conn
+		// No idle or write timeout of its own: every use is a RoundTrip
+		// under the fetch's deadline.
+		u.conn = wire.NewConn(nc, 0, 0)
 	}
 	// One deadline covers the whole round trip; the origin gets the
 	// remaining budget and re-derives its own deadline (relative budget
 	// semantics survive clock skew between tiers).
-	_ = u.conn.SetDeadline(deadline)
 	seq := u.seqs.Next()
-	err := wire.Write(u.conn, wire.Message{
+	msg, err := u.conn.RoundTrip(wire.Message{
 		Type: wire.TypeFetchChunk, StreamID: k.Stream, Seq: seq, Budget: budget,
 		Payload: wire.EncodeFetchChunk(wire.FetchChunk{Seq: k.Seq, Quality: k.Quality}),
-	})
+	}, deadline, wire.DefaultMaxPayload, &e.pool)
 	if err != nil {
 		u.breakConn()
-		return nil, fmt.Errorf("edge: upstream write: %w", err)
+		return nil, fmt.Errorf("edge: upstream: %w", err)
 	}
-	msg, err := wire.ReadPooled(u.conn, wire.DefaultMaxPayload, &e.pool)
-	var ent *entry
-	if err == nil {
-		ent, err = e.parseReply(u, k, seq, msg)
-	} else {
-		u.breakConn()
-		err = fmt.Errorf("edge: upstream read: %w", err)
-	}
-	return ent, err
+	return e.parseReply(u, k, seq, msg)
 }
 
 // parseReply validates one origin reply frame and wraps its payload as

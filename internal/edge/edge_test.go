@@ -6,6 +6,7 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -455,7 +456,7 @@ func TestEdgeMetricsEndpoint(t *testing.T) {
 	}
 	// The edge observes a delivery's latency after writing its reply, so
 	// the client can get here first; wait for the observation, not for luck.
-	for wait := time.Now().Add(5 * time.Second); e.HitLatency().Count() == 0 && time.Now().Before(wait); {
+	for wait := time.Now().Add(5 * time.Second); e.hitLatency.Count() == 0 && time.Now().Before(wait); {
 		time.Sleep(time.Millisecond)
 	}
 
@@ -476,7 +477,52 @@ func TestEdgeMetricsEndpoint(t *testing.T) {
 			t.Errorf("metrics missing %q", want)
 		}
 	}
-	if e.HitLatency().Count() != 1 || e.MissLatency().Count() != 1 {
-		t.Errorf("latency hists: hit=%d miss=%d, want 1/1", e.HitLatency().Count(), e.MissLatency().Count())
+	if e.hitLatency.Count() != 1 || e.missLatency.Count() != 1 {
+		t.Errorf("latency hists: hit=%d miss=%d, want 1/1", e.hitLatency.Count(), e.missLatency.Count())
+	}
+}
+
+// TestCloseWithIdlePeer: the edge's Close must not wait out the idle
+// timeout of a viewer that is connected and silent. It closes the live
+// conns as well as the listener, returns promptly, is a no-op the second
+// time, and leaves no goroutine behind.
+func TestCloseWithIdlePeer(t *testing.T) {
+	origin := startOrigin(t, false, []uint32{4}, 1)
+	base := runtime.NumGoroutine()
+	e := startEdge(t, origin, Config{})
+	peer, err := net.Dial("tcp", e.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer peer.Close()
+	// One ping round trip proves the handler is up and parked in its next
+	// read; then the peer says nothing more.
+	_ = peer.SetDeadline(time.Now().Add(5 * time.Second))
+	if err := wire.Write(peer, wire.Message{Type: wire.TypePing, Seq: 1}); err != nil {
+		t.Fatal(err)
+	}
+	if reply, err := wire.Read(peer, wire.DefaultMaxPayload); err != nil || reply.Type != wire.TypePong {
+		t.Fatalf("ping: %v, %v", reply.Type, err)
+	}
+
+	closed := make(chan error, 1)
+	go func() { closed <- e.Close() }()
+	select {
+	case err := <-closed:
+		if err != nil {
+			t.Errorf("close: %v", err)
+		}
+	case <-time.After(time.Second):
+		t.Fatal("Close still blocked after 1s with one idle viewer connected")
+	}
+	if err := e.Close(); err != nil {
+		t.Errorf("second close: %v", err)
+	}
+	peer.Close()
+	for limit := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > base; time.Sleep(10 * time.Millisecond) {
+		if time.Now().After(limit) {
+			buf := make([]byte, 1<<20)
+			t.Fatalf("%d goroutines alive, want <= %d; stacks:\n%s", runtime.NumGoroutine(), base, buf[:runtime.Stack(buf, true)])
+		}
 	}
 }

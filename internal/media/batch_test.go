@@ -110,13 +110,13 @@ func TestBatchMidChaosDegradesOnlyAffectedAnchors(t *testing.T) {
 	if n := anchorsIn(0); n != 1 {
 		t.Errorf("chunk 0 shipped %d anchors, want 1 (sibling of the corrupted anchor must survive)", n)
 	}
-	if deg, _ := srv.Store().ChunkDegraded(streamID, 0); !deg {
+	if _, deg, _, _ := srv.Store().ChunkState(streamID, 0); !deg {
 		t.Error("chunk 0 not marked degraded")
 	}
 	if n := anchorsIn(1); n != 2 {
 		t.Errorf("chunk 1 shipped %d anchors, want 2 (fault must not leak across batches)", n)
 	}
-	if deg, _ := srv.Store().ChunkDegraded(streamID, 1); deg {
+	if _, deg, _, _ := srv.Store().ChunkState(streamID, 1); deg {
 		t.Error("chunk 1 marked degraded")
 	}
 	ctr := srv.Counters()

@@ -1,12 +1,11 @@
 package media
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net"
-	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -166,7 +165,7 @@ func TestChaosKillAndRecoverSingleReplica(t *testing.T) {
 		t.Fatalf("degraded chunks = %d, want %d", n, reviveAt-killAt)
 	}
 	for seq := 0; seq < chunks; seq++ {
-		deg, err := srv.Store().ChunkDegraded(streamID, seq)
+		_, deg, _, err := srv.Store().ChunkState(streamID, seq)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -184,7 +183,7 @@ func TestChaosKillAndRecoverSingleReplica(t *testing.T) {
 
 	// The replica rejoined: the breaker is closed again and the outage
 	// left its trace in the pool counters.
-	if st := pool.ReplicaStates()["solo"]; st != BreakerClosed {
+	if st := pool.ReplicaStats()[0].State; st != BreakerClosed {
 		t.Errorf("breaker = %v after rejoin, want closed", st)
 	}
 	pc := pool.Counters()
@@ -217,24 +216,15 @@ func TestChaosKillAndRecoverSingleReplica(t *testing.T) {
 	if len(infos) != 1 || infos[0].DegradedChunks != reviveAt-killAt {
 		t.Errorf("stream infos = %+v", infos)
 	}
-	resp, err := http.Get(httpSrv.URL + "/stats")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	var stats struct {
-		Server ServerCounters    `json:"server"`
-		Pool   *PoolCounters     `json:"pool"`
-		States map[string]string `json:"replica_states"`
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&stats); err != nil {
-		t.Fatal(err)
-	}
-	if stats.Server.ChunksDegraded != reviveAt-killAt || stats.Pool == nil {
-		t.Errorf("stats = %+v", stats)
-	}
-	if stats.States["solo"] != "closed" {
-		t.Errorf("replica states = %v", stats.States)
+	text := getMetrics(t, httpSrv.URL)
+	for _, want := range []string{
+		fmt.Sprintf("neuroscaler_chunks_degraded_total %d\n", reviveAt-killAt),
+		"neuroscaler_pool_calls_total ",
+		`neuroscaler_pool_replica_breaker_state{replica="solo",state="closed"} 1`,
+	} {
+		if !strings.Contains(text, want) {
+			t.Errorf("metrics output missing %q", want)
+		}
 	}
 	requireLedgerClosed(t, pool)
 }
@@ -383,7 +373,7 @@ func TestChaosStressConcurrentStreams(t *testing.T) {
 		hr := store.get(id)
 		for seq := 0; seq < chunks; seq++ {
 			got, base := chunkPSNRs(t, viewer, id, seq, hr[seq*testGOP:(seq+1)*testGOP])
-			deg, err := srv.Store().ChunkDegraded(id, seq)
+			_, deg, _, err := srv.Store().ChunkState(id, seq)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -485,7 +475,7 @@ func TestRemoteEnhancerReconnectsThroughFaultyConn(t *testing.T) {
 		}
 		return faults.WrapConn(c, inj, gate), nil
 	}
-	remote.dropConnLocked()
+	_ = remote.mux.Close()
 	remote.mu.Unlock()
 
 	gate.Kill()

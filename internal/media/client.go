@@ -22,14 +22,17 @@ import (
 // still enhancing the previous one. A Streamer is not safe for
 // concurrent use; pipelining happens inside one caller's send order.
 type Streamer struct {
-	conn     net.Conn
+	// conn bounds every write by DefaultWriteTimeout and every wait for
+	// the next reply by DefaultIdleTimeout, when the server reaps the
+	// connection anyway.
+	conn     *wire.Conn
 	streamID uint32
 	encoder  *vcodec.Encoder
 	seq      uint32
 
-	// Timeout, when positive, bounds each chunk upload round trip
-	// (write + ack wait) so a stalled server cannot wedge the
-	// broadcaster. Zero keeps the historical unbounded behaviour.
+	// Timeout, when positive, bounds the wait for each chunk's
+	// acknowledgement so a stalled server cannot wedge the broadcaster.
+	// Zero waits as long as the connection lives.
 	Timeout time.Duration
 
 	// ChunkBudget, when positive, stamps every uploaded chunk with a
@@ -39,14 +42,14 @@ type Streamer struct {
 	// identical to the legacy wire format.
 	ChunkBudget time.Duration
 
-	// Ack demultiplexing for pipelined sends: the server replies in
-	// arrival order, so outstanding sends form a FIFO queue that a
-	// single reader goroutine drains. The queue state below is
-	// guarded by ackMu.
-	ackMu    sync.Mutex
-	pending  []pendingReply
-	readerOn bool
-	broken   error
+	// Ack correlation for pipelined sends: the server replies in arrival
+	// order and a chunk's ack carries the store's sequence number, not
+	// the request's (see wire.Message), so outstanding sends form a FIFO
+	// queue that a single reader goroutine drains — not a wire.Mux, which
+	// matches by echoed Seq. The queue state below is guarded by ackMu.
+	ackMu   sync.Mutex
+	pending []pendingReply
+	broken  error
 
 	// readerWG joins the ack reader at Close: closing the conn fails its
 	// blocked read, so the wait is always bounded.
@@ -72,33 +75,25 @@ func NewStreamer(addr string, streamID uint32, hello wire.Hello) (*Streamer, err
 	}
 	// Hello travels with defaults resolved so both sides agree exactly.
 	hello.Config = enc.Config()
-	conn, err := net.Dial("tcp", addr)
+	payload, err := wire.EncodeHello(hello)
+	if err != nil {
+		return nil, err
+	}
+	nc, err := net.Dial("tcp", addr)
 	if err != nil {
 		return nil, fmt.Errorf("media: dial ingest: %w", err)
 	}
-	payload, err := wire.EncodeHello(hello)
-	if err != nil {
-		conn.Close()
-		return nil, err
+	s := &Streamer{conn: wire.NewConn(nc, DefaultIdleTimeout, DefaultWriteTimeout), streamID: streamID, encoder: enc}
+	s.readerWG.Add(1)
+	go s.readReplies()
+	// The handshake is the first round trip; bound it so an unresponsive
+	// server cannot wedge the caller.
+	hi := wire.Message{Type: wire.TypeHello, StreamID: streamID, Payload: payload}
+	if err := s.roundTrip(hi, wire.TypeAck, DefaultWriteTimeout); err != nil {
+		_ = s.Close()
+		return nil, fmt.Errorf("media: hello: %w", err)
 	}
-	// The handshake is one request/response on a fresh conn: bound it so
-	// an unresponsive server cannot wedge the caller.
-	_ = conn.SetDeadline(time.Now().Add(DefaultWriteTimeout))
-	if err := wire.Write(conn, wire.Message{Type: wire.TypeHello, StreamID: streamID, Payload: payload}); err != nil {
-		conn.Close()
-		return nil, err
-	}
-	reply, err := wire.Read(conn, wire.DefaultMaxPayload)
-	if err != nil {
-		conn.Close()
-		return nil, err
-	}
-	if reply.Type != wire.TypeAck {
-		conn.Close()
-		return nil, fmt.Errorf("media: hello rejected: %s", reply.Payload)
-	}
-	_ = conn.SetDeadline(time.Time{})
-	return &Streamer{conn: conn, streamID: streamID, encoder: enc}, nil
+	return s, nil
 }
 
 // SendChunk encodes and uploads one chunk of raw frames, returning the
@@ -125,16 +120,16 @@ type PendingAck struct {
 // use.
 func (p *PendingAck) Wait() (int, error) {
 	if !p.done {
+		var expiry <-chan time.Time // nil, so never ready, without a timeout
 		if p.timeout > 0 {
 			t := time.NewTimer(p.timeout)
 			defer t.Stop()
-			select {
-			case p.out = <-p.ch:
-			case <-t.C:
-				return 0, fmt.Errorf("media: chunk ack timed out after %v", p.timeout)
-			}
-		} else {
-			p.out = <-p.ch
+			expiry = t.C
+		}
+		select {
+		case p.out = <-p.ch:
+		case <-expiry:
+			return 0, fmt.Errorf("media: chunk ack timed out after %v", p.timeout)
 		}
 		p.done = true
 	}
@@ -162,14 +157,7 @@ func (s *Streamer) SendChunkAsync(frames []*frame.Frame) (*PendingAck, error) {
 		Payload:  wire.EncodeChunk(raw),
 		Budget:   s.ChunkBudget,
 	}
-	ch, err := s.enqueueReply(wire.TypeAck)
-	if err != nil {
-		return nil, err
-	}
-	if err := s.writeMsg(msg); err != nil {
-		return nil, err
-	}
-	return &PendingAck{ch: ch, timeout: s.Timeout}, nil
+	return s.send(msg, wire.TypeAck, s.Timeout)
 }
 
 // Flush waits until every outstanding chunk has been acknowledged. It
@@ -183,46 +171,36 @@ func (s *Streamer) Flush() error {
 	if outstanding == 0 {
 		return nil
 	}
-	ch, err := s.enqueueReply(wire.TypePong)
+	return s.roundTrip(wire.Message{Type: wire.TypePing, StreamID: s.streamID}, wire.TypePong, s.Timeout)
+}
+
+// roundTrip sends msg behind whatever is outstanding and waits up to
+// timeout for its reply, which must be of type want.
+func (s *Streamer) roundTrip(msg wire.Message, want wire.Type, timeout time.Duration) error {
+	p, err := s.send(msg, want, timeout)
 	if err != nil {
 		return err
 	}
-	if err := s.writeMsg(wire.Message{Type: wire.TypePing, StreamID: s.streamID}); err != nil {
-		return err
-	}
-	p := &PendingAck{ch: ch, timeout: s.Timeout}
 	_, err = p.Wait()
 	return err
 }
 
-// enqueueReply registers the next expected reply and starts the ack
-// reader if needed.
-func (s *Streamer) enqueueReply(want wire.Type) (chan ackOutcome, error) {
+// send queues the reply msg is owed — of type want, behind every reply
+// already owed — and writes msg. The handle's Wait is bounded by timeout.
+func (s *Streamer) send(msg wire.Message, want wire.Type, timeout time.Duration) (*PendingAck, error) {
 	s.ackMu.Lock()
-	defer s.ackMu.Unlock()
 	if s.broken != nil {
+		s.ackMu.Unlock()
 		return nil, s.broken
-	}
-	if !s.readerOn {
-		s.readerOn = true
-		s.readerWG.Add(1)
-		go s.readReplies()
 	}
 	ch := make(chan ackOutcome, 1)
 	s.pending = append(s.pending, pendingReply{ch: ch, want: want})
-	return ch, nil
-}
-
-func (s *Streamer) writeMsg(msg wire.Message) error {
-	if s.Timeout > 0 {
-		_ = s.conn.SetWriteDeadline(time.Now().Add(s.Timeout))
-		defer s.conn.SetWriteDeadline(time.Time{})
-	}
-	if err := wire.Write(s.conn, msg); err != nil {
+	s.ackMu.Unlock()
+	if err := s.conn.Write(msg); err != nil {
 		s.failPending(err)
-		return err
+		return nil, err
 	}
-	return nil
+	return &PendingAck{ch: ch, timeout: timeout}, nil
 }
 
 // readReplies drains server replies, matching them FIFO against the
@@ -230,11 +208,7 @@ func (s *Streamer) writeMsg(msg wire.Message) error {
 func (s *Streamer) readReplies() {
 	defer s.readerWG.Done()
 	for {
-		// Audited under interprocedural caller coverage: the only caller
-		// is the enqueueReply spawn, and a deadline armed there would not
-		// bound this loop's reads anyway, so the suppression stands.
-		//nslint:disable connio -- demux reader blocks for the stream's lifetime by design; each upload's ack wait is bounded by PendingAck.Wait, and Close unblocks the read by closing the conn
-		reply, err := wire.Read(s.conn, wire.DefaultMaxPayload)
+		reply, err := s.conn.Read(wire.DefaultMaxPayload)
 		if err != nil {
 			s.failPending(err)
 			return
@@ -254,7 +228,7 @@ func (s *Streamer) readReplies() {
 			// Typed overload replies (shed, deadline) surface as their
 			// sentinels so the broadcaster can tell backpressure from a
 			// protocol failure.
-			pr.ch <- ackOutcome{err: remoteError("media: chunk rejected", reply.Payload)}
+			pr.ch <- ackOutcome{err: remoteError("media: rejected", reply.Payload)}
 		default:
 			pr.ch <- ackOutcome{err: fmt.Errorf("media: unexpected reply %v (want %v)", reply.Type, pr.want)}
 		}
@@ -273,11 +247,10 @@ func (s *Streamer) failPending(err error) {
 	s.pending = nil
 }
 
-// Close ends the session. The goodbye is best effort and must not hang
-// on a dead peer, so it rides a short write deadline.
+// Close ends the session. The goodbye is best effort: on a dead peer it
+// costs the write deadline at most.
 func (s *Streamer) Close() error {
-	_ = s.conn.SetWriteDeadline(time.Now().Add(DefaultWriteTimeout))
-	_ = wire.Write(s.conn, wire.Message{Type: wire.TypeGoodbye, StreamID: s.streamID})
+	_ = s.conn.Write(wire.Message{Type: wire.TypeGoodbye, StreamID: s.streamID})
 	err := s.conn.Close()
 	// Join the ack reader: the closed conn fails its read, failPending
 	// delivers every outstanding ack (buffered channels), and it exits.

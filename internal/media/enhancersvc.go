@@ -3,7 +3,6 @@ package media
 import (
 	"errors"
 	"fmt"
-	"io"
 	"log"
 	"net"
 	"sync"
@@ -38,18 +37,6 @@ const (
 	// telling the pool to fail over.
 	DefaultEnhancerJobQueueDepth = 64
 )
-
-// pickTimeout resolves a configured timeout: zero selects the default,
-// negative disables the bound.
-func pickTimeout(configured, def time.Duration) time.Duration {
-	if configured == 0 {
-		return def
-	}
-	if configured < 0 {
-		return 0
-	}
-	return configured
-}
 
 // AnchorEnhancer super-resolves and image-encodes one anchor frame. The
 // media server is configured with one (local, remote, or a pool).
@@ -180,12 +167,6 @@ func (e *LocalEnhancer) EnhanceBatch(streamID uint32, jobs []wire.AnchorJob) ([]
 
 // EnhancerServerConfig tunes an enhancer service endpoint.
 type EnhancerServerConfig struct {
-	// IdleTimeout bounds the wait for the next request on a connection;
-	// zero uses DefaultIdleTimeout, negative disables the bound.
-	IdleTimeout time.Duration
-	// WriteTimeout bounds each reply write; zero uses
-	// DefaultWriteTimeout, negative disables the bound.
-	WriteTimeout time.Duration
 	// MaxConcurrentJobs bounds how many anchor jobs one connection may
 	// have in flight at once (a multiplexing client pipelines up to this
 	// many RPCs through one replica). Zero uses
@@ -217,14 +198,12 @@ type EnhancerServerCounters struct {
 // FIFO replies.
 type EnhancerServer struct {
 	enhancer *LocalEnhancer
-	ln       net.Listener
 	cfg      EnhancerServerConfig
+	// srv owns the listener, the live connections and their handlers.
+	srv *wire.Server
 
 	jobsShed    atomic.Uint64
 	jobsExpired atomic.Uint64
-
-	wg     sync.WaitGroup
-	closed chan struct{}
 }
 
 // Counters snapshots the server's overload-control counters.
@@ -236,12 +215,13 @@ func (s *EnhancerServer) Counters() EnhancerServerCounters {
 }
 
 // NewEnhancerServer starts serving on addr (use "127.0.0.1:0" for tests)
-// with default timeouts.
+// with default concurrency.
 func NewEnhancerServer(addr string, enhancer *LocalEnhancer, logf func(string, ...any)) (*EnhancerServer, error) {
 	return NewEnhancerServerWith(addr, enhancer, EnhancerServerConfig{Logf: logf})
 }
 
-// NewEnhancerServerWith starts serving on addr with explicit timeouts.
+// NewEnhancerServerWith starts serving on addr with explicit per-connection
+// concurrency and queue depth.
 func NewEnhancerServerWith(addr string, enhancer *LocalEnhancer, cfg EnhancerServerConfig) (*EnhancerServer, error) {
 	if enhancer == nil {
 		return nil, errors.New("media: nil enhancer")
@@ -249,8 +229,6 @@ func NewEnhancerServerWith(addr string, enhancer *LocalEnhancer, cfg EnhancerSer
 	if cfg.Logf == nil {
 		cfg.Logf = log.Printf
 	}
-	cfg.IdleTimeout = pickTimeout(cfg.IdleTimeout, DefaultIdleTimeout)
-	cfg.WriteTimeout = pickTimeout(cfg.WriteTimeout, DefaultWriteTimeout)
 	if cfg.MaxConcurrentJobs == 0 {
 		cfg.MaxConcurrentJobs = DefaultEnhancerJobConcurrency
 	}
@@ -267,82 +245,16 @@ func NewEnhancerServerWith(addr string, enhancer *LocalEnhancer, cfg EnhancerSer
 	if err != nil {
 		return nil, fmt.Errorf("media: enhancer listen: %w", err)
 	}
-	s := &EnhancerServer{enhancer: enhancer, ln: ln, cfg: cfg, closed: make(chan struct{})}
-	s.wg.Add(1)
-	go s.acceptLoop()
+	s := &EnhancerServer{enhancer: enhancer, cfg: cfg}
+	s.srv = wire.Serve(ln, DefaultIdleTimeout, DefaultWriteTimeout, cfg.Logf, s.serveConn)
 	return s, nil
 }
 
 // Addr returns the bound address.
-func (s *EnhancerServer) Addr() string { return s.ln.Addr().String() }
+func (s *EnhancerServer) Addr() string { return s.srv.Addr() }
 
-// Close stops the server and waits for connection handlers to drain.
-func (s *EnhancerServer) Close() error {
-	close(s.closed)
-	err := s.ln.Close()
-	s.wg.Wait()
-	return err
-}
-
-func (s *EnhancerServer) acceptLoop() {
-	defer s.wg.Done()
-	for {
-		conn, err := s.ln.Accept()
-		if err != nil {
-			select {
-			case <-s.closed:
-				return
-			default:
-				s.cfg.Logf("media: enhancer accept: %v", err)
-				return
-			}
-		}
-		s.wg.Add(1)
-		go func() {
-			defer s.wg.Done()
-			defer conn.Close()
-			if err := s.serveConn(conn); err != nil {
-				s.cfg.Logf("media: enhancer conn %s: %v", conn.RemoteAddr(), err)
-			}
-		}()
-	}
-}
-
-// connWriter serializes frame writes on one connection, each under the
-// configured write deadline, so concurrent reply producers (job
-// goroutines, the read loop) never interleave frame bytes.
-type connWriter struct {
-	mu      sync.Mutex
-	conn    net.Conn
-	timeout time.Duration
-}
-
-func (w *connWriter) write(msg wire.Message) error {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if w.timeout > 0 {
-		_ = w.conn.SetWriteDeadline(time.Now().Add(w.timeout))
-	}
-	err := wire.Write(w.conn, msg)
-	if w.timeout > 0 {
-		_ = w.conn.SetWriteDeadline(time.Time{})
-	}
-	return err
-}
-
-func (w *connWriter) writeError(msg wire.Message, cause error) error {
-	return w.write(errorReply(msg, cause))
-}
-
-// errorReply is the TypeError frame answering msg with cause.
-func errorReply(msg wire.Message, cause error) wire.Message {
-	return wire.Message{
-		Type:     wire.TypeError,
-		StreamID: msg.StreamID,
-		Seq:      msg.Seq,
-		Payload:  []byte(cause.Error()),
-	}
-}
+// Close stops the server as wire.Server.Close does; twice is a no-op.
+func (s *EnhancerServer) Close() error { return s.srv.Close() }
 
 // serveConn demultiplexes one client connection: hellos and pings are
 // answered inline (a hello must land before the jobs that rely on it),
@@ -356,8 +268,7 @@ func errorReply(msg wire.Message, cause error) wire.Message {
 // inside the batch result, leaving its siblings and the connection
 // untouched; protocol-level failures (undecodable payloads, unexpected
 // types) drop the connection.
-func (s *EnhancerServer) serveConn(conn net.Conn) error {
-	w := &connWriter{conn: conn, timeout: s.cfg.WriteTimeout}
+func (s *EnhancerServer) serveConn(conn *wire.Conn) error {
 	queue := newJobQueue(s.cfg.JobQueueDepth)
 	var jobs sync.WaitGroup
 	defer jobs.Wait()
@@ -366,40 +277,34 @@ func (s *EnhancerServer) serveConn(conn net.Conn) error {
 		jobs.Add(1)
 		go func() {
 			defer jobs.Done()
-			s.jobWorker(queue, w)
+			s.jobWorker(queue, conn)
 		}()
 	}
 	for {
-		if s.cfg.IdleTimeout > 0 {
-			_ = conn.SetReadDeadline(time.Now().Add(s.cfg.IdleTimeout))
-		}
-		msg, err := wire.Read(conn, wire.DefaultMaxPayload)
+		msg, err := conn.Read(wire.DefaultMaxPayload)
 		if err != nil {
-			if errors.Is(err, net.ErrClosed) || errors.Is(err, io.EOF) {
-				return nil
-			}
 			return err
 		}
 		switch msg.Type {
 		case wire.TypeHello:
 			h, err := wire.DecodeHello(msg.Payload)
 			if err != nil {
-				_ = w.writeError(msg, err)
+				_ = conn.Write(wire.ErrorReply(msg, err))
 				return err
 			}
 			if err := s.enhancer.Register(msg.StreamID, h); err != nil {
-				if werr := w.writeError(msg, err); werr != nil {
+				if werr := conn.Write(wire.ErrorReply(msg, err)); werr != nil {
 					return werr
 				}
 				continue
 			}
-			if err := w.write(wire.Message{Type: wire.TypeAck, StreamID: msg.StreamID, Seq: msg.Seq}); err != nil {
+			if err := conn.Write(wire.Message{Type: wire.TypeAck, StreamID: msg.StreamID, Seq: msg.Seq}); err != nil {
 				return err
 			}
 		case wire.TypeAnchorBatchJob:
 			batch, err := wire.DecodeAnchorBatchJob(msg.Payload)
 			if err != nil {
-				_ = w.writeError(msg, err)
+				_ = conn.Write(wire.ErrorReply(msg, err))
 				return err
 			}
 			// A batch is one dispatch: it occupies a single worker
@@ -415,16 +320,16 @@ func (s *EnhancerServer) serveConn(conn net.Conn) error {
 					entry.batch[i].Deadline = entry.deadline
 				}
 			}
-			s.admit(queue, w, entry)
+			s.admit(queue, conn, entry)
 		case wire.TypePing:
-			if err := w.write(wire.Message{Type: wire.TypePong, StreamID: msg.StreamID, Seq: msg.Seq}); err != nil {
+			if err := conn.Write(wire.Message{Type: wire.TypePong, StreamID: msg.StreamID, Seq: msg.Seq}); err != nil {
 				return err
 			}
 		case wire.TypeGoodbye:
 			return nil
 		default:
 			err := fmt.Errorf("unexpected message %v", msg.Type)
-			_ = w.writeError(msg, err)
+			_ = conn.Write(wire.ErrorReply(msg, err))
 			return err
 		}
 	}
@@ -433,26 +338,26 @@ func (s *EnhancerServer) serveConn(conn net.Conn) error {
 // admit pushes one dispatch into the connection's job queue, answering
 // a full queue with a typed shed reply so the client's pool fails over
 // instead of waiting on a backlog this replica cannot clear in time.
-func (s *EnhancerServer) admit(queue *jobQueue, w *connWriter, entry *jobEntry) {
+func (s *EnhancerServer) admit(queue *jobQueue, conn *wire.Conn, entry *jobEntry) {
 	if queue.push(entry) {
 		return
 	}
 	s.jobsShed.Add(1)
 	err := fmt.Errorf("media: job queue full (depth %d): %w", s.cfg.JobQueueDepth, ErrShed)
-	if werr := w.writeError(entry.msg, err); werr != nil {
+	if werr := conn.Write(wire.ErrorReply(entry.msg, err)); werr != nil {
 		s.cfg.Logf("media: enhancer reply: %v", werr)
 	}
 }
 
 // jobWorker serves one connection's queue until it closes, answering
 // each dispatch with the request's Seq.
-func (s *EnhancerServer) jobWorker(queue *jobQueue, w *connWriter) {
+func (s *EnhancerServer) jobWorker(queue *jobQueue, conn *wire.Conn) {
 	for {
 		e, ok := queue.pop()
 		if !ok {
 			return
 		}
-		if err := w.write(s.runBatch(e)); err != nil {
+		if err := conn.Write(s.runBatch(e)); err != nil {
 			s.cfg.Logf("media: enhancer reply: %v", err)
 		}
 	}
@@ -464,12 +369,12 @@ func (s *EnhancerServer) jobWorker(queue *jobQueue, w *connWriter) {
 func (s *EnhancerServer) runBatch(e *jobEntry) wire.Message {
 	if expired(e.deadline, time.Now()) {
 		s.jobsExpired.Add(1)
-		return errorReply(e.msg, fmt.Errorf("media: job expired after %v in queue: %w",
+		return wire.ErrorReply(e.msg, fmt.Errorf("media: job expired after %v in queue: %w",
 			time.Since(e.enqueued).Round(time.Microsecond), ErrDeadlineExceeded))
 	}
 	outs, err := s.enhancer.EnhanceBatch(e.msg.StreamID, e.batch)
 	if err != nil {
-		return errorReply(e.msg, err)
+		return wire.ErrorReply(e.msg, err)
 	}
 	for i, o := range outs {
 		if o.Err != nil {
@@ -488,43 +393,25 @@ func (s *EnhancerServer) runBatch(e *jobEntry) wire.Message {
 }
 
 // RemoteEnhancer is an AnchorEnhancer backed by an EnhancerServer over
-// TCP. It is safe for concurrent callers and multiplexes them: every
-// outstanding request is tagged with a unique Seq, writes are serialized
-// by a writer lock, and a reader goroutine demultiplexes replies to the
-// pending call keyed on that Seq — so many anchor RPCs share one
-// connection concurrently, each bounded by the call timeout. A transport
-// failure fails every pending call with ErrEnhancerUnavailable and marks
-// the connection broken; the next call transparently redials and
-// re-registers every known stream before new traffic flows.
+// TCP. It is safe for concurrent callers and multiplexes them over one
+// connection through a wire.Mux, each call bounded by the call timeout.
+// What it adds to the Mux is the connection's life cycle: a Mux that has
+// failed (transport error, timed-out call) has failed its calls, which
+// surface as ErrEnhancerUnavailable, and the next call dials a new
+// connection and re-registers every known stream on it before new
+// traffic flows.
 type RemoteEnhancer struct {
 	addr        string
 	callTimeout time.Duration
 	dial        func() (net.Conn, error)
 
-	seqs wire.SeqSource
-
-	// writeMu serializes frame writes so concurrent calls never
-	// interleave bytes on the wire.
-	writeMu sync.Mutex
-
 	mu sync.Mutex
-	// Connection and call state, guarded by mu.
-	conn    net.Conn
-	connGen uint64 // bumps on every (re)connect so stale failures are ignored
-	pending map[uint32]chan callReply
-	hellos  map[uint32][]byte // encoded hello payloads for re-registration
-	closed  bool
-
-	// readerWG joins every readLoop generation at Close: closing the
-	// conn fails the blocked read, so the wait is always bounded.
-	readerWG sync.WaitGroup
-}
-
-// callReply is one demultiplexed outcome: the matched reply frame or the
-// transport error that killed the connection while the call was pending.
-type callReply struct {
-	msg wire.Message
-	err error
+	// mux is the current connection generation, hellos the encoded hello
+	// of every registered stream (replayed on each new connection); both
+	// guarded by mu, as is closed.
+	mux    *wire.Mux
+	hellos map[uint32][]byte
+	closed bool
 }
 
 // DialEnhancer connects to an enhancer service with default timeouts.
@@ -532,21 +419,25 @@ func DialEnhancer(addr string) (*RemoteEnhancer, error) {
 	return DialEnhancerTimeout(addr, 0, 0)
 }
 
-// DialEnhancerTimeout connects with a dial timeout and arms every call
-// with a read/write deadline. Zero durations select the defaults
-// (DefaultWriteTimeout for dialing, DefaultIdleTimeout for calls);
-// negative durations disable the bound.
+// DialEnhancerTimeout connects with a dial timeout and bounds every call
+// (its write and its wait for the reply). Zero or negative durations
+// select the defaults: DefaultWriteTimeout for dialing, DefaultIdleTimeout
+// for calls.
 func DialEnhancerTimeout(addr string, dialTimeout, callTimeout time.Duration) (*RemoteEnhancer, error) {
-	dialTimeout = pickTimeout(dialTimeout, DefaultWriteTimeout)
+	if dialTimeout <= 0 {
+		dialTimeout = DefaultWriteTimeout
+	}
+	if callTimeout <= 0 {
+		callTimeout = DefaultIdleTimeout
+	}
 	r := &RemoteEnhancer{
 		addr:        addr,
-		callTimeout: pickTimeout(callTimeout, DefaultIdleTimeout),
-		dial:        func() (net.Conn, error) { return dialWire(addr, dialTimeout) },
-		pending:     make(map[uint32]chan callReply),
+		callTimeout: callTimeout,
+		dial:        func() (net.Conn, error) { return net.DialTimeout("tcp", addr, dialTimeout) },
 		hellos:      make(map[uint32][]byte),
 	}
 	r.mu.Lock()
-	err := r.reconnectLocked()
+	err := r.connectLocked()
 	r.mu.Unlock()
 	if err != nil {
 		return nil, fmt.Errorf("media: dial enhancer: %w", err)
@@ -554,32 +445,14 @@ func DialEnhancerTimeout(addr string, dialTimeout, callTimeout time.Duration) (*
 	return r, nil
 }
 
-// Close tears down the connection; pending calls fail. The goodbye
-// write happens after the state is detached so a dead peer can only
-// cost the write deadline, never stall other callers on r.mu.
+// Close says goodbye and tears down the connection; pending calls fail.
+// The goodbye goes out outside r.mu: a dead peer cannot stall callers.
 func (r *RemoteEnhancer) Close() error {
 	r.mu.Lock()
 	r.closed = true
-	conn := r.conn
-	r.conn = nil
-	if conn != nil {
-		r.failPendingLocked(errors.New("client closed"))
-	}
+	mux := r.mux
 	r.mu.Unlock()
-	if conn == nil {
-		// A reader from a torn-down generation may still be mid-exit;
-		// join it before returning.
-		r.readerWG.Wait()
-		return nil
-	}
-	_ = conn.SetWriteDeadline(time.Now().Add(pickTimeout(r.callTimeout, DefaultWriteTimeout)))
-	_ = wire.Write(conn, wire.Message{Type: wire.TypeGoodbye})
-	err := conn.Close()
-	// Join the reader: the closed conn fails its read, failConn sees the
-	// detached state and returns, and the loop exits. Pending replies
-	// ride buffered channels, so the reader never blocks on delivery.
-	r.readerWG.Wait()
-	return err
+	return mux.Close()
 }
 
 // Register announces a stream to the remote enhancer. The hello is
@@ -592,14 +465,8 @@ func (r *RemoteEnhancer) Register(streamID uint32, h wire.Hello) error {
 	r.mu.Lock()
 	r.hellos[streamID] = payload
 	r.mu.Unlock()
-	reply, err := r.call(wire.Message{Type: wire.TypeHello, StreamID: streamID, Payload: payload})
-	if err != nil {
-		return err
-	}
-	if reply.Type != wire.TypeAck {
-		return fmt.Errorf("media: register: unexpected reply %v", reply.Type)
-	}
-	return nil
+	_, err = r.call(wire.Message{Type: wire.TypeHello, StreamID: streamID, Payload: payload}, wire.TypeAck)
+	return err
 }
 
 // Enhance implements AnchorEnhancer as a batch of one.
@@ -632,12 +499,9 @@ func (r *RemoteEnhancer) EnhanceBatch(streamID uint32, jobs []wire.AnchorJob) ([
 		StreamID: streamID,
 		Payload:  wire.EncodeAnchorBatchJob(jobs),
 		Budget:   jobBudget(minJobDeadline(jobs), time.Now()),
-	})
+	}, wire.TypeAnchorBatchResult)
 	if err != nil {
 		return nil, err
-	}
-	if reply.Type != wire.TypeAnchorBatchResult {
-		return nil, fmt.Errorf("media: enhance batch: unexpected reply %v", reply.Type)
 	}
 	outs, err := wire.DecodeAnchorBatchResult(reply.Payload)
 	if err != nil {
@@ -656,181 +520,80 @@ func (r *RemoteEnhancer) EnhanceBatch(streamID uint32, jobs []wire.AnchorJob) ([
 
 // Ping performs a liveness probe (heartbeat health checks).
 func (r *RemoteEnhancer) Ping() error {
-	reply, err := r.call(wire.Message{Type: wire.TypePing})
-	if err != nil {
-		return err
-	}
-	if reply.Type != wire.TypePong {
-		return fmt.Errorf("media: ping: unexpected reply %v", reply.Type)
-	}
-	return nil
+	_, err := r.call(wire.Message{Type: wire.TypePing}, wire.TypePong)
+	return err
 }
 
-// reconnectLocked dials the enhancer, re-registers every known stream
-// synchronously on the fresh connection (the reader is not running yet,
-// so replies are read inline in order), and only then installs the
-// connection and starts its reader goroutine. Callers hold r.mu.
-func (r *RemoteEnhancer) reconnectLocked() error {
-	conn, err := r.dial()
+// connectLocked dials the enhancer, re-registers every known stream on
+// the fresh connection, and only then installs it as the current Mux.
+// Callers hold r.mu, so no new call reaches the connection before the
+// replay is done.
+//
+//nslint:lock-order RemoteEnhancer.mu -> Mux.mu -- the connection layer's locks nest below its owner's; wire never calls back into media
+//nslint:lock-order RemoteEnhancer.mu -> Conn.wmu -- the connection layer's locks nest below its owner's; wire never calls back into media
+func (r *RemoteEnhancer) connectLocked() error {
+	nc, err := r.dial()
 	if err != nil {
 		return err
 	}
+	mux := wire.NewMux(wire.NewConn(nc, 0, r.callTimeout), nil)
 	for streamID, payload := range r.hellos {
-		msg := wire.Message{Type: wire.TypeHello, StreamID: streamID, Seq: r.seqs.Next(), Payload: payload}
-		if r.callTimeout > 0 {
-			_ = conn.SetDeadline(time.Now().Add(r.callTimeout))
-		}
-		err := wire.Write(conn, msg)
-		var reply wire.Message
-		if err == nil {
-			reply, err = wire.Read(conn, wire.DefaultMaxPayload)
-		}
-		if r.callTimeout > 0 {
-			_ = conn.SetDeadline(time.Time{})
-		}
-		if err != nil {
-			conn.Close()
+		// A TypeError reply (e.g. the replica cannot resolve the model)
+		// leaves the connection usable; the stream's own jobs will surface
+		// the failure.
+		if _, err := mux.Call(wire.Message{Type: wire.TypeHello, StreamID: streamID, Payload: payload}, r.callTimeout); err != nil {
+			_ = mux.Close()
 			return fmt.Errorf("re-register stream %d: %w", streamID, err)
 		}
-		// A protocol-level rejection (e.g. the replica cannot resolve the
-		// model) leaves the conn usable; the stream's own jobs will
-		// surface the failure.
-		_ = reply
 	}
-	r.conn = conn
-	r.connGen++
-	r.readerWG.Add(1)
-	go r.readLoop(conn, r.connGen)
+	r.mux = mux
 	return nil
 }
 
-// readLoop is the demultiplexer for one connection generation: it
-// matches each reply to the pending call registered under its Seq. Any
-// transport error — or a reply no call is waiting for — tears the
-// connection down and fails every pending call.
-func (r *RemoteEnhancer) readLoop(conn net.Conn, gen uint64) {
-	defer r.readerWG.Done()
-	for {
-		//nslint:disable connio -- demux reader blocks for the connection's lifetime by design; each call's wait is bounded by callTimeout, and Close/failConn unblock the read by closing the conn
-		msg, err := wire.Read(conn, wire.DefaultMaxPayload)
-		if err != nil {
-			r.failConn(gen, err)
-			return
-		}
-		r.mu.Lock()
-		ch, ok := r.pending[msg.Seq]
-		if ok {
-			delete(r.pending, msg.Seq)
-		}
-		r.mu.Unlock()
-		if !ok {
-			// Seqs are unique for the client's lifetime, so an unmatched
-			// reply means the peer broke the correlation discipline (or the
-			// call already failed); resynchronize by reconnecting.
-			r.failConn(gen, fmt.Errorf("unmatched reply seq %d", msg.Seq))
-			return
-		}
-		ch <- callReply{msg: msg}
-	}
-}
-
-// failConn tears down connection generation gen (if still current) and
-// fails every pending call with cause.
-func (r *RemoteEnhancer) failConn(gen uint64, cause error) {
+// live returns the current connection, dialing a new one first when the
+// last one has failed.
+func (r *RemoteEnhancer) live() (*wire.Mux, error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if r.connGen != gen || r.conn == nil {
-		return
-	}
-	r.conn.Close()
-	r.conn = nil
-	r.failPendingLocked(cause)
-}
-
-// failPendingLocked delivers cause to every pending call. Callers hold
-// r.mu.
-func (r *RemoteEnhancer) failPendingLocked(cause error) {
-	for seq, ch := range r.pending {
-		delete(r.pending, seq)
-		ch <- callReply{err: cause}
-	}
-}
-
-// call performs one request/response over the multiplexed connection:
-// register a pending slot under a fresh Seq, write the frame, and wait
-// for the demultiplexer to deliver the matching reply (or the transport
-// failure that voided it), bounded by the call timeout — tightened to
-// the frame's deadline budget when one is set, since waiting past the
-// chunk's deadline for a reply nobody can use just holds the slot open.
-func (r *RemoteEnhancer) call(msg wire.Message) (wire.Message, error) {
-	r.mu.Lock()
 	if r.closed {
-		r.mu.Unlock()
-		return wire.Message{}, fmt.Errorf("media: enhancer client closed: %w", ErrEnhancerUnavailable)
+		return nil, fmt.Errorf("media: enhancer client closed: %w", ErrEnhancerUnavailable)
 	}
-	if r.conn == nil {
-		if err := r.reconnectLocked(); err != nil {
-			r.mu.Unlock()
-			return wire.Message{}, fmt.Errorf("media: reconnect %s: %v: %w", r.addr, err, ErrEnhancerUnavailable)
-		}
+	if r.mux.Err() == nil {
+		return r.mux, nil
 	}
-	conn, gen := r.conn, r.connGen
-	msg.Seq = r.seqs.Next()
-	ch := make(chan callReply, 1)
-	r.pending[msg.Seq] = ch
-	r.mu.Unlock()
+	// Join the failed generation's reader (its conn is closed: no wait).
+	_ = r.mux.Close()
+	if err := r.connectLocked(); err != nil {
+		return nil, fmt.Errorf("media: reconnect %s: %v: %w", r.addr, err, ErrEnhancerUnavailable)
+	}
+	return r.mux, nil
+}
 
+// call performs one request/response over the multiplexed connection and
+// returns the reply, which must be of type want. It waits at most the
+// call timeout — tightened to the frame's deadline budget when one is
+// set, since waiting past the chunk's deadline for a reply nobody can use
+// just holds the slot open.
+func (r *RemoteEnhancer) call(msg wire.Message, want wire.Type) (wire.Message, error) {
+	mux, err := r.live()
+	if err != nil {
+		return wire.Message{}, err
+	}
 	wait := r.callTimeout
-	if msg.Budget > 0 && (wait <= 0 || msg.Budget < wait) {
+	if msg.Budget > 0 && msg.Budget < wait {
 		wait = msg.Budget
 	}
-
-	r.writeMu.Lock()
-	if wait > 0 {
-		_ = conn.SetWriteDeadline(time.Now().Add(wait))
-	}
-	err := wire.Write(conn, msg)
-	if wait > 0 {
-		_ = conn.SetWriteDeadline(time.Time{})
-	}
-	r.writeMu.Unlock()
+	reply, err := mux.Call(msg, wait)
 	if err != nil {
-		// The write failure also surfaces in the reader; whichever tears
-		// the conn down first delivers to every pending slot, ours
-		// included.
-		r.failConn(gen, err)
+		return wire.Message{}, fmt.Errorf("media: enhancer call: %v: %w", err, ErrEnhancerUnavailable)
 	}
-
-	var reply callReply
-	if wait > 0 {
-		timer := time.NewTimer(wait)
-		select {
-		case reply = <-ch:
-			timer.Stop()
-		case <-timer.C:
-			r.failConn(gen, fmt.Errorf("call timed out after %v", wait))
-			reply = <-ch // failConn delivered; or the reply raced in first
-		}
-	} else {
-		reply = <-ch
+	if reply.Type == wire.TypeError {
+		return wire.Message{}, remoteError("media: remote", reply.Payload)
 	}
-	if reply.err != nil {
-		return wire.Message{}, fmt.Errorf("media: enhancer call: %v: %w", reply.err, ErrEnhancerUnavailable)
+	if reply.Type != want {
+		return wire.Message{}, fmt.Errorf("media: %v: unexpected reply %v", msg.Type, reply.Type)
 	}
-	if reply.msg.Type == wire.TypeError {
-		return wire.Message{}, remoteError("media: remote", reply.msg.Payload)
-	}
-	return reply.msg, nil
-}
-
-// dropConnLocked closes and forgets a broken connection so the next call
-// redials; pending calls fail. Callers hold r.mu.
-func (r *RemoteEnhancer) dropConnLocked() {
-	if r.conn != nil {
-		r.conn.Close()
-		r.conn = nil
-		r.failPendingLocked(errors.New("connection dropped"))
-	}
+	return reply, nil
 }
 
 var _ BatchAnchorEnhancer = (*LocalEnhancer)(nil)

@@ -78,7 +78,7 @@ func TestRemoteEnhancerMultiplexedGateAndCorrupt(t *testing.T) {
 		}
 		return faults.WrapConn(c, inj, gate), nil
 	}
-	remote.dropConnLocked()
+	_ = remote.mux.Close()
 	remote.mu.Unlock()
 
 	// Healthy baseline through the wrapper: all calls succeed, replies

@@ -1,9 +1,12 @@
 package media
 
 import (
+	"net"
 	"runtime"
 	"testing"
 	"time"
+
+	"github.com/neuroscaler/neuroscaler/internal/wire"
 )
 
 // waitForGoroutines polls until the live goroutine count settles back to
@@ -74,18 +77,31 @@ func TestGoroutineCountStability(t *testing.T) {
 	base = runtime.NumGoroutine()
 
 	// Remote-enhancer reconnect churn: severing the transport under the
-	// client makes the next call reconnect, spawning a fresh readLoop
-	// generation; Close must join every generation.
+	// client makes the next call reconnect on a fresh Mux (and reader)
+	// generation; every generation must be joined by the time Close
+	// returns.
 	for cycle := 0; cycle < 3; cycle++ {
 		remote, err := DialEnhancerTimeout(enhSrv.Addr(), time.Second, time.Second)
 		if err != nil {
 			t.Fatal(err)
 		}
+		// Route dials through a hook that keeps the raw conn, and drop the
+		// first connection so the next call dials through it.
+		var raw net.Conn
+		remote.mu.Lock()
+		inner := remote.dial
+		remote.dial = func() (net.Conn, error) {
+			c, err := inner()
+			raw = c
+			return c, err
+		}
+		_ = remote.mux.Close()
+		remote.mu.Unlock()
 		if err := remote.Register(8, testHello()); err != nil {
 			t.Fatal(err)
 		}
 		remote.mu.Lock()
-		remote.conn.Close()
+		raw.Close()
 		remote.mu.Unlock()
 		for i := 0; ; i++ {
 			if err := remote.Register(8, testHello()); err == nil {
@@ -126,5 +142,70 @@ func TestGoroutineCountStability(t *testing.T) {
 
 	if err := enhSrv.Close(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestCloseWithIdlePeer: a server's Close must not wait out the idle
+// timeout of a peer that is connected and silent. It closes the live
+// connections as well as the listener, returns promptly, is a no-op the
+// second time, and leaves no goroutine behind.
+func TestCloseWithIdlePeer(t *testing.T) {
+	provider, _ := contentOracle(t, testGOP)
+	local, err := NewLocalEnhancer(provider)
+	if err != nil {
+		t.Fatal(err)
+	}
+	type server interface {
+		Addr() string
+		Close() error
+	}
+	for _, tc := range []struct {
+		name  string
+		start func() (server, error)
+	}{
+		{"origin", func() (server, error) {
+			return NewServer("127.0.0.1:0", local, ServerConfig{Logf: silentLogf})
+		}},
+		{"enhancer", func() (server, error) {
+			return NewEnhancerServer("127.0.0.1:0", local, silentLogf)
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			base := runtime.NumGoroutine()
+			srv, err := tc.start()
+			if err != nil {
+				t.Fatal(err)
+			}
+			peer, err := net.Dial("tcp", srv.Addr())
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer peer.Close()
+			// One ping round trip proves the handler is up and parked in its
+			// next read; then the peer says nothing more.
+			_ = peer.SetDeadline(time.Now().Add(5 * time.Second))
+			if err := wire.Write(peer, wire.Message{Type: wire.TypePing, Seq: 1}); err != nil {
+				t.Fatal(err)
+			}
+			if reply, err := wire.Read(peer, wire.DefaultMaxPayload); err != nil || reply.Type != wire.TypePong {
+				t.Fatalf("ping: %v, %v", reply.Type, err)
+			}
+
+			closed := make(chan error, 1)
+			go func() { closed <- srv.Close() }()
+			select {
+			case err := <-closed:
+				if err != nil {
+					t.Errorf("close: %v", err)
+				}
+			case <-time.After(time.Second):
+				t.Fatal("Close still blocked after 1s with one idle peer connected: it is waiting on a handler parked in a read")
+			}
+			if err := srv.Close(); err != nil {
+				t.Errorf("second close: %v", err)
+			}
+			peer.Close()
+			waitForGoroutines(t, base)
+		})
 	}
 }

@@ -1,6 +1,7 @@
 package media
 
 import (
+	"net"
 	"net/http/httptest"
 	"strings"
 	"sync"
@@ -88,17 +89,17 @@ func lrFromHR(t testing.TB, hr []*frame.Frame) []*frame.Frame {
 }
 
 func TestChunkStore(t *testing.T) {
-	s := NewChunkStore()
+	s := NewChunkStoreRetention(0)
 	if n := s.ChunkCount(1); n != 0 {
 		t.Errorf("empty store count = %d", n)
 	}
-	if seq := s.Append(1, []byte("a")); seq != 0 {
+	if seq := s.AppendChunk(1, []byte("a"), false); seq != 0 {
 		t.Errorf("first seq = %d", seq)
 	}
-	if seq := s.Append(1, []byte("b")); seq != 1 {
+	if seq := s.AppendChunk(1, []byte("b"), false); seq != 1 {
 		t.Errorf("second seq = %d", seq)
 	}
-	s.Append(7, []byte("c"))
+	s.AppendChunk(7, []byte("c"), false)
 	got, err := s.Chunk(1, 1)
 	if err != nil || string(got) != "b" {
 		t.Errorf("Chunk(1,1) = %q, %v", got, err)
@@ -109,9 +110,8 @@ func TestChunkStore(t *testing.T) {
 	if _, err := s.Chunk(1, 9); err == nil {
 		t.Error("out-of-range seq accepted")
 	}
-	ids := s.StreamIDs()
-	if len(ids) != 2 || ids[0] != 1 || ids[1] != 7 {
-		t.Errorf("StreamIDs = %v", ids)
+	if got, err := s.Chunk(7, 0); err != nil || string(got) != "c" {
+		t.Errorf("Chunk(7,0) = %q, %v: streams are kept apart", got, err)
 	}
 }
 
@@ -242,7 +242,7 @@ func TestChunkBeforeHelloRejected(t *testing.T) {
 	}
 	defer srv.Close()
 	// Raw connection that skips the hello.
-	conn, err := dialRaw(srv.Addr())
+	conn, err := net.Dial("tcp", srv.Addr())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -110,20 +110,49 @@ func WriteGauge(w io.Writer, name, help string, v float64) {
 	fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s gauge\n%s %g\n", name, help, name, name, v)
 }
 
-// writeReplicaMetrics emits the pool's per-replica series — traffic
-// counters and the placement ledger — one sample per replica under each
-// name, so an idle replica beside a loaded one shows on a dashboard.
-func writeReplicaMetrics(w io.Writer, stats []ReplicaStat) {
-	emit := func(name, typ, help string, value func(ReplicaStat) int64) {
-		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s %s\n", name, help, name, typ)
-		for _, st := range stats {
-			fmt.Fprintf(w, "%s{replica=%q} %d\n", name, st.ID, value(st))
-		}
+// writeFamily emits one labelled metric family: the header, then one
+// sample per row.
+func writeFamily(w io.Writer, name, typ, help string, rows int, row func(i int) (labels string, v any)) {
+	fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s %s\n", name, help, name, typ)
+	for i := 0; i < rows; i++ {
+		labels, v := row(i)
+		fmt.Fprintf(w, "%s{%s} %v\n", name, labels, v)
 	}
-	emit("neuroscaler_pool_replica_dispatches_total", "counter", "Round trips sent to the replica (a batch is one).",
-		func(st ReplicaStat) int64 { return int64(st.Dispatches) })
-	emit("neuroscaler_pool_replica_anchors_total", "counter", "Anchor jobs placed on the replica.",
-		func(st ReplicaStat) int64 { return int64(st.Anchors) })
-	emit("neuroscaler_pool_replica_outstanding", "gauge", "Modelled work (LR anchor pixels) dispatched to the replica and not yet returned.",
-		func(st ReplicaStat) int64 { return st.Outstanding })
+}
+
+// writeStageMetrics emits the pipeline's per-stage accounting — time spent
+// and runs, one sample per stage under each name — so a per-stage average
+// is one division on a dashboard.
+func writeStageMetrics(w io.Writer, st StageStats) {
+	stages := []struct {
+		name string
+		ms   float64
+		runs uint64
+	}{
+		{"decode", st.DecodeMsTotal, st.DecodeCount},
+		{"select", st.SelectMsTotal, st.SelectCount},
+		{"enhance_wait", st.EnhanceWaitMsTotal, st.EnhanceWaitCount},
+		{"package", st.PackageMsTotal, st.PackageCount},
+	}
+	label := func(i int) string { return fmt.Sprintf("stage=%q", stages[i].name) }
+	writeFamily(w, "neuroscaler_stage_seconds_total", "counter", "Time spent in each pipeline stage, summed over chunks.", len(stages),
+		func(i int) (string, any) { return label(i), stages[i].ms / 1e3 })
+	writeFamily(w, "neuroscaler_stage_runs_total", "counter", "Times each pipeline stage ran.", len(stages),
+		func(i int) (string, any) { return label(i), stages[i].runs })
+}
+
+// writeReplicaMetrics emits the pool's per-replica series — traffic
+// counters, the placement ledger and the breaker state — one sample per
+// replica under each name, so an idle or tripped replica beside a loaded
+// one shows on a dashboard.
+func writeReplicaMetrics(w io.Writer, stats []ReplicaStat) {
+	label := func(i int) string { return fmt.Sprintf("replica=%q", stats[i].ID) }
+	writeFamily(w, "neuroscaler_pool_replica_dispatches_total", "counter", "Round trips sent to the replica (a batch is one).", len(stats),
+		func(i int) (string, any) { return label(i), stats[i].Dispatches })
+	writeFamily(w, "neuroscaler_pool_replica_anchors_total", "counter", "Anchor jobs placed on the replica.", len(stats),
+		func(i int) (string, any) { return label(i), stats[i].Anchors })
+	writeFamily(w, "neuroscaler_pool_replica_outstanding", "gauge", "Modelled work (LR anchor pixels) dispatched to the replica and not yet returned.", len(stats),
+		func(i int) (string, any) { return label(i), stats[i].Outstanding })
+	writeFamily(w, "neuroscaler_pool_replica_breaker_state", "gauge", "Breaker state of the replica, as the state label (the sample is always 1).", len(stats),
+		func(i int) (string, any) { return label(i) + fmt.Sprintf(",state=%q", stats[i].State), 1 })
 }

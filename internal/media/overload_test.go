@@ -2,7 +2,6 @@ package media
 
 import (
 	"bytes"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -313,7 +312,7 @@ func TestPoolBreakerHalfOpenExactlyOnce(t *testing.T) {
 	if _, err := p.Enhance(1, wire.AnchorJob{Packet: 0}); err == nil {
 		t.Fatal("dead replica succeeded")
 	}
-	if st := p.ReplicaStates()["solo"]; st != BreakerOpen {
+	if st := p.ReplicaStats()[0].State; st != BreakerOpen {
 		t.Fatalf("breaker = %v after threshold failures, want open", st)
 	}
 
@@ -359,7 +358,7 @@ func TestPoolBreakerHalfOpenExactlyOnce(t *testing.T) {
 			t.Errorf("concurrent job %d failed across the probe window: %v", i, err)
 		}
 	}
-	if st := p.ReplicaStates()["solo"]; st != BreakerClosed {
+	if st := p.ReplicaStats()[0].State; st != BreakerClosed {
 		t.Fatalf("breaker = %v after successful probe, want closed", st)
 	}
 	// Exactly once: one execution per resolved job (probe + n), nothing
@@ -625,7 +624,7 @@ func runStreamWithBudget(t *testing.T, cfg ServerConfig, chunks int, budget time
 		if err != nil {
 			t.Fatalf("chunk %d missing: %v", seq, err)
 		}
-		deg, err := srv.Store().ChunkDegraded(streamID, seq)
+		_, deg, _, err := srv.Store().ChunkState(streamID, seq)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -863,22 +862,7 @@ func TestMetricsEndpoint(t *testing.T) {
 
 	httpSrv := httptest.NewServer(srv.DistributionHandler())
 	defer httpSrv.Close()
-	resp, err := http.Get(httpSrv.URL + "/metrics")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("GET /metrics: %s", resp.Status)
-	}
-	if ct := resp.Header.Get("Content-Type"); !strings.HasPrefix(ct, "text/plain") {
-		t.Errorf("content type = %q, want text exposition", ct)
-	}
-	body, err := io.ReadAll(resp.Body)
-	if err != nil {
-		t.Fatal(err)
-	}
-	text := string(body)
+	text := getMetrics(t, httpSrv.URL)
 	for _, want := range []string{
 		"neuroscaler_ingest_queue_delay_seconds_bucket{le=",
 		"neuroscaler_admit_to_store_seconds_sum",
@@ -900,6 +884,9 @@ func TestMetricsEndpoint(t *testing.T) {
 		"# TYPE neuroscaler_pool_replica_outstanding gauge",
 		`neuroscaler_pool_replica_outstanding{replica="r0"} 0`,
 		`neuroscaler_pool_replica_outstanding{replica="r3"} 0`,
+		// Breaker state by name, one sample per replica.
+		`neuroscaler_pool_replica_breaker_state{replica="r0",state="closed"} 1`,
+		`neuroscaler_pool_replica_breaker_state{replica="r3",state="closed"} 1`,
 	} {
 		if !strings.Contains(text, want) {
 			t.Errorf("metrics output missing %q", want)
@@ -917,35 +904,40 @@ func TestMetricsEndpoint(t *testing.T) {
 		}
 	}
 
-	// /stats carries the same per-replica view inside its pool object.
-	sresp, err := http.Get(httpSrv.URL + "/stats")
+	// ReplicaStats is the same per-replica view in process.
+	replicas := pool.(*EnhancerPool).ReplicaStats()
+	if len(replicas) != 4 {
+		t.Fatalf("ReplicaStats = %+v, want 4 replicas", replicas)
+	}
+	var anchors uint64
+	for _, st := range replicas {
+		anchors += st.Anchors
+	}
+	if r0 := replicas[0]; anchors != 2 || r0.ID != "r0" || r0.State != BreakerClosed {
+		t.Errorf("ReplicaStats = %+v, want 2 anchors placed, pool order, closed breakers", replicas)
+	}
+}
+
+// getMetrics fetches GET /metrics from a DistributionHandler server and
+// returns the text exposition body.
+func getMetrics(t *testing.T, baseURL string) string {
+	t.Helper()
+	resp, err := http.Get(baseURL + "/metrics")
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer sresp.Body.Close()
-	var stats struct {
-		Pool struct {
-			Calls    *uint64 `json:"calls"`
-			Replicas []struct {
-				ID      string `json:"id"`
-				State   string `json:"state"`
-				Anchors uint64 `json:"anchors"`
-			} `json:"replicas"`
-		} `json:"pool"`
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("GET /metrics: %s", resp.Status)
 	}
-	if err := json.NewDecoder(sresp.Body).Decode(&stats); err != nil {
+	if ct := resp.Header.Get("Content-Type"); !strings.HasPrefix(ct, "text/plain") {
+		t.Errorf("content type = %q, want text exposition", ct)
+	}
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if stats.Pool.Calls == nil || len(stats.Pool.Replicas) != 4 {
-		t.Fatalf("/stats pool object = %+v, want counters and 4 replicas", stats.Pool)
-	}
-	var anchors uint64
-	for _, st := range stats.Pool.Replicas {
-		anchors += st.Anchors
-	}
-	if r0 := stats.Pool.Replicas[0]; anchors != 2 || r0.ID != "r0" || r0.State != "closed" {
-		t.Errorf("/stats replicas = %+v, want 2 anchors placed, pool order, states by name", stats.Pool.Replicas)
-	}
+	return string(body)
 }
 
 // TestChaosGrayFailureContainedByDeadlines pairs a gray-failing replica
@@ -998,9 +990,9 @@ func TestChaosGrayFailureContainedByDeadlines(t *testing.T) {
 		pool.Heartbeat()
 	}
 
-	for id, st := range pool.ReplicaStates() {
-		if st != BreakerClosed {
-			t.Errorf("replica %s breaker = %v; a gray failure must not trip breakers", id, st)
+	for _, st := range pool.ReplicaStats() {
+		if st.State != BreakerClosed {
+			t.Errorf("replica %s breaker = %v; a gray failure must not trip breakers", st.ID, st.State)
 		}
 	}
 	c := srv.Counters()

@@ -2,9 +2,7 @@ package media
 
 import (
 	"bytes"
-	"encoding/json"
 	"fmt"
-	"net/http"
 	"net/http/httptest"
 	"strings"
 	"sync"
@@ -83,7 +81,7 @@ func runStream(t *testing.T, cfg ServerConfig, chunks int, async bool,
 		if err != nil {
 			t.Fatalf("chunk %d missing: %v", seq, err)
 		}
-		deg, err := srv.Store().ChunkDegraded(streamID, seq)
+		_, deg, _, err := srv.Store().ChunkState(streamID, seq)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -397,9 +395,6 @@ func TestRemoteEnhancerMultiplexesConcurrentCalls(t *testing.T) {
 // window directly on the store.
 func TestChunkStoreRetentionEviction(t *testing.T) {
 	s := NewChunkStoreRetention(3)
-	if s.Retention() != 3 {
-		t.Fatalf("retention = %d", s.Retention())
-	}
 	for i := 0; i < 5; i++ {
 		if seq := s.AppendChunk(1, []byte{byte('a' + i)}, i == 0); seq != i {
 			t.Fatalf("append %d: seq = %d", i, seq)
@@ -434,9 +429,9 @@ func TestChunkStoreRetentionEviction(t *testing.T) {
 		}
 	}
 	// Unbounded stores never evict.
-	u := NewChunkStore()
+	u := NewChunkStoreRetention(0)
 	for i := 0; i < 2000; i++ {
-		u.Append(2, []byte{1})
+		u.AppendChunk(2, []byte{1}, false)
 	}
 	if u.EvictedCount(2) != 0 || u.OldestRetained(2) != 0 {
 		t.Error("unbounded store evicted")
@@ -445,7 +440,7 @@ func TestChunkStoreRetentionEviction(t *testing.T) {
 
 // TestServerRetentionAndStageStats runs chunks through a
 // retention-capped server and checks both the eviction behaviour on the
-// distribution side and the pipeline stage accounting in GET /stats.
+// distribution side and the pipeline stage accounting in GET /metrics.
 func TestServerRetentionAndStageStats(t *testing.T) {
 	const chunks = 4
 	frames := chunks * testGOP
@@ -490,46 +485,41 @@ func TestServerRetentionAndStageStats(t *testing.T) {
 		t.Errorf("stream infos = %+v", infos)
 	}
 
-	resp, err := http.Get(httpSrv.URL + "/stats")
-	if err != nil {
-		t.Fatal(err)
+	ss := srv.StageStats()
+	if ss.Chunks != chunks {
+		t.Errorf("stage chunk count = %d, want %d", ss.Chunks, chunks)
 	}
-	defer resp.Body.Close()
-	var stats struct {
-		Server ServerCounters `json:"server"`
-		Stages StageStats     `json:"stages"`
-		Store  StoreStats     `json:"store"`
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&stats); err != nil {
-		t.Fatal(err)
-	}
-	if stats.Server.ChunksProcessed != chunks {
-		t.Errorf("stats server counters = %+v", stats.Server)
-	}
-	if stats.Stages.Chunks != chunks {
-		t.Errorf("stage chunk count = %d, want %d", stats.Stages.Chunks, chunks)
-	}
-	if stats.Stages.DecodeMsTotal <= 0 || stats.Stages.SelectMsTotal < 0 ||
-		stats.Stages.EnhanceWaitMsTotal <= 0 || stats.Stages.PackageMsTotal <= 0 {
-		t.Errorf("stage latency totals = %+v", stats.Stages)
+	if ss.DecodeMsTotal <= 0 || ss.SelectMsTotal < 0 || ss.EnhanceWaitMsTotal <= 0 || ss.PackageMsTotal <= 0 {
+		t.Errorf("stage latency totals = %+v", ss)
 	}
 	// Every stage runs once per chunk on this quiet single-stream server,
 	// so the per-stage counts divide the totals into honest averages.
-	if stats.Stages.DecodeCount != chunks || stats.Stages.SelectCount != chunks ||
-		stats.Stages.EnhanceWaitCount != chunks || stats.Stages.PackageCount != chunks {
-		t.Errorf("stage counts = %+v, want %d each", stats.Stages, chunks)
+	if ss.DecodeCount != chunks || ss.SelectCount != chunks || ss.EnhanceWaitCount != chunks || ss.PackageCount != chunks {
+		t.Errorf("stage counts = %+v, want %d each", ss, chunks)
 	}
-	if stats.Stages.AnchorsInFlight != 0 {
-		t.Errorf("anchors in flight at rest = %d", stats.Stages.AnchorsInFlight)
-	}
-	if stats.Store.Retention != 2 || stats.Store.ChunksEvicted != 2 {
-		t.Errorf("store stats = %+v", stats.Store)
+	if ss.AnchorsInFlight != 0 {
+		t.Errorf("anchors in flight at rest = %d", ss.AnchorsInFlight)
 	}
 
-	// StageStats snapshot is also available directly.
-	ss := srv.StageStats()
-	if ss.Chunks != chunks {
-		t.Errorf("StageStats().Chunks = %d", ss.Chunks)
+	// /metrics serves the same accounting: the server is at rest, so the
+	// text must carry exactly the snapshot's figures.
+	text := getMetrics(t, httpSrv.URL)
+	for _, want := range []string{
+		fmt.Sprintf("neuroscaler_chunks_processed_total %d\n", chunks),
+		"neuroscaler_store_chunks_evicted_total 2\n",
+		"neuroscaler_anchors_in_flight 0\n",
+		fmt.Sprintf("neuroscaler_stage_seconds_total{stage=\"decode\"} %g\n", ss.DecodeMsTotal/1e3),
+		fmt.Sprintf("neuroscaler_stage_seconds_total{stage=\"select\"} %g\n", ss.SelectMsTotal/1e3),
+		fmt.Sprintf("neuroscaler_stage_seconds_total{stage=\"enhance_wait\"} %g\n", ss.EnhanceWaitMsTotal/1e3),
+		fmt.Sprintf("neuroscaler_stage_seconds_total{stage=\"package\"} %g\n", ss.PackageMsTotal/1e3),
+		fmt.Sprintf("neuroscaler_stage_runs_total{stage=\"decode\"} %d\n", chunks),
+		fmt.Sprintf("neuroscaler_stage_runs_total{stage=\"select\"} %d\n", chunks),
+		fmt.Sprintf("neuroscaler_stage_runs_total{stage=\"enhance_wait\"} %d\n", chunks),
+		fmt.Sprintf("neuroscaler_stage_runs_total{stage=\"package\"} %d\n", chunks),
+	} {
+		if !strings.Contains(text, want) {
+			t.Errorf("metrics output missing %q", want)
+		}
 	}
 }
 

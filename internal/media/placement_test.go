@@ -358,7 +358,7 @@ func TestReplicaBreakerHearsWholeGroupFailuresOnly(t *testing.T) {
 				case halfOpen:
 					wantCloses = 1
 				}
-				if st := p.ReplicaStates()["solo"]; st != wantState || opens != wantOpens || closes != wantCloses {
+				if st := p.ReplicaStats()[0].State; st != wantState || opens != wantOpens || closes != wantCloses {
 					t.Errorf("breaker %v after %d opens / %d closes, want %v after %d / %d",
 						st, opens, closes, wantState, wantOpens, wantCloses)
 				}

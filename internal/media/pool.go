@@ -45,9 +45,6 @@ func (s BreakerState) String() string {
 	}
 }
 
-// MarshalText makes the state read as its name in JSON reports.
-func (s BreakerState) MarshalText() ([]byte, error) { return []byte(s.String()), nil }
-
 // PoolConfig tunes the fault-tolerance envelope of an EnhancerPool.
 type PoolConfig struct {
 	// MaxRetries is the number of extra attempts per anchor job after
@@ -122,14 +119,14 @@ func TCPReplica(addr string, dialTimeout, callTimeout time.Duration) Replica {
 
 // PoolCounters is a snapshot of a pool's fault-handling activity.
 type PoolCounters struct {
-	Calls           uint64 `json:"calls"`
-	Retries         uint64 `json:"retries"`
-	Failovers       uint64 `json:"failovers"`
-	BreakerOpens    uint64 `json:"breaker_opens"`
-	BreakerCloses   uint64 `json:"breaker_closes"`
-	Heartbeats      uint64 `json:"heartbeats"`
-	Unavailable     uint64 `json:"unavailable"`
-	DeadlineExpired uint64 `json:"deadline_expired"`
+	Calls           uint64
+	Retries         uint64
+	Failovers       uint64
+	BreakerOpens    uint64
+	BreakerCloses   uint64
+	Heartbeats      uint64
+	Unavailable     uint64
+	DeadlineExpired uint64
 }
 
 type poolCounters struct {
@@ -236,26 +233,17 @@ func (p *EnhancerPool) Counters() PoolCounters {
 	}
 }
 
-// ReplicaStates reports each replica's breaker state by ID.
-func (p *EnhancerPool) ReplicaStates() map[string]BreakerState {
-	out := make(map[string]BreakerState, len(p.replicas))
-	for _, st := range p.ReplicaStats() {
-		out[st.ID] = st.State
-	}
-	return out
-}
-
 // ReplicaStat is one replica's share of the pool's work. Dispatches
 // counts round trips sent to it (a batch is one), Anchors the jobs they
 // carried. Outstanding is the placement ledger: modelled work (LR pixels
 // of anchors) dispatched and not yet returned, 0 on every replica when
 // the pool is quiescent.
 type ReplicaStat struct {
-	ID          string       `json:"id"`
-	State       BreakerState `json:"state"`
-	Dispatches  uint64       `json:"dispatches"`
-	Anchors     uint64       `json:"anchors"`
-	Outstanding int64        `json:"outstanding"`
+	ID          string
+	State       BreakerState
+	Dispatches  uint64
+	Anchors     uint64
+	Outstanding int64
 }
 
 // ReplicaStats reports every replica's stats, in pool order.
@@ -696,7 +684,6 @@ func (r *poolReplica) connectLocked() error {
 //
 //nslint:lock-order poolReplica.mu -> LocalEnhancer.mu -- enhancer locks nest below the replica lock; enhancers never call back into the pool
 //nslint:lock-order poolReplica.mu -> RemoteEnhancer.mu -- enhancer locks nest below the replica lock; enhancers never call back into the pool
-//nslint:lock-order poolReplica.mu -> RemoteEnhancer.writeMu -- enhancer locks nest below the replica lock; enhancers never call back into the pool
 func (r *poolReplica) syncRegistrationsLocked() error {
 	p := r.pool
 	p.helloMu.Lock()

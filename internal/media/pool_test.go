@@ -129,7 +129,7 @@ func TestPoolBreakerOpensThenRecovers(t *testing.T) {
 	if _, err := p.Enhance(1, wire.AnchorJob{Packet: 0}); !errors.Is(err, ErrEnhancerUnavailable) {
 		t.Fatalf("want ErrEnhancerUnavailable, got %v", err)
 	}
-	if st := p.ReplicaStates()["solo"]; st != BreakerOpen {
+	if st := p.ReplicaStats()[0].State; st != BreakerOpen {
 		t.Fatalf("breaker = %v, want open", st)
 	}
 	if c := p.Counters(); c.BreakerOpens == 0 || c.Unavailable != 1 {
@@ -153,7 +153,7 @@ func TestPoolBreakerOpensThenRecovers(t *testing.T) {
 	if _, err := p.Enhance(1, wire.AnchorJob{Packet: 2}); err != nil {
 		t.Fatalf("post-recovery call failed: %v", err)
 	}
-	if st := p.ReplicaStates()["solo"]; st != BreakerClosed {
+	if st := p.ReplicaStats()[0].State; st != BreakerClosed {
 		t.Fatalf("breaker = %v, want closed after successful probe", st)
 	}
 	if c := p.Counters(); c.BreakerCloses == 0 {
@@ -175,7 +175,7 @@ func TestPoolHalfOpenProbeFailureReopens(t *testing.T) {
 	if _, err := p.Enhance(1, wire.AnchorJob{}); err == nil {
 		t.Fatal("failure not reported")
 	}
-	if st := p.ReplicaStates()["solo"]; st != BreakerOpen {
+	if st := p.ReplicaStats()[0].State; st != BreakerOpen {
 		t.Fatalf("breaker = %v, want open", st)
 	}
 	time.Sleep(2 * cfg.BreakerCooldown)
@@ -184,7 +184,7 @@ func TestPoolHalfOpenProbeFailureReopens(t *testing.T) {
 	if _, err := p.Enhance(1, wire.AnchorJob{}); err == nil {
 		t.Fatal("probe should have failed")
 	}
-	if st := p.ReplicaStates()["solo"]; st != BreakerOpen {
+	if st := p.ReplicaStats()[0].State; st != BreakerOpen {
 		t.Fatalf("breaker = %v, want reopened", st)
 	}
 	if c := p.Counters(); c.BreakerOpens < 2 {
@@ -303,14 +303,14 @@ func TestPoolHeartbeatRecoversOpenBreaker(t *testing.T) {
 	if _, err := p.Enhance(1, wire.AnchorJob{}); err == nil {
 		t.Fatal("failure not reported")
 	}
-	if st := p.ReplicaStates()["solo"]; st != BreakerOpen {
+	if st := p.ReplicaStats()[0].State; st != BreakerOpen {
 		t.Fatalf("breaker = %v, want open", st)
 	}
 	e.setFail(nil)
 	time.Sleep(2 * cfg.BreakerCooldown)
 	// A health sweep (not live traffic) closes the breaker.
 	p.Heartbeat()
-	if st := p.ReplicaStates()["solo"]; st != BreakerClosed {
+	if st := p.ReplicaStats()[0].State; st != BreakerClosed {
 		t.Fatalf("breaker = %v, want closed after heartbeat", st)
 	}
 	c := p.Counters()

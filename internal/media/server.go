@@ -72,13 +72,6 @@ type ServerConfig struct {
 	// evicted when a stream exceeds it. Zero uses DefaultChunkRetention,
 	// negative keeps every chunk.
 	ChunkRetention int
-	// ReadTimeout bounds the wait for the next ingest frame on a
-	// connection (slowloris guard); zero uses DefaultIdleTimeout,
-	// negative disables the bound.
-	ReadTimeout time.Duration
-	// WriteTimeout bounds each reply write; zero uses
-	// DefaultWriteTimeout, negative disables the bound.
-	WriteTimeout time.Duration
 	// DefaultChunkBudget is the deadline budget assigned to chunks that
 	// arrive without one on the wire. Zero leaves such chunks
 	// deadline-free (the legacy behavior); chunks that do carry a wire
@@ -125,42 +118,42 @@ type ServerConfig struct {
 // ServerCounters is a snapshot of the server's availability counters:
 // the degradation ladder's observable output.
 type ServerCounters struct {
-	ChunksProcessed uint64 `json:"chunks_processed"`
+	ChunksProcessed uint64
 	// ChunksDegraded counts chunks shipped with at least one selected
 	// anchor missing (the client falls back to codec-guided reuse).
-	ChunksDegraded  uint64 `json:"chunks_degraded"`
-	AnchorsEnhanced uint64 `json:"anchors_enhanced"`
+	ChunksDegraded  uint64
+	AnchorsEnhanced uint64
 	// AnchorsDropped counts anchors whose enhancement failed after the
 	// enhancer's own retry budget was exhausted.
-	AnchorsDropped uint64 `json:"anchors_dropped"`
+	AnchorsDropped uint64
 	// AnchorsRejected counts enhancer results that failed validation
 	// (undecodable payload, wrong packet, wrong dimensions).
-	AnchorsRejected uint64 `json:"anchors_rejected"`
+	AnchorsRejected uint64
 	// AnchorsSelected counts anchors picked by selection; every selected
 	// anchor lands in exactly one of Enhanced, Dropped, Rejected, or
 	// Expired, so the ledger balances under any overload.
-	AnchorsSelected uint64 `json:"anchors_selected"`
+	AnchorsSelected uint64
 	// AnchorsExpired counts anchors abandoned because their chunk's
 	// deadline budget ran out mid-enhancement.
-	AnchorsExpired uint64 `json:"anchors_expired"`
+	AnchorsExpired uint64
 	// ChunksShed counts chunks rejected at admission (per-stream token
 	// bucket) before any decode work.
-	ChunksShed uint64 `json:"chunks_shed"`
+	ChunksShed uint64
 	// ChunksExpired counts chunks whose deadline had already passed at
 	// decode start; they ship at the bilinear floor (no anchors).
-	ChunksExpired uint64 `json:"chunks_expired"`
+	ChunksExpired uint64
 	// ChunksFloored counts low-priority chunks degraded to the bilinear
 	// floor by the brownout ladder.
-	ChunksFloored uint64 `json:"chunks_floored"`
+	ChunksFloored uint64
 	// ChunksDeferred counts chunks stored packets-only at ingest with
 	// their enhancement deferred to first fetch (lazy-enhancement mode).
-	ChunksDeferred uint64 `json:"chunks_deferred"`
+	ChunksDeferred uint64
 	// LazyBuilds counts fetch-time enhancement builds actually run (each
 	// coalesces any concurrent fetches of the same chunk).
-	LazyBuilds uint64 `json:"lazy_builds"`
+	LazyBuilds uint64
 	// FetchesServed counts TypeFetchChunk requests answered with chunk
 	// data.
-	FetchesServed uint64 `json:"fetches_served"`
+	FetchesServed uint64
 }
 
 // serverCounters is the pipeline's operational ledger. The anchor
@@ -186,16 +179,16 @@ type serverCounters struct {
 // package stage stalled on outstanding enhancements — the overlap target:
 // it shrinks as decode of later chunks hides behind it.
 type StageStats struct {
-	Chunks             uint64  `json:"chunks"`
-	DecodeCount        uint64  `json:"decode_count"`
-	DecodeMsTotal      float64 `json:"decode_ms_total"`
-	SelectCount        uint64  `json:"select_count"`
-	SelectMsTotal      float64 `json:"select_ms_total"`
-	EnhanceWaitCount   uint64  `json:"enhance_wait_count"`
-	EnhanceWaitMsTotal float64 `json:"enhance_wait_ms_total"`
-	PackageCount       uint64  `json:"package_count"`
-	PackageMsTotal     float64 `json:"package_ms_total"`
-	AnchorsInFlight    int64   `json:"anchors_in_flight"`
+	Chunks             uint64
+	DecodeCount        uint64
+	DecodeMsTotal      float64
+	SelectCount        uint64
+	SelectMsTotal      float64
+	EnhanceWaitCount   uint64
+	EnhanceWaitMsTotal float64
+	PackageCount       uint64
+	PackageMsTotal     float64
+	AnchorsInFlight    int64
 }
 
 type stageTimers struct {
@@ -204,12 +197,6 @@ type stageTimers struct {
 	decodeCount, selectCount       atomic.Uint64
 	enhanceWaitCount, packageCount atomic.Uint64
 	anchorsInFlight                atomic.Int64
-}
-
-// StoreStats reports the chunk store's retention activity.
-type StoreStats struct {
-	Retention     int    `json:"retention"`
-	ChunksEvicted uint64 `json:"chunks_evicted"`
 }
 
 // Server is the NeuroScaler media server: it terminates ingest
@@ -228,7 +215,8 @@ type Server struct {
 	cfg      ServerConfig
 	enhancer AnchorEnhancer
 	store    *ChunkStore
-	ln       net.Listener
+	// srv owns the ingest listener, its connections and their handlers.
+	srv      *wire.Server
 	counters serverCounters
 	stages   stageTimers
 
@@ -270,10 +258,6 @@ type Server struct {
 	mu sync.Mutex
 	// streams is guarded by mu.
 	streams map[uint32]*serverStream
-
-	// wg tracks per-connection handlers for drain on Close.
-	wg     sync.WaitGroup
-	closed chan struct{}
 }
 
 type serverStream struct {
@@ -319,8 +303,6 @@ func NewServer(addr string, enhancer AnchorEnhancer, cfg ServerConfig) (*Server,
 	if cfg.Logf == nil {
 		cfg.Logf = log.Printf
 	}
-	cfg.ReadTimeout = pickTimeout(cfg.ReadTimeout, DefaultIdleTimeout)
-	cfg.WriteTimeout = pickTimeout(cfg.WriteTimeout, DefaultWriteTimeout)
 	if cfg.MaxInFlightAnchors == 0 {
 		cfg.MaxInFlightAnchors = DefaultEnhancerJobConcurrency
 		if p, ok := enhancer.(*EnhancerPool); ok {
@@ -366,7 +348,6 @@ func NewServer(addr string, enhancer AnchorEnhancer, cfg ServerConfig) (*Server,
 		cfg:            cfg,
 		enhancer:       enhancer,
 		store:          NewChunkStoreRetention(cfg.ChunkRetention),
-		ln:             ln,
 		budget:         budget,
 		brownout:       newBrownout(cfg.Brownout, budget),
 		queueDelayHist: NewLatencyHist(),
@@ -374,15 +355,13 @@ func NewServer(addr string, enhancer AnchorEnhancer, cfg ServerConfig) (*Server,
 		anchorSlots:    make(chan struct{}, cfg.MaxInFlightAnchors),
 		builds:         make(map[buildKey]*buildCall),
 		streams:        make(map[uint32]*serverStream),
-		closed:         make(chan struct{}),
 	}
-	s.wg.Add(1)
-	go s.acceptLoop()
+	s.srv = wire.Serve(ln, DefaultIdleTimeout, DefaultWriteTimeout, cfg.Logf, s.serveIngest)
 	return s, nil
 }
 
 // Addr returns the ingest address.
-func (s *Server) Addr() string { return s.ln.Addr().String() }
+func (s *Server) Addr() string { return s.srv.Addr() }
 
 // Store exposes the chunk store (read-side).
 func (s *Server) Store() *ChunkStore { return s.store }
@@ -406,10 +385,6 @@ func (s *Server) Counters() ServerCounters {
 	}
 }
 
-// BrownoutLevel reports the overload ladder's current level
-// (BrownoutOff when the controller is disabled).
-func (s *Server) BrownoutLevel() int { return s.brownout.Level() }
-
 // AdmitToStoreP99 reports the p99 admit-to-store latency across chunks
 // that carried an admission timestamp (an upper bucket bound; zero with
 // no observations).
@@ -432,37 +407,8 @@ func (s *Server) StageStats() StageStats {
 	}
 }
 
-// Close stops the ingest listener and drains handlers.
-func (s *Server) Close() error {
-	close(s.closed)
-	err := s.ln.Close()
-	s.wg.Wait()
-	return err
-}
-
-func (s *Server) acceptLoop() {
-	defer s.wg.Done()
-	for {
-		conn, err := s.ln.Accept()
-		if err != nil {
-			select {
-			case <-s.closed:
-				return
-			default:
-				s.cfg.Logf("media: ingest accept: %v", err)
-				return
-			}
-		}
-		s.wg.Add(1)
-		go func() {
-			defer s.wg.Done()
-			defer conn.Close()
-			if err := s.serveIngest(conn); err != nil {
-				s.cfg.Logf("media: ingest conn %s: %v", conn.RemoteAddr(), err)
-			}
-		}()
-	}
-}
+// Close stops ingest as wire.Server.Close does; twice is a no-op.
+func (s *Server) Close() error { return s.srv.Close() }
 
 // ingestJob is one message flowing through a connection's pipeline. All
 // replies — chunk acks, hello acks, pongs, and error reports — are
@@ -489,31 +435,39 @@ type ingestJob struct {
 
 // ingestPipeline is the per-connection stage state.
 type ingestPipeline struct {
-	s *Server
-	w *connWriter
+	s    *Server
+	conn *wire.Conn
 
+	// fatal says the connection has failed; err is the first cause. Only
+	// the package stage fails a pipeline, so err has one writer, and
+	// serveIngest reads it after joining the stages.
 	fatal atomic.Bool
-	errMu sync.Mutex
-	// err is guarded by errMu.
-	err error
+	err   error
 }
 
 func (p *ingestPipeline) fail(err error) {
-	p.errMu.Lock()
 	if p.err == nil {
 		p.err = err
 	}
-	p.errMu.Unlock()
 	p.fatal.Store(true)
-	// Unblock the read loop; the accept loop closes the conn again
-	// harmlessly.
-	p.w.conn.Close()
+	// Unblock the read loop (Close is idempotent; wire.Serve closes the
+	// conn again when the handler returns).
+	_ = p.conn.Close()
 }
 
-func (p *ingestPipeline) firstErr() error {
-	p.errMu.Lock()
-	defer p.errMu.Unlock()
-	return p.err
+// send writes one reply frame; a reply that cannot be written is fatal to
+// the connection.
+func (p *ingestPipeline) send(m wire.Message) {
+	if err := p.conn.Write(m); err != nil {
+		p.fail(err)
+	}
+}
+
+// reject reports a fatal error to the client (best effort) and tears the
+// connection down.
+func (p *ingestPipeline) reject(msg wire.Message, cause error) {
+	_ = p.conn.Write(wire.ErrorReply(msg, cause))
+	p.fail(cause)
 }
 
 // serveIngest runs one connection's bounded pipeline: the read loop
@@ -522,8 +476,8 @@ func (p *ingestPipeline) firstErr() error {
 // package stage assembles, stores, and acknowledges chunks in arrival
 // order. Stage queues hold at most PipelineDepth chunks, so a slow
 // enhancer exerts backpressure instead of buffering without bound.
-func (s *Server) serveIngest(conn net.Conn) error {
-	p := &ingestPipeline{s: s, w: &connWriter{conn: conn, timeout: s.cfg.WriteTimeout}}
+func (s *Server) serveIngest(conn *wire.Conn) error {
+	p := &ingestPipeline{s: s, conn: conn}
 	decodeCh := make(chan *ingestJob, s.cfg.PipelineDepth)
 	packageCh := make(chan *ingestJob, s.cfg.PipelineDepth)
 	var stages sync.WaitGroup
@@ -547,12 +501,9 @@ func (s *Server) serveIngest(conn net.Conn) error {
 
 	var readErr error
 	for {
-		if s.cfg.ReadTimeout > 0 {
-			_ = conn.SetReadDeadline(time.Now().Add(s.cfg.ReadTimeout))
-		}
-		msg, err := wire.ReadPooled(conn, wire.DefaultMaxPayload, &s.ingestArena)
+		msg, err := conn.ReadPooled(wire.DefaultMaxPayload, &s.ingestArena)
 		if err != nil {
-			if !errors.Is(err, io.EOF) && !errors.Is(err, net.ErrClosed) && !p.fatal.Load() {
+			if !p.fatal.Load() {
 				readErr = err
 			}
 			break
@@ -586,8 +537,8 @@ func (s *Server) serveIngest(conn net.Conn) error {
 	}
 	close(decodeCh)
 	stages.Wait()
-	if err := p.firstErr(); err != nil {
-		return err
+	if p.err != nil {
+		return p.err
 	}
 	return readErr
 }
@@ -848,41 +799,32 @@ func (s *Server) packageStage(p *ingestPipeline, job *ingestJob) {
 	}
 	msg := job.msg
 	if job.err != nil {
-		_ = p.w.writeError(msg, job.err)
-		p.fail(job.err)
+		p.reject(msg, job.err)
 		return
 	}
 	if job.shed {
 		// Admission shed is a per-chunk outcome, not a protocol breach:
 		// answer with the typed marker (the streamer maps it back to
 		// ErrShed) and keep the connection flowing.
-		if err := p.w.writeError(msg, fmt.Errorf("media: chunk seq %d: %w", msg.Seq, ErrShed)); err != nil {
-			p.fail(err)
-		}
+		p.send(wire.ErrorReply(msg, fmt.Errorf("media: chunk seq %d: %w", msg.Seq, ErrShed)))
 		return
 	}
 	switch {
 	case msg.Type == wire.TypeHello:
 		if err := s.registerStream(msg); err != nil {
-			_ = p.w.writeError(msg, err)
-			p.fail(err)
+			p.reject(msg, err)
 			return
 		}
-		if err := p.w.write(wire.Message{Type: wire.TypeAck, StreamID: msg.StreamID, Seq: msg.Seq}); err != nil {
-			p.fail(err)
-		}
+		p.send(wire.Message{Type: wire.TypeAck, StreamID: msg.StreamID, Seq: msg.Seq})
 	case msg.Type == wire.TypePing:
-		if err := p.w.write(wire.Message{Type: wire.TypePong, StreamID: msg.StreamID, Seq: msg.Seq}); err != nil {
-			p.fail(err)
-		}
+		p.send(wire.Message{Type: wire.TypePong, StreamID: msg.StreamID, Seq: msg.Seq})
 	case msg.Type == wire.TypeFetchChunk:
 		s.handleFetch(p, job)
 	case job.pc != nil:
 		s.packageChunk(p, job)
 	default:
 		err := fmt.Errorf("unexpected message %v", msg.Type)
-		_ = p.w.writeError(msg, err)
-		p.fail(err)
+		p.reject(msg, err)
 	}
 }
 
@@ -995,8 +937,7 @@ func (s *Server) packageChunk(p *ingestPipeline, job *ingestJob) {
 	pc := job.pc
 	data, degraded, err := s.assembleChunk(pc, job.deadline)
 	if err != nil {
-		_ = p.w.writeError(job.msg, err)
-		p.fail(err)
+		p.reject(job.msg, err)
 		return
 	}
 	s.counters.chunksProcessed.Add(1)
@@ -1008,9 +949,7 @@ func (s *Server) packageChunk(p *ingestPipeline, job *ingestJob) {
 		s.admitStoreHist.Observe(time.Since(job.admitted))
 	}
 
-	if err := p.w.write(wire.Message{Type: wire.TypeAck, StreamID: pc.streamID, Seq: uint32(seq)}); err != nil {
-		p.fail(err)
-	}
+	p.send(wire.Message{Type: wire.TypeAck, StreamID: pc.streamID, Seq: uint32(seq)})
 }
 
 // buildKey identifies one chunk's fetch-time enhancement build.
@@ -1038,15 +977,10 @@ func (s *Server) handleFetch(p *ingestPipeline, job *ingestJob) {
 	msg := job.msg
 	req, err := wire.DecodeFetchChunk(msg.Payload)
 	if err != nil {
-		_ = p.w.writeError(msg, err)
-		p.fail(err)
+		p.reject(msg, err)
 		return
 	}
-	reply := func(err error) {
-		if werr := p.w.writeError(msg, err); werr != nil {
-			p.fail(werr)
-		}
-	}
+	reply := func(err error) { p.send(wire.ErrorReply(msg, err)) }
 	if req.Quality != 0 {
 		reply(fmt.Errorf("media: origin serves quality 0 only, not %d", req.Quality))
 		return
@@ -1070,9 +1004,7 @@ func (s *Server) handleFetch(p *ingestPipeline, job *ingestJob) {
 		Seq:      msg.Seq,
 		Payload:  wire.EncodeChunkData(wire.ChunkData{Seq: req.Seq, Data: data, Degraded: degraded}),
 	}
-	if err := p.w.write(out); err != nil {
-		p.fail(err)
-	}
+	p.send(out)
 }
 
 // buildEnhanced is the origin-side single flight around the fetch-time
@@ -1194,10 +1126,8 @@ func validateAnchor(res wire.AnchorResult, packet int, st *serverStream) error {
 //
 //	GET /streams                     → JSON list of StreamInfo
 //	GET /streams/{id}/chunks/{seq}   → hybrid container bytes
-//	GET /stats                       → availability counters, pipeline
-//	                                   stage latencies, store retention
-//	                                   (and enhancer pool state, when
-//	                                   pooled)
+//	GET /metrics                     → Prometheus text exposition
+//	                                   (see writeMetrics)
 func (s *Server) DistributionHandler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /streams", func(w http.ResponseWriter, r *http.Request) {
@@ -1250,36 +1180,6 @@ func (s *Server) DistributionHandler() http.Handler {
 			s.cfg.Logf("media: write chunk: %v", err)
 		}
 	})
-	mux.HandleFunc("GET /stats", func(w http.ResponseWriter, r *http.Request) {
-		out := struct {
-			Server        ServerCounters    `json:"server"`
-			Stages        StageStats        `json:"stages"`
-			Store         StoreStats        `json:"store"`
-			BrownoutLevel int               `json:"brownout_level"`
-			QueueDelayP99 float64           `json:"queue_delay_p99_ms"`
-			AdmitStoreP99 float64           `json:"admit_store_p99_ms"`
-			Pool          *poolStats        `json:"pool,omitempty"`
-			States        map[string]string `json:"replica_states,omitempty"`
-		}{
-			Server:        s.Counters(),
-			Stages:        s.StageStats(),
-			Store:         StoreStats{Retention: s.store.Retention(), ChunksEvicted: s.store.TotalEvicted()},
-			BrownoutLevel: s.brownout.Level(),
-			QueueDelayP99: float64(s.queueDelayHist.Quantile(0.99)) / float64(time.Millisecond),
-			AdmitStoreP99: float64(s.admitStoreHist.Quantile(0.99)) / float64(time.Millisecond),
-		}
-		if p, ok := s.enhancer.(*EnhancerPool); ok {
-			out.Pool = &poolStats{PoolCounters: p.Counters(), Replicas: p.ReplicaStats()}
-			out.States = make(map[string]string)
-			for _, st := range out.Pool.Replicas {
-				out.States[st.ID] = st.State.String()
-			}
-		}
-		w.Header().Set("Content-Type", "application/json")
-		if err := json.NewEncoder(w).Encode(out); err != nil {
-			s.cfg.Logf("media: encode stats: %v", err)
-		}
-	})
 	mux.HandleFunc("GET /metrics", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4")
 		s.writeMetrics(w)
@@ -1287,17 +1187,11 @@ func (s *Server) DistributionHandler() http.Handler {
 	return mux
 }
 
-// poolStats is /stats's pool object: the fault counters, then each
-// replica's share of the work.
-type poolStats struct {
-	PoolCounters
-	Replicas []ReplicaStat `json:"replicas"`
-}
-
 // writeMetrics emits the server's overload-control observables in
 // Prometheus text exposition format: the queue-delay and admit-to-store
-// histograms, every shed/expired/degraded counter, the brownout-level
-// gauge, and (when pooled) the pool's fault counters.
+// histograms, every shed/expired/degraded counter, the per-stage latency
+// totals and run counts, the store's evictions, the brownout-level gauge,
+// and (when pooled) the pool's fault counters and per-replica state.
 func (s *Server) writeMetrics(w io.Writer) {
 	s.queueDelayHist.WritePrometheus(w, "neuroscaler_ingest_queue_delay_seconds",
 		"Chunk latency from ingest admission to decode start.")
@@ -1319,6 +1213,8 @@ func (s *Server) writeMetrics(w io.Writer) {
 	WriteCounter(w, "neuroscaler_fetches_served_total", "TypeFetchChunk requests answered with chunk data.", c.FetchesServed)
 	WriteGauge(w, "neuroscaler_brownout_level", "Current brownout ladder level (0 = off).", float64(s.brownout.Level()))
 	WriteGauge(w, "neuroscaler_anchors_in_flight", "Anchor enhancement RPCs currently outstanding.", float64(s.stages.anchorsInFlight.Load()))
+	WriteCounter(w, "neuroscaler_store_chunks_evicted_total", "Chunks dropped from the store by the per-stream retention cap.", s.store.TotalEvicted())
+	writeStageMetrics(w, s.StageStats())
 	if p, ok := s.enhancer.(*EnhancerPool); ok {
 		pc := p.Counters()
 		WriteCounter(w, "neuroscaler_pool_calls_total", "Per-anchor pool calls.", pc.Calls)

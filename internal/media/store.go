@@ -8,7 +8,6 @@ package media
 
 import (
 	"fmt"
-	"sort"
 	"sync"
 )
 
@@ -46,24 +45,10 @@ type ChunkStore struct {
 	retention int
 }
 
-// NewChunkStore returns an empty store with unbounded retention.
-func NewChunkStore() *ChunkStore {
-	return NewChunkStoreRetention(0)
-}
-
 // NewChunkStoreRetention returns an empty store keeping at most the last
 // `retention` chunks per stream; zero or negative means unbounded.
 func NewChunkStoreRetention(retention int) *ChunkStore {
 	return &ChunkStore{streams: make(map[uint32]*streamChunks), retention: retention}
-}
-
-// Retention reports the per-stream chunk cap (0 = unbounded).
-func (s *ChunkStore) Retention() int { return s.retention }
-
-// Append stores the next chunk of a stream and returns its sequence
-// number.
-func (s *ChunkStore) Append(streamID uint32, chunk []byte) int {
-	return s.AppendChunk(streamID, chunk, false)
 }
 
 // AppendChunk stores the next chunk of a stream along with its
@@ -178,18 +163,6 @@ func (s *ChunkStore) Chunk(streamID uint32, seq int) ([]byte, error) {
 	return c.data, nil
 }
 
-// ChunkDegraded reports whether chunk seq of a stream was stored with
-// anchors missing.
-func (s *ChunkStore) ChunkDegraded(streamID uint32, seq int) (bool, error) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	c, err := s.lookupLocked(streamID, seq)
-	if err != nil {
-		return false, err
-	}
-	return c.degraded, nil
-}
-
 // ChunkCount returns the number of chunks ever appended to a stream
 // (sequence numbers run [0, ChunkCount)); evicted chunks still count so
 // numbering never rewinds.
@@ -248,16 +221,4 @@ func (s *ChunkStore) OldestRetained(streamID uint32) int {
 		return 0
 	}
 	return st.base
-}
-
-// StreamIDs lists all known streams in ascending order.
-func (s *ChunkStore) StreamIDs() []uint32 {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	out := make([]uint32, 0, len(s.streams))
-	for id := range s.streams {
-		out = append(out, id)
-	}
-	sort.Slice(out, func(a, b int) bool { return out[a] < out[b] })
-	return out
 }

@@ -2,6 +2,7 @@ package media
 
 import (
 	"fmt"
+	"net"
 	"net/http/httptest"
 	"sync"
 	"testing"
@@ -124,7 +125,7 @@ func TestMalformedWireTraffic(t *testing.T) {
 	defer enh.Close()
 
 	for _, addr := range []string{srv.Addr(), enh.Addr()} {
-		conn, err := dialRaw(addr)
+		conn, err := net.Dial("tcp", addr)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -137,7 +138,7 @@ func TestMalformedWireTraffic(t *testing.T) {
 
 		// A well-framed message of an unexpected type: server should
 		// reply with a protocol error.
-		conn, err = dialRaw(addr)
+		conn, err = net.Dial("tcp", addr)
 		if err != nil {
 			t.Fatal(err)
 		}

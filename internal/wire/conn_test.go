@@ -1,0 +1,459 @@
+package wire
+
+import (
+	"errors"
+	"fmt"
+	"net"
+	"strings"
+	"sync"
+	"sync/atomic"
+	"testing"
+	"time"
+)
+
+// The connection-layer tests run over net.Pipe: synchronous, in memory,
+// deadline-capable, so a peer that stops reading really does block a
+// write, and nothing below depends on a sleep.
+
+// testTimeout is the watchdog on steps that must not hang; it is never
+// waited out by a passing test.
+const testTimeout = 5 * time.Second
+
+// muxPair returns a Mux over one end of a pipe and a Conn for the test
+// to play the peer on the other.
+func muxPair(t *testing.T, push func(Message)) (*Mux, *Conn) {
+	t.Helper()
+	a, b := net.Pipe()
+	m := NewMux(NewConn(a, 0, testTimeout), push)
+	peer := NewConn(b, testTimeout, testTimeout)
+	t.Cleanup(func() {
+		_ = peer.Close()
+		_ = m.Close()
+	})
+	return m, peer
+}
+
+// callResult is what one concurrent Call returned.
+type callResult struct {
+	reply Message
+	err   error
+}
+
+// startCalls issues n concurrent Calls, call i carrying payload {i}, and
+// returns the slots their results land in plus the WaitGroup that says
+// when.
+func startCalls(m *Mux, n int, wait time.Duration) ([]callResult, *sync.WaitGroup) {
+	results := make([]callResult, n)
+	var wg sync.WaitGroup
+	for i := 0; i < n; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			results[i].reply, results[i].err = m.Call(Message{Type: TypePing, Payload: []byte{byte(i)}}, wait)
+		}(i)
+	}
+	return results, &wg
+}
+
+// readRequests reads n frames off peer.
+func readRequests(t *testing.T, peer *Conn, n int) []Message {
+	t.Helper()
+	reqs := make([]Message, n)
+	for i := range reqs {
+		var err error
+		if reqs[i], err = peer.Read(DefaultMaxPayload); err != nil {
+			t.Fatalf("peer read %d: %v", i, err)
+		}
+	}
+	return reqs
+}
+
+func TestMuxRoutesRepliesArrivingInReverseOrder(t *testing.T) {
+	const n = 8
+	m, peer := muxPair(t, nil)
+	results, wg := startCalls(m, n, testTimeout)
+	reqs := readRequests(t, peer, n)
+	seen := map[uint32]bool{}
+	for _, r := range reqs {
+		if r.Seq == 0 || seen[r.Seq] {
+			t.Fatalf("request Seq %d is zero or reused", r.Seq)
+		}
+		seen[r.Seq] = true
+	}
+	for i := n - 1; i >= 0; i-- {
+		if err := peer.Write(Message{Type: TypePong, Seq: reqs[i].Seq, Payload: reqs[i].Payload}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	wg.Wait()
+	for i, r := range results {
+		if r.err != nil {
+			t.Fatalf("call %d: %v", i, r.err)
+		}
+		if len(r.reply.Payload) != 1 || r.reply.Payload[0] != byte(i) {
+			t.Errorf("call %d got the reply to call %v: replies crossed", i, r.reply.Payload)
+		}
+	}
+}
+
+func TestMuxTransportErrorFailsEveryPendingCallAndLaterOnesFast(t *testing.T) {
+	const n = 6
+	m, peer := muxPair(t, nil)
+	results, wg := startCalls(m, n, time.Hour) // only the failure can end these waits
+	readRequests(t, peer, n)
+	_ = peer.Close()
+	wg.Wait()
+	cause := m.Err()
+	if cause == nil {
+		t.Fatal("Mux still usable after its transport closed")
+	}
+	for i, r := range results {
+		if !errors.Is(r.err, cause) {
+			t.Errorf("call %d: err = %v, want the Mux's cause %v", i, r.err, cause)
+		}
+	}
+	select {
+	case <-m.Failed():
+	default:
+		t.Error("Failed not closed after the failure")
+	}
+	m.mu.Lock()
+	left := len(m.pending)
+	m.mu.Unlock()
+	if left != 0 {
+		t.Errorf("%d slots still pending after the failure", left)
+	}
+	// A later call fails with the same cause without waiting: with an
+	// hour's wait, only the fast path can return inside the watchdog.
+	late := make(chan error, 1)
+	go func() {
+		_, err := m.Call(Message{Type: TypePing}, time.Hour)
+		late <- err
+	}()
+	select {
+	case err := <-late:
+		if !errors.Is(err, cause) {
+			t.Errorf("call after failure: %v, want %v", err, cause)
+		}
+	case <-time.After(testTimeout):
+		t.Error("call after failure is waiting for a reply instead of failing fast")
+	}
+}
+
+func TestMuxCloseSaysGoodbyeAndCallAfterCloseFails(t *testing.T) {
+	m, peer := muxPair(t, nil)
+	got := make(chan Message, 1)
+	go func() {
+		msg, _ := peer.Read(DefaultMaxPayload)
+		got <- msg
+	}()
+	if err := m.Close(); err != nil {
+		t.Fatalf("close: %v", err)
+	}
+	if msg := <-got; msg.Type != TypeGoodbye {
+		t.Errorf("peer read %v on close, want goodbye", msg.Type)
+	}
+	if _, err := m.Call(Message{Type: TypePing}, time.Hour); !errors.Is(err, ErrClosed) {
+		t.Errorf("call after close: %v, want ErrClosed", err)
+	}
+	if err := m.Close(); err != nil {
+		t.Errorf("second close: %v", err)
+	}
+}
+
+func TestMuxSeqZeroFramesGoToPushNeverToACaller(t *testing.T) {
+	pushed := make(chan Message, 4)
+	m, peer := muxPair(t, func(msg Message) { pushed <- msg })
+	results, wg := startCalls(m, 1, testTimeout)
+	req := readRequests(t, peer, 1)[0]
+	for _, out := range []Message{
+		{Type: TypeChunkData, StreamID: 7, Payload: []byte("before")},
+		{Type: TypePong, Seq: req.Seq, Payload: []byte("reply")},
+		{Type: TypeChunkData, StreamID: 7, Payload: []byte("after")},
+	} {
+		if err := peer.Write(out); err != nil {
+			t.Fatal(err)
+		}
+	}
+	wg.Wait()
+	if r := results[0]; r.err != nil || string(r.reply.Payload) != "reply" {
+		t.Errorf("caller got %q, %v; want its own reply", r.reply.Payload, r.err)
+	}
+	for _, want := range []string{"before", "after"} {
+		if msg := <-pushed; msg.Seq != 0 || string(msg.Payload) != want {
+			t.Errorf("push = seq %d %q, want seq 0 %q", msg.Seq, msg.Payload, want)
+		}
+	}
+	// Without a callback a Seq-0 frame is dropped and the connection lives.
+	m2, peer2 := muxPair(t, nil)
+	results, wg = startCalls(m2, 1, testTimeout)
+	req = readRequests(t, peer2, 1)[0]
+	_ = peer2.Write(Message{Type: TypeChunkData})
+	_ = peer2.Write(Message{Type: TypePong, Seq: req.Seq})
+	wg.Wait()
+	if results[0].err != nil {
+		t.Errorf("call beside an unclaimed push: %v", results[0].err)
+	}
+}
+
+// TestMuxExpiredWaitFailsTheConnection pins the first of Mux's two
+// rules: one call outliving its wait fails every other pending call too.
+func TestMuxExpiredWaitFailsTheConnection(t *testing.T) {
+	m, peer := muxPair(t, nil)
+	patient, wg := startCalls(m, 1, time.Hour)
+	readRequests(t, peer, 1)
+	done := make(chan error, 1)
+	go func() {
+		_, err := m.Call(Message{Type: TypePing}, 10*time.Millisecond)
+		done <- err
+	}()
+	readRequests(t, peer, 1) // taken, never answered
+	if err := <-done; err == nil || m.Err() == nil {
+		t.Fatalf("call past its wait: err = %v, Mux err = %v; want both set", err, m.Err())
+	}
+	wg.Wait()
+	if !errors.Is(patient[0].err, m.Err()) {
+		t.Errorf("the patient call beside it: %v, want the timeout's failure %v", patient[0].err, m.Err())
+	}
+}
+
+// TestMuxUnmatchedReplyFailsTheConnection pins the second rule.
+func TestMuxUnmatchedReplyFailsTheConnection(t *testing.T) {
+	m, peer := muxPair(t, nil)
+	results, wg := startCalls(m, 1, time.Hour)
+	req := readRequests(t, peer, 1)[0]
+	if err := peer.Write(Message{Type: TypePong, Seq: req.Seq + 1000}); err != nil {
+		t.Fatal(err)
+	}
+	wg.Wait()
+	if results[0].err == nil || m.Err() == nil {
+		t.Fatalf("after a reply nobody asked for: call err = %v, Mux err = %v; want both set", results[0].err, m.Err())
+	}
+}
+
+// TestMuxTimersAreReused: a call's wait draws its timer from the pool, so
+// over the same exchange done by hand on a bare Conn a Call allocates its
+// reply slot and nothing else.
+func TestMuxTimersAreReused(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool sheds entries under the race detector")
+	}
+	echo := func(peer *Conn) {
+		for {
+			req, err := peer.Read(DefaultMaxPayload)
+			if err != nil || peer.Write(Message{Type: TypePong, Seq: req.Seq}) != nil {
+				return
+			}
+		}
+	}
+	a, b := net.Pipe()
+	bare, barePeer := NewConn(a, 0, testTimeout), NewConn(b, testTimeout, testTimeout) // as muxPair makes them
+	defer bare.Close()
+	defer barePeer.Close()
+	go echo(barePeer)
+	byHand := testing.AllocsPerRun(200, func() {
+		if err := bare.Write(Message{Type: TypePing, Seq: 1}); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := bare.Read(DefaultMaxPayload); err != nil {
+			t.Fatal(err)
+		}
+	})
+	m, peer := muxPair(t, nil)
+	go echo(peer)
+	call := func() {
+		if _, err := m.Call(Message{Type: TypePing}, testTimeout); err != nil {
+			t.Fatal(err)
+		}
+	}
+	call() // the first call makes the pool's timer
+	// The slot is a buffered channel of a pointer-carrying type: two
+	// allocations, header and buffer.
+	if called := testing.AllocsPerRun(200, call); called > byHand+2 {
+		t.Errorf("a Call allocates %.0f, the bare exchange %.0f: more than the reply slot, so the timer is not reused", called, byHand)
+	}
+}
+
+func TestConnWriteToStalledPeerTimesOutAndReleasesTheLock(t *testing.T) {
+	a, b := net.Pipe()
+	defer b.Close() // b never reads
+	c := NewConn(a, 0, 20*time.Millisecond)
+	defer c.Close()
+	for i := 0; i < 2; i++ {
+		done := make(chan error, 1)
+		go func() { done <- c.Write(Message{Type: TypePing}) }()
+		select {
+		case err := <-done:
+			var ne net.Error
+			if !errors.As(err, &ne) || !ne.Timeout() {
+				t.Errorf("write %d to a stalled peer: %v, want a timeout", i, err)
+			}
+		case <-time.After(testTimeout):
+			t.Fatalf("write %d to a stalled peer never returned (write lock held: %v)", i, i > 0)
+		}
+	}
+	// A frame's own budget tightens the bound: an hour's write timeout,
+	// a 20 ms budget, and the write still gives up.
+	a2, b2 := net.Pipe()
+	defer b2.Close()
+	c2 := NewConn(a2, 0, time.Hour)
+	defer c2.Close()
+	done := make(chan error, 1)
+	go func() { done <- c2.Write(Message{Type: TypeChunk, Budget: 20 * time.Millisecond}) }()
+	select {
+	case err := <-done:
+		if err == nil {
+			t.Error("budgeted write to a stalled peer succeeded")
+		}
+	case <-time.After(testTimeout):
+		t.Fatal("a frame's budget did not bound its write")
+	}
+}
+
+func TestConnReadIdleTimeout(t *testing.T) {
+	a, b := net.Pipe()
+	defer b.Close() // b never writes
+	c := NewConn(a, 20*time.Millisecond, 0)
+	defer c.Close()
+	_, err := c.Read(DefaultMaxPayload)
+	var ne net.Error
+	if !errors.As(err, &ne) || !ne.Timeout() {
+		t.Errorf("read from a silent peer: %v, want a timeout", err)
+	}
+}
+
+// pipeListener is a net.Listener whose connections are net.Pipe ends.
+type pipeListener struct {
+	conns  chan net.Conn
+	closed chan struct{}
+	once   sync.Once
+}
+
+func newPipeListener() *pipeListener {
+	return &pipeListener{conns: make(chan net.Conn), closed: make(chan struct{})}
+}
+
+func (l *pipeListener) Accept() (net.Conn, error) {
+	select {
+	case c := <-l.conns:
+		return c, nil
+	case <-l.closed:
+		return nil, net.ErrClosed
+	}
+}
+
+func (l *pipeListener) Close() error {
+	l.once.Do(func() { close(l.closed) })
+	return nil
+}
+
+func (l *pipeListener) Addr() net.Addr { return pipeAddr{} }
+
+// dial hands one end of a new pipe to Accept and returns the other, or
+// nil once the listener is closed.
+func (l *pipeListener) dial() net.Conn {
+	a, b := net.Pipe()
+	select {
+	case l.conns <- a:
+		return b
+	case <-l.closed:
+		a.Close()
+		b.Close()
+		return nil
+	}
+}
+
+type pipeAddr struct{}
+
+func (pipeAddr) Network() string { return "pipe" }
+func (pipeAddr) String() string  { return "pipe" }
+
+func TestServeCloseJoinsHandlersParkedInRead(t *testing.T) {
+	const n = 3
+	ln := newPipeListener()
+	var logged atomic.Int32
+	logf := func(string, ...any) { logged.Add(1) }
+	var entered sync.WaitGroup
+	entered.Add(n)
+	var exited atomic.Int32
+	srv := Serve(ln, 0, testTimeout, logf, func(c *Conn) error {
+		defer exited.Add(1)
+		if _, err := c.Read(DefaultMaxPayload); err != nil { // the hello below
+			return err
+		}
+		entered.Done()
+		_, err := c.Read(DefaultMaxPayload) // parked: no idle timeout, a silent peer
+		return err
+	})
+	peers := make([]net.Conn, n)
+	for i := range peers {
+		peers[i] = ln.dial()
+		defer peers[i].Close()
+		if err := Write(peers[i], Message{Type: TypeHello}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	entered.Wait()
+
+	closed := make(chan error, 1)
+	go func() { closed <- srv.Close() }()
+	select {
+	case err := <-closed:
+		if err != nil {
+			t.Errorf("close: %v", err)
+		}
+	case <-time.After(testTimeout):
+		t.Fatal("Close did not return with handlers parked in reads: it closed the listener but not the connections")
+	}
+	if got := exited.Load(); got != n {
+		t.Errorf("%d of %d handlers had returned when Close did", got, n)
+	}
+	if err := srv.Close(); err != nil {
+		t.Errorf("second close: %v", err)
+	}
+	if got := logged.Load(); got != 0 {
+		t.Errorf("%d log lines for handlers ended by Close, want none", got)
+	}
+	if c := ln.dial(); c != nil {
+		t.Error("listener still accepting after Close")
+	}
+}
+
+func TestServeLogsHandlerErrorsButNotHangups(t *testing.T) {
+	ln := newPipeListener()
+	logs := make(chan string, 4)
+	logf := func(format string, args ...any) { logs <- fmt.Sprintf(format, args...) }
+	boom := errors.New("boom")
+	handled := make(chan struct{}, 2)
+	srv := Serve(ln, 0, testTimeout, logf, func(c *Conn) error {
+		defer func() { handled <- struct{}{} }()
+		msg, err := c.Read(DefaultMaxPayload)
+		if err != nil {
+			return err // the peer hung up: not worth a line
+		}
+		if msg.Type == TypePing {
+			return boom
+		}
+		return nil
+	})
+	hangup := ln.dial()
+	hangup.Close()
+	<-handled
+	rude := ln.dial()
+	defer rude.Close()
+	if err := Write(rude, Message{Type: TypePing}); err != nil {
+		t.Fatal(err)
+	}
+	<-handled
+	if err := srv.Close(); err != nil { // joins the handlers, so every line is in
+		t.Fatal(err)
+	}
+	close(logs)
+	var lines []string
+	for l := range logs {
+		lines = append(lines, l)
+	}
+	if len(lines) != 1 || !strings.Contains(lines[0], "boom") {
+		t.Errorf("log = %q, want exactly the handler's own error", lines)
+	}
+}

@@ -2,7 +2,9 @@
 // NeuroScaler components: streamer → media server (ingest chunks), media
 // server → anchor enhancer (anchor jobs), and enhancer → media server
 // (enhanced results). It plays the role gRPC plays in the paper, on plain
-// TCP with CRC-protected frames.
+// TCP with CRC-protected frames, behind one connection layer (conn.go):
+// Conn (locked, deadlined frame I/O), Mux (the Seq-demultiplexing client)
+// and Serve (the accept loop that joins its handlers).
 package wire
 
 import (
@@ -109,8 +111,15 @@ func (t Type) String() string {
 // request's Seq verbatim. The protocol does not require replies to come
 // back in request order — a peer multiplexing many outstanding requests
 // on one connection must allocate distinct Seqs (see SeqSource) and
-// demultiplex replies by Seq rather than assuming FIFO delivery. Seq 0
-// is reserved for unsolicited messages that expect no correlation.
+// demultiplex replies by Seq (see Mux) rather than assuming FIFO
+// delivery. Seq 0 is reserved for unsolicited messages that expect no
+// correlation.
+//
+// The one exception is the ingest connection: the origin answers every
+// frame on it strictly in arrival order, and the TypeAck of a TypeChunk
+// carries the sequence number the store assigned the chunk in Seq, not
+// the request's. A streamer therefore matches replies by arrival order
+// and reads its chunk's number out of the ack.
 type Message struct {
 	Type     Type
 	StreamID uint32
@@ -197,20 +206,7 @@ func putHeader(hdr *[headerLen + budgetLen]byte, m Message, n int, sum uint32) (
 // Frame layout: magic(2) type(1) streamID(4) seq(4) len(4) crc32(4)
 // [budgetMicros(8) if v2] payload.
 func Write(w io.Writer, m Message) error {
-	var hdr [headerLen + budgetLen]byte
-	n, err := putHeader(&hdr, m, len(m.Payload), crc32.ChecksumIEEE(m.Payload))
-	if err != nil {
-		return err
-	}
-	if _, err := w.Write(hdr[:n]); err != nil {
-		return fmt.Errorf("wire: write header: %w", err)
-	}
-	if len(m.Payload) > 0 {
-		if _, err := w.Write(m.Payload); err != nil {
-			return fmt.Errorf("wire: write payload: %w", err)
-		}
-	}
-	return nil
+	return WriteShared(w, m, m.Payload, nil, crc32.ChecksumIEEE(m.Payload))
 }
 
 // readBudget consumes the v2 budget extension when the magic calls for
