@@ -48,6 +48,9 @@ vet-nslint:
 fuzz-smoke:
 	go test -tags fuzz -run xxx -fuzz FuzzContainerRoundTrip -fuzztime 30s ./internal/hybrid
 	go test -tags fuzz -run xxx -fuzz FuzzWireFrame -fuzztime 30s ./internal/wire
+	go test -run xxx -fuzz '^FuzzDecode$$' -fuzztime 30s ./internal/vcodec
+	go test -run xxx -fuzz '^FuzzScan$$' -fuzztime 30s ./internal/vcodec
+	go test -run xxx -fuzz '^FuzzSkipCoeffs$$' -fuzztime 30s ./internal/bitstream
 
 # Overload-control tier under the race detector: deadline propagation,
 # queue discipline, brownout ladder, and the burst / gray-failure chaos

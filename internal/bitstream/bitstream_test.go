@@ -188,6 +188,52 @@ func TestCoeffsRoundTrip(t *testing.T) {
 	}
 }
 
+// TestWriteCoeffsMatchesElementWrites pins WriteCoeffs's accumulator to
+// the syntax written one element at a time — a present bit, ue(run),
+// se(level) per non-zero coefficient, then the end-of-block bit — with
+// raw bits of every length in between, so every pending-bit state and
+// the long-code fallback are crossed.
+func TestWriteCoeffsMatchesElementWrites(t *testing.T) {
+	rng := rand.New(rand.NewSource(26))
+	var got, want Writer
+	for block := 0; block < 2000; block++ {
+		pad, padBits := rng.Uint64(), rng.Intn(20)
+		got.WriteBits(pad, padBits)
+		want.WriteBits(pad, padBits)
+		coeffs := make([]int32, 1+rng.Intn(64))
+		for i := range coeffs {
+			switch rng.Intn(5) {
+			case 0:
+				coeffs[i] = int32(rng.Intn(7) - 3)
+			case 1:
+				coeffs[i] = rng.Int31() >> uint(rng.Intn(31))
+				if rng.Intn(2) == 0 {
+					coeffs[i] = -coeffs[i]
+				}
+			}
+		}
+		WriteCoeffs(&got, coeffs)
+		run := uint64(0)
+		for _, c := range coeffs {
+			if c == 0 {
+				run++
+				continue
+			}
+			want.WriteBit(1)
+			want.WriteUE(run)
+			want.WriteSE(int64(c))
+			run = 0
+		}
+		want.WriteBit(0)
+		if got.BitLen() != want.BitLen() {
+			t.Fatalf("block %d: %d bits written, element writes made %d", block, got.BitLen(), want.BitLen())
+		}
+	}
+	if !bytes.Equal(got.Bytes(), want.Bytes()) {
+		t.Fatal("WriteCoeffs bytes differ from element-at-a-time writes")
+	}
+}
+
 func TestCoeffsAllZeroIsTiny(t *testing.T) {
 	var w Writer
 	WriteCoeffs(&w, make([]int32, 64))

@@ -7,6 +7,7 @@ package icodec
 import (
 	"errors"
 	"fmt"
+	"sync/atomic"
 
 	"github.com/neuroscaler/neuroscaler/internal/bitstream"
 	"github.com/neuroscaler/neuroscaler/internal/frame"
@@ -70,51 +71,60 @@ func Encode(f *frame.Frame, opts Options) ([]byte, Stats, error) {
 // (blocks are independent until DC prediction), then a serial raster-order
 // pass applies DC prediction and writes the bitstream, keeping the output
 // bit-identical for any worker count.
+//
+// Each block is coded once: quantization writes straight into zigzag
+// order and counts the block's non-zero coefficients in the same pass, so
+// the serial pass only corrects that count for the DC it predicts.
 func encodePlane(w *bitstream.Writer, p *frame.Plane, table *transform.Quantizer, st *Stats) {
 	bs := transform.BlockSize
 	nbx := (p.W + bs - 1) / bs
 	nby := (p.H + bs - 1) / bs
 	n := nbx * nby
-	scan := make([]int32, 64)
-	writeBlock := func(b *transform.Block, prevDC int32) int32 {
-		// DC prediction: code the delta from the previous block's DC.
-		dc := b[0]
-		b[0] -= prevDC
-		transform.Zigzag(scan, b)
-		bitstream.WriteCoeffs(w, scan)
-		st.BlocksCoded++
-		for _, c := range scan {
-			if c != 0 {
-				st.NonZeroCoefs++
-			}
+	st.BlocksCoded += n
+	writeBlock := func(scan []int32, prevDC int32) int32 {
+		// DC prediction: code the delta from the previous block's DC, which
+		// sits at scan position 0. The quantizer counted the DC itself as
+		// coded; count the delta that is coded instead.
+		dc := scan[0]
+		scan[0] -= prevDC
+		if dc != 0 {
+			st.NonZeroCoefs--
 		}
+		if scan[0] != 0 {
+			st.NonZeroCoefs++
+		}
+		bitstream.WriteCoeffs(w, scan)
 		return dc
 	}
 	if par.Workers() == 1 {
 		// Single worker: fuse the phases and skip the staging buffer.
 		prevDC := int32(0)
+		scan := make([]int32, 64)
 		var b transform.Block
 		for i := 0; i < n; i++ {
 			loadBlock(&b, p, (i%nbx)*bs, (i/nbx)*bs)
 			transform.FDCT(&b, &b)
-			table.Quantize(&b)
-			prevDC = writeBlock(&b, prevDC)
+			st.NonZeroCoefs += table.QuantizeZigzag(scan, &b)
+			prevDC = writeBlock(scan, prevDC)
 		}
 		return
 	}
 	coeffs := coeffPool.Get(n * 64)
+	var nonZero atomic.Int64
 	par.For(n, blockGrain, func(lo, hi int) {
 		var b transform.Block
+		nz := 0
 		for i := lo; i < hi; i++ {
 			loadBlock(&b, p, (i%nbx)*bs, (i/nbx)*bs)
 			transform.FDCT(&b, &b)
-			table.Quantize(&b)
-			copy(coeffs[i*64:(i+1)*64], b[:])
+			nz += table.QuantizeZigzag(coeffs[i*64:(i+1)*64], &b)
 		}
+		nonZero.Add(int64(nz))
 	})
+	st.NonZeroCoefs += int(nonZero.Load())
 	prevDC := int32(0)
 	for i := 0; i < n; i++ {
-		prevDC = writeBlock((*transform.Block)(coeffs[i*64:(i+1)*64]), prevDC)
+		prevDC = writeBlock(coeffs[i*64:(i+1)*64], prevDC)
 	}
 	coeffPool.Put(coeffs)
 }
@@ -268,8 +278,9 @@ func storeBlock(b *transform.Block, p *frame.Plane, bx, by int) {
 // Validate parses a bitstream produced by Encode without reconstructing
 // pixels and returns the coded dimensions. It fails on exactly the inputs
 // Decode fails on: entropy parsing is the only fallible stage, so walking
-// every block's coefficient codes checks decodability at a fraction of the
-// cost of dequantization and the inverse transform.
+// every block's coefficient codes — skipping them, not storing them —
+// checks decodability at a fraction of the cost of dequantization and the
+// inverse transform.
 func Validate(data []byte) (int, int, error) {
 	r := bitstream.NewReader(data)
 	m, err := r.ReadBits(32)
@@ -301,12 +312,11 @@ func Validate(data []byte) (int, int, error) {
 	}
 	bs := transform.BlockSize
 	cw, ch := (w+1)/2, (h+1)/2
-	var scan [64]int32
 	for _, d := range [3][2]int{{w, h}, {cw, ch}, {cw, ch}} {
 		nbx := (d[0] + bs - 1) / bs
 		nby := (d[1] + bs - 1) / bs
 		for i := 0; i < nbx*nby; i++ {
-			if err := bitstream.ReadCoeffs(r, scan[:]); err != nil {
+			if err := bitstream.SkipCoeffs(r, 64); err != nil {
 				return 0, 0, fmt.Errorf("icodec: block (%d,%d): %w", (i%nbx)*bs, (i/nbx)*bs, err)
 			}
 		}

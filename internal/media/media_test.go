@@ -1,12 +1,15 @@
 package media
 
 import (
+	"bytes"
 	"net"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
 
+	"github.com/neuroscaler/neuroscaler/internal/bitstream"
 	"github.com/neuroscaler/neuroscaler/internal/frame"
 	"github.com/neuroscaler/neuroscaler/internal/metrics"
 	"github.com/neuroscaler/neuroscaler/internal/sr"
@@ -257,6 +260,75 @@ func TestChunkBeforeHelloRejected(t *testing.T) {
 	}
 	if reply.Type != wire.TypeError {
 		t.Errorf("reply = %v, want error", reply.Type)
+	}
+}
+
+// TestHostileHelloAllocatesNothing: a hello sizes every frame the
+// stream's decoder will allocate, so it must pass the encoder's limits,
+// and a truncated key packet on a large legal stream must fail its parse
+// before any frame of that size exists.
+func TestHostileHelloAllocatesNothing(t *testing.T) {
+	srv, err := NewServer("127.0.0.1:0", &firstFail{}, ServerConfig{Logf: silentLogf})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	send := func(conn net.Conn, msg wire.Message) wire.Message {
+		t.Helper()
+		if err := wire.Write(conn, msg); err != nil {
+			t.Fatal(err)
+		}
+		reply, err := wire.Read(conn, wire.DefaultMaxPayload)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return reply
+	}
+	hello := func(conn net.Conn, streamID uint32, w, h int) wire.Message {
+		t.Helper()
+		hl := testHello()
+		hl.Config.Width, hl.Config.Height = w, h
+		payload, err := wire.EncodeHello(hl)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return send(conn, wire.Message{Type: wire.TypeHello, StreamID: streamID, Payload: payload})
+	}
+	dial := func() net.Conn {
+		t.Helper()
+		conn, err := net.Dial("tcp", srv.Addr())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return conn
+	}
+
+	conn := dial()
+	defer conn.Close()
+	if reply := hello(conn, 1, 65535, 65535); reply.Type != wire.TypeError || !strings.Contains(string(reply.Payload), "too large") {
+		t.Fatalf("65535x65535 hello: reply %v %q, want a dimensions rejection", reply.Type, reply.Payload)
+	}
+
+	// 4096x2176 is legal; its key frame alone is ~13 MB of planes.
+	conn2 := dial()
+	defer conn2.Close()
+	if reply := hello(conn2, 2, 4096, 2176); reply.Type != wire.TypeAck {
+		t.Fatalf("4096x2176 hello: reply %v %q, want ack", reply.Type, reply.Payload)
+	}
+	var bw bitstream.Writer
+	bw.WriteBits(uint64(vcodec.Key), 2)
+	bw.WriteBits(50, 7)
+	bw.WriteUE(0)
+	pkt := append(bw.Bytes(), bytes.Repeat([]byte{0x5a}, 14)...)[:16]
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	reply := send(conn2, wire.Message{Type: wire.TypeChunk, StreamID: 2, Payload: wire.EncodeChunk([][]byte{pkt})})
+	runtime.ReadMemStats(&after)
+	if reply.Type != wire.TypeError || !strings.Contains(string(reply.Payload), "intra block") {
+		t.Fatalf("truncated key packet: reply %v %q, want a parse rejection", reply.Type, reply.Payload)
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew >= 1<<20 {
+		t.Errorf("rejecting a 16-byte key packet allocated %d bytes, want < 1 MiB", grew)
 	}
 }
 

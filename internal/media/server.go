@@ -8,6 +8,7 @@ import (
 	"log"
 	"net"
 	"net/http"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -648,35 +649,41 @@ func (s *Server) decodeStage(job *ingestJob) {
 	}
 }
 
-// prepareChunk is the one chunk builder: decode pc's packets on dec, run
-// zero-inference anchor selection at the budgeted fraction, and fill in
-// the selected anchors' jobs. Eager ingest calls it on the stream's pinned
-// decoder (holding decodeMu), the lazy build on a fresh one; chunks are
-// GOP-aligned and key frames reset both reference slots, so the two
-// decode bit-identically and build byte-identical containers.
+// prepareChunk is the one chunk builder: scan pc's packets, run
+// zero-inference anchor selection at the budgeted fraction, then
+// reconstruct on dec only the prefix of packets up to the last selected
+// one and fill in the selected anchors' jobs. Selection reads codec side
+// information alone, so no pixel work happens before it, and a chunk that
+// fails to parse anywhere fails before dec's state is touched.
+//
+// Reconstruction stops at the last anchor, leaving dec's reference slots
+// mid-GOP: only a key frame may follow, and since chunks are GOP-aligned
+// and key-first, the next accepted chunk's first packet resets both slots.
+// Eager ingest calls it on the stream's pinned decoder (holding decodeMu),
+// the lazy build on a fresh one; by the same rule the two reconstruct
+// bit-identically and build byte-identical containers.
+//
+// The stage counters charge the scan and the prefix reconstruction to
+// decode and the selection between them to select, each once per chunk.
 //
 //nslint:lock-order serverStream.decodeMu -> Budget.mu -- Budget.mu is a leaf: Fraction never calls out of sched, so no path can close a cycle back to decodeMu
 func (s *Server) prepareChunk(pc *pendingChunk, dec *vcodec.Decoder, deadline time.Time) error {
 	frames := pc.container.Frames
 	start := time.Now()
-	decoded := make([]*vcodec.Decoded, len(frames))
 	infos := make([]vcodec.Info, len(frames))
 	for i := range frames {
-		d, err := dec.Decode(frames[i].VideoPacket)
+		info, err := dec.Scan(frames[i].VideoPacket)
 		if err != nil {
 			return fmt.Errorf("media: stream %d packet %d: %w", pc.streamID, i, err)
 		}
-		decoded[i] = d
-		infos[i] = d.Info
+		infos[i] = info
 	}
-	s.stages.decodeNanos.Add(int64(time.Since(start)))
-	s.stages.decodeCount.Add(1)
-
 	// Each container must be independently decodable by viewers joining
 	// mid-stream, so distribution chunks are GOP-aligned (as in HLS/DASH).
-	if infos[0].Type != vcodec.Key {
+	if len(infos) == 0 || infos[0].Type != vcodec.Key {
 		return fmt.Errorf("media: stream %d chunk does not start with a key frame; send GOP-aligned chunks", pc.streamID)
 	}
+	scanned := time.Since(start)
 
 	start = time.Now()
 	cands := anchor.ZeroInferenceGains(anchor.MetasFromInfos(infos))
@@ -690,22 +697,42 @@ func (s *Server) prepareChunk(pc *pendingChunk, dec *vcodec.Decoder, deadline ti
 		n = 1
 	}
 	pc.selected = anchor.SelectTopN(cands, n)
-	s.counters.anchorsSelected.Add(uint64(len(pc.selected)))
 	s.stages.selectNanos.Add(int64(time.Since(start)))
 	s.stages.selectCount.Add(1)
 
 	pc.jobs = make([]wire.AnchorJob, len(pc.selected))
 	pc.outcomes = make([]AnchorOutcome, len(pc.selected))
+	last := 0
 	for si, c := range pc.selected {
 		i := c.Meta.Packet
 		pc.jobs[si] = wire.AnchorJob{
 			Packet:       i,
-			DisplayIndex: decoded[i].Info.DisplayIndex,
+			DisplayIndex: infos[i].DisplayIndex,
 			QP:           pc.st.qp,
-			Frame:        decoded[i].Frame,
 			Deadline:     deadline,
 		}
+		last = max(last, i)
 	}
+	start = time.Now()
+	for i := 0; i <= last; i++ {
+		pkt := frames[i].VideoPacket
+		si := slices.IndexFunc(pc.jobs, func(j wire.AnchorJob) bool { return j.Packet == i })
+		if si < 0 {
+			// Not an anchor: its pixels only advance the reference slots.
+			if err := dec.Reconstruct(pkt); err != nil {
+				return fmt.Errorf("media: stream %d packet %d: %w", pc.streamID, i, err)
+			}
+			continue
+		}
+		d, err := dec.Decode(pkt)
+		if err != nil {
+			return fmt.Errorf("media: stream %d packet %d: %w", pc.streamID, i, err)
+		}
+		pc.jobs[si].Frame = d.Frame
+	}
+	s.stages.decodeNanos.Add(int64(scanned + time.Since(start)))
+	s.stages.decodeCount.Add(1)
+	s.counters.anchorsSelected.Add(uint64(len(pc.selected)))
 	return nil
 }
 
@@ -828,12 +855,23 @@ func (s *Server) packageStage(p *ingestPipeline, job *ingestJob) {
 	}
 }
 
-// registerStream handles a hello: build the stream's decoder, resolve
-// the anchor QP, and announce the stream to the enhancer.
+// registerStream handles a hello: validate the stream and model configs,
+// build the stream's decoder, resolve the anchor QP, and announce the
+// stream to the enhancer.
 func (s *Server) registerStream(msg wire.Message) error {
 	h, err := wire.DecodeHello(msg.Payload)
 	if err != nil {
 		return err
+	}
+	// A hello sizes every frame the stream's decoder will allocate, so it
+	// must pass the limits its encoder did. Validate fills defaults in
+	// place; check a copy so the stored config stays as announced.
+	cfg := h.Config
+	if err := cfg.Validate(); err != nil {
+		return fmt.Errorf("media: stream %d hello: %w", msg.StreamID, err)
+	}
+	if err := h.Model.Validate(); err != nil {
+		return fmt.Errorf("media: stream %d hello: %w", msg.StreamID, err)
 	}
 	dec, err := vcodec.NewDecoder(h.Config.Width, h.Config.Height)
 	if err != nil {

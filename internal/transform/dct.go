@@ -337,22 +337,24 @@ func NewQuantizer(q int) Quantizer {
 	return z
 }
 
-// Quantize divides each coefficient by its table entry with
-// round-to-nearest, in place; the result is bit-identical to
-// Quantize(b, &z.Table).
-func (z *Quantizer) Quantize(b *Block) {
-	for i := range b {
-		v := b[i]
-		neg := v < 0
-		if neg {
-			v = -v
-		}
-		q := int32((uint64(v+z.half[i]) * z.rcp[i]) >> 32)
-		if neg {
-			q = -q
-		}
-		b[i] = q
+// QuantizeZigzag quantizes b with round-to-nearest straight into zigzag
+// scan order in dst (64 entries) and returns how many of the quantized
+// coefficients are non-zero: one pass in place of Quantize(b, &z.Table)
+// followed by Zigzag and a count, with a bit-identical dst.
+func (z *Quantizer) QuantizeZigzag(dst []int32, b *Block) int {
+	dst = dst[:blockLen]
+	nz := 0
+	for i := range dst {
+		k := zigzag[i]
+		v := b[k]
+		// Branch-free sign handling: s is 0 or -1, (v^s)-s is |v|, and
+		// (q^s)-s gives q v's sign. q >= 0, so -q's sign bit marks q != 0.
+		s := v >> 31
+		q := int32((uint64((v^s)-s+z.half[k]) * z.rcp[k]) >> 32)
+		nz += int(uint32(-q) >> 31)
+		dst[i] = (q ^ s) - s
 	}
+	return nz
 }
 
 // Dequantize multiplies each coefficient by the matching table entry,

@@ -163,3 +163,52 @@ func TestQuickHighQualityNearLossless(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestQuantizeZigzagMatchesSeparatePasses pins the fused encoder pass: at
+// every quality, QuantizeZigzag writes exactly what Quantize followed by
+// Zigzag does and counts exactly the non-zero scan entries.
+func TestQuantizeZigzagMatchesSeparatePasses(t *testing.T) {
+	rng := rand.New(rand.NewSource(26))
+	for q := 1; q <= 100; q++ {
+		z := NewQuantizer(q)
+		for trial := 0; trial < 50; trial++ {
+			var b Block
+			if trial%2 == 0 {
+				// Forward transform of samples (intra) or differences
+				// (residual): the coefficient range the encoders feed.
+				for i := range b {
+					b[i] = int32(rng.Intn(511) - 255)
+				}
+				FDCT(&b, &b)
+			} else {
+				for i := range b {
+					b[i] = int32(rng.Intn(8193) - 4096)
+				}
+			}
+			ref := b
+			Quantize(&ref, &z.Table)
+			want := make([]int32, 64)
+			Zigzag(want, &ref)
+			wantNZ := 0
+			for _, c := range want {
+				if c != 0 {
+					wantNZ++
+				}
+			}
+			got := make([]int32, 64)
+			in := b
+			nz := z.QuantizeZigzag(got, &b)
+			if b != in {
+				t.Fatalf("q=%d: QuantizeZigzag modified its input", q)
+			}
+			for i := range want {
+				if got[i] != want[i] {
+					t.Fatalf("q=%d trial %d: scan[%d] = %d, want %d", q, trial, i, got[i], want[i])
+				}
+			}
+			if nz != wantNZ {
+				t.Fatalf("q=%d trial %d: non-zero count %d, want %d", q, trial, nz, wantNZ)
+			}
+		}
+	}
+}

@@ -86,7 +86,10 @@ type Config struct {
 	SearchRange int
 }
 
-func (c *Config) validate() error {
+// Validate checks c against the limits an encoding session (and a decoder
+// sized from it) accepts, filling the defaults of AltRefInterval and
+// SearchRange when they are zero.
+func (c *Config) Validate() error {
 	if c.Width <= 0 || c.Height <= 0 {
 		return errors.New("vcodec: dimensions must be positive")
 	}

@@ -56,39 +56,36 @@ func NewDecoderFor(s *Stream) (*Decoder, error) {
 // frame is owned by the caller; decoder reference state keeps its own
 // copies.
 func (d *Decoder) Decode(data []byte) (*Decoded, error) {
-	r := bitstream.NewReader(data)
-	typBits, err := r.ReadBits(2)
+	ref, info, residual, err := d.reconstruct(data)
 	if err != nil {
-		return nil, fmt.Errorf("vcodec: truncated header: %w", err)
+		return nil, err
 	}
-	typ := FrameType(typBits)
-	if typ > Inter {
-		return nil, fmt.Errorf("vcodec: invalid frame type %d", typBits)
-	}
-	qBits, err := r.ReadBits(7)
-	if err != nil {
-		return nil, fmt.Errorf("vcodec: truncated header: %w", err)
-	}
-	quality := int(qBits)
-	if quality < 1 || quality > 100 {
-		return nil, fmt.Errorf("vcodec: corrupt quality %d", quality)
-	}
-	idx, err := r.ReadUE()
-	if err != nil {
-		return nil, fmt.Errorf("vcodec: truncated header: %w", err)
-	}
-	info := Info{
-		DisplayIndex: int(idx),
-		Type:         typ,
-		Visible:      typ != AltRef,
-		Bytes:        len(data),
-		Quality:      quality,
-	}
+	return &Decoded{Frame: ref.Clone(), Info: info, Residual: residual}, nil
+}
 
-	if typ == Key {
-		f, err := decodeIntraPlanes(r, d.w, d.h, quality)
+// Reconstruct decodes one packet into the decoder's reference slots
+// without returning its frame: the Decode of a packet whose pixels no
+// caller reads but whose successors predict from it. Its errors are
+// Decode's.
+func (d *Decoder) Reconstruct(data []byte) error {
+	_, _, residual, err := d.reconstruct(data)
+	frame.Release(residual)
+	return err
+}
+
+// reconstruct decodes one packet into the reference slots and returns
+// the slot frame it wrote (decoder-owned: callers clone before handing
+// it out), the packet's side information, and the captured residual.
+func (d *Decoder) reconstruct(data []byte) (*frame.Frame, Info, *frame.Frame, error) {
+	r := bitstream.NewReader(data)
+	info, err := readHeader(r, len(data))
+	if err != nil {
+		return nil, Info{}, nil, err
+	}
+	if info.Type == Key {
+		f, err := decodeIntraPlanes(r, d.w, d.h, info.Quality)
 		if err != nil {
-			return nil, err
+			return nil, Info{}, nil, err
 		}
 		// Reference slots are decoder-internal (callers only ever see
 		// clones), so superseded ones go back to the frame arena.
@@ -96,30 +93,17 @@ func (d *Decoder) Decode(data []byte) (*Decoded, error) {
 		frame.Release(d.altref)
 		d.last = f
 		d.altref = f.Clone()
-		return &Decoded{Frame: f.Clone(), Info: info}, nil
+		return f, info, nil, nil
 	}
 
 	if d.last == nil {
-		return nil, errors.New("vcodec: inter frame before any key frame")
+		return nil, Info{}, nil, errors.New("vcodec: inter frame before any key frame")
 	}
 	n := d.grid.NumBlocks()
 	mvs := make([]frame.MotionVector, n)
 	refs := make([]uint8, n)
-	for i := 0; i < n; i++ {
-		bit, err := r.ReadBit()
-		if err != nil {
-			return nil, fmt.Errorf("vcodec: truncated motion data: %w", err)
-		}
-		refs[i] = uint8(bit)
-		dx, err := r.ReadSE()
-		if err != nil {
-			return nil, fmt.Errorf("vcodec: truncated motion data: %w", err)
-		}
-		dy, err := r.ReadSE()
-		if err != nil {
-			return nil, fmt.Errorf("vcodec: truncated motion data: %w", err)
-		}
-		mvs[i] = frame.MotionVector{DX: int(dx), DY: int(dy)}
+	if err := readMotion(r, n, mvs, refs); err != nil {
+		return nil, Info{}, nil, err
 	}
 	residualStart := r.BitsRead()
 	pred := predictFrame(d.last, d.altref, d.grid, mvs, refs)
@@ -130,14 +114,16 @@ func (d *Decoder) Decode(data []byte) (*Decoded, error) {
 		capture.U.Fill(128)
 		capture.V.Fill(128)
 	}
-	if err := decodeResidualWithCapture(r, pred, quality, capture); err != nil {
-		return nil, err
+	if err := decodeResidualWithCapture(r, pred, info.Quality, capture); err != nil {
+		frame.Release(pred)
+		frame.Release(capture)
+		return nil, Info{}, nil, err
 	}
 	info.ResidualBytes = (r.BitsRead() - residualStart + 7) / 8
 	info.MVs = mvs
 	info.Refs = refs
 
-	switch typ {
+	switch info.Type {
 	case AltRef:
 		frame.Release(d.altref)
 		d.altref = pred
@@ -145,7 +131,116 @@ func (d *Decoder) Decode(data []byte) (*Decoded, error) {
 		frame.Release(d.last)
 		d.last = pred
 	}
-	return &Decoded{Frame: pred.Clone(), Info: info, Residual: capture}, nil
+	return pred, info, capture, nil
+}
+
+// Scan parses one packet — header, motion section and residual
+// section — without predicting, transforming or allocating a frame, and
+// returns the side information anchor selection reads: Type,
+// DisplayIndex, Visible, Bytes, Quality and ResidualBytes, each exactly
+// as Decode reports it. MVs and Refs are left nil.
+//
+// Scan reads no reference state and changes none, so a chunk's packets
+// can all be scanned before any of them is reconstructed. On a decoder
+// holding a key frame it fails on exactly the packets Decode fails on;
+// the one failure it cannot see is Decode's "inter frame before any key
+// frame", which is a property of the decoder's state, not of the packet.
+func (d *Decoder) Scan(data []byte) (Info, error) {
+	r := bitstream.NewReader(data)
+	info, err := readHeader(r, len(data))
+	if err != nil {
+		return Info{}, err
+	}
+	if info.Type == Key {
+		if err := skipPlanes(r, d.w, d.h, "intra"); err != nil {
+			return Info{}, err
+		}
+		return info, nil
+	}
+	if err := readMotion(r, d.grid.NumBlocks(), nil, nil); err != nil {
+		return Info{}, err
+	}
+	residualStart := r.BitsRead()
+	if err := skipPlanes(r, d.w, d.h, "residual"); err != nil {
+		return Info{}, err
+	}
+	info.ResidualBytes = (r.BitsRead() - residualStart + 7) / 8
+	return info, nil
+}
+
+// readHeader parses a packet header (frame type, quality, display index)
+// into the Info it determines.
+func readHeader(r *bitstream.Reader, size int) (Info, error) {
+	typBits, err := r.ReadBits(2)
+	if err != nil {
+		return Info{}, fmt.Errorf("vcodec: truncated header: %w", err)
+	}
+	typ := FrameType(typBits)
+	if typ > Inter {
+		return Info{}, fmt.Errorf("vcodec: invalid frame type %d", typBits)
+	}
+	qBits, err := r.ReadBits(7)
+	if err != nil {
+		return Info{}, fmt.Errorf("vcodec: truncated header: %w", err)
+	}
+	quality := int(qBits)
+	if quality < 1 || quality > 100 {
+		return Info{}, fmt.Errorf("vcodec: corrupt quality %d", quality)
+	}
+	idx, err := r.ReadUE()
+	if err != nil {
+		return Info{}, fmt.Errorf("vcodec: truncated header: %w", err)
+	}
+	return Info{
+		DisplayIndex: int(idx),
+		Type:         typ,
+		Visible:      typ != AltRef,
+		Bytes:        size,
+		Quality:      quality,
+	}, nil
+}
+
+// readMotion parses an inter packet's n per-block (reference, vector)
+// records, storing them into mvs and refs when those are non-nil.
+func readMotion(r *bitstream.Reader, n int, mvs []frame.MotionVector, refs []uint8) error {
+	for i := 0; i < n; i++ {
+		bit, err := r.ReadBit()
+		if err != nil {
+			return fmt.Errorf("vcodec: truncated motion data: %w", err)
+		}
+		dx, err := r.ReadSE()
+		if err != nil {
+			return fmt.Errorf("vcodec: truncated motion data: %w", err)
+		}
+		dy, err := r.ReadSE()
+		if err != nil {
+			return fmt.Errorf("vcodec: truncated motion data: %w", err)
+		}
+		if mvs != nil {
+			refs[i] = uint8(bit)
+			mvs[i] = frame.MotionVector{DX: int(dx), DY: int(dy)}
+		}
+	}
+	return nil
+}
+
+// skipPlanes consumes the coefficient codes of every 8×8 block of a w×h
+// frame's three planes, failing with the error the reconstructing parse
+// reports for the same block; what names the section ("intra" or
+// "residual") as that error does.
+func skipPlanes(r *bitstream.Reader, w, h int, what string) error {
+	bs := transform.BlockSize
+	cw, ch := (w+1)/2, (h+1)/2
+	for _, dim := range [3][2]int{{w, h}, {cw, ch}, {cw, ch}} {
+		nbx := (dim[0] + bs - 1) / bs
+		n := nbx * ((dim[1] + bs - 1) / bs)
+		for i := 0; i < n; i++ {
+			if err := bitstream.SkipCoeffs(r, 64); err != nil {
+				return fmt.Errorf("vcodec: %s block (%d,%d): %w", what, (i%nbx)*bs, (i/nbx)*bs, err)
+			}
+		}
+	}
+	return nil
 }
 
 // DecodeStream decodes every packet of a stream in order.

@@ -33,7 +33,7 @@ type Encoder struct {
 
 // NewEncoder validates cfg and returns a ready encoder.
 func NewEncoder(cfg Config) (*Encoder, error) {
-	if err := cfg.validate(); err != nil {
+	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
 	return &Encoder{
@@ -220,7 +220,7 @@ func encodeIntraPlanes(w *bitstream.Writer, f *frame.Frame, quality int) {
 	scan := make([]int32, 64)
 	for _, p := range f.Planes() {
 		nbx, _, n := planeBlocks(p)
-		transformBlock := func(i int, b *transform.Block) {
+		transformBlock := func(i int, b *transform.Block, scan []int32) {
 			bs := transform.BlockSize
 			bx, by := (i%nbx)*bs, (i/nbx)*bs
 			if bx+bs <= p.W && by+bs <= p.H {
@@ -240,12 +240,12 @@ func encodeIntraPlanes(w *bitstream.Writer, f *frame.Frame, quality int) {
 				}
 			}
 			transform.FDCT(b, b)
-			table.Quantize(b)
+			table.QuantizeZigzag(scan, b)
 		}
-		writeBlock := func(b *transform.Block, prevDC int32) int32 {
-			dc := b[0]
-			b[0] -= prevDC
-			transform.Zigzag(scan, b)
+		writeBlock := func(scan []int32, prevDC int32) int32 {
+			// The DC sits at scan position 0.
+			dc := scan[0]
+			scan[0] -= prevDC
 			bitstream.WriteCoeffs(w, scan)
 			return dc
 		}
@@ -254,8 +254,8 @@ func encodeIntraPlanes(w *bitstream.Writer, f *frame.Frame, quality int) {
 			prevDC := int32(0)
 			var b transform.Block
 			for i := 0; i < n; i++ {
-				transformBlock(i, &b)
-				prevDC = writeBlock(&b, prevDC)
+				transformBlock(i, &b, scan)
+				prevDC = writeBlock(scan, prevDC)
 			}
 			continue
 		}
@@ -263,13 +263,12 @@ func encodeIntraPlanes(w *bitstream.Writer, f *frame.Frame, quality int) {
 		par.For(n, blockGrain, func(lo, hi int) {
 			var b transform.Block
 			for i := lo; i < hi; i++ {
-				transformBlock(i, &b)
-				copy(coeffs[i*64:(i+1)*64], b[:])
+				transformBlock(i, &b, coeffs[i*64:(i+1)*64])
 			}
 		})
 		prevDC := int32(0)
 		for i := 0; i < n; i++ {
-			prevDC = writeBlock((*transform.Block)(coeffs[i*64:(i+1)*64]), prevDC)
+			prevDC = writeBlock(coeffs[i*64:(i+1)*64], prevDC)
 		}
 		coeffPool.Put(coeffs)
 	}
@@ -320,8 +319,7 @@ func encodeResidualPlanes(w *bitstream.Writer, src, pred *frame.Frame, quality i
 				return
 			}
 			transform.FDCT(b, b)
-			table.Quantize(b)
-			transform.Zigzag(scan, b)
+			table.QuantizeZigzag(scan, b)
 		}
 		if par.Workers() == 1 {
 			scan := make([]int32, 64)
