@@ -11,7 +11,7 @@ test:
 	go test ./...
 
 race:
-	go test -race ./internal/par ./internal/vcodec ./internal/sr ./internal/frame ./internal/icodec ./internal/metrics ./internal/wire ./internal/media ./internal/sched ./internal/edge
+	go test -race ./internal/par ./internal/vcodec ./internal/sr ./internal/frame ./internal/icodec ./internal/metrics ./internal/wire ./internal/media ./internal/sched ./internal/edge ./internal/flight
 
 # lint always runs nslint (self-contained, no downloads); staticcheck and
 # govulncheck run when installed. To install the pinned versions CI uses:
@@ -58,13 +58,11 @@ fuzz-smoke:
 chaos-overload:
 	go test -race -timeout 15m -run 'TestJobQueue|TestTokenBucket|TestBrownout|TestPoolBackoffBoundedByDeadline|TestPoolBreakerHalfOpenExactlyOnce|TestEnhancerServerTypedOverloadReplies|TestIngestTokenBucket|TestMetricsEndpoint|TestChaosOverloadBurstBoundedLatency|TestChaosGrayFailureContainedByDeadlines|TestDeadlineNoOpByteIdentical' ./internal/media
 
-# Delivery tier: edge concurrency tests under the race detector, the
-# fanout loadgen test, and one iteration of the cached-vs-pass-through
-# fanout benchmark (mirrors the delivery-fanout CI job).
+# Delivery tier: edge concurrency tests under the race detector, then
+# the whole edge package (mirrors the delivery-fanout CI job).
 delivery-fanout:
 	go test -race -timeout 10m -run 'TestEdgeSingleFlight|TestEdgeSubscribeFanout|TestEdgeUpstreamChaos' ./internal/edge
-	go test -timeout 10m -run 'TestRunFanout' ./internal/driver
-	go test -run xxx -bench 'BenchmarkEdgeFanout' -benchtime 1x -timeout 15m ./internal/driver
+	go test -timeout 10m ./internal/edge
 
 # cmd/nsbench is a module of its own, so build/test/nslint above never
 # compile it although it wraps media's public types (EnhancerPool, the

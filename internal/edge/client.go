@@ -146,10 +146,3 @@ func (c *Client) NextPush(timeout time.Duration) (Push, error) {
 		return Push{}, ErrNoPush
 	}
 }
-
-// Heartbeat round-trips a liveness probe (and resets the edge's idle
-// reaper for quiet subscriber conns).
-func (c *Client) Heartbeat() error {
-	_, err := c.roundTrip(wire.Message{Type: wire.TypePing}, wire.TypePong)
-	return err
-}

@@ -10,6 +10,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"github.com/neuroscaler/neuroscaler/internal/flight"
 	"github.com/neuroscaler/neuroscaler/internal/media"
 	"github.com/neuroscaler/neuroscaler/internal/par"
 	"github.com/neuroscaler/neuroscaler/internal/wire"
@@ -51,10 +52,6 @@ type Config struct {
 	// DialUpstream overrides how origin connections are made (fault
 	// injection, wrapped conns); nil uses net.Dial.
 	DialUpstream func(addr string) (net.Conn, error)
-	// PassThrough disables the cache AND single-flight coalescing:
-	// every fetch goes upstream. This is the no-cache baseline the
-	// fanout benchmarks compare against; production edges leave it off.
-	PassThrough bool
 	// Logf sinks diagnostics; nil discards.
 	Logf func(format string, args ...any)
 }
@@ -96,7 +93,7 @@ type Edge struct {
 	// srv owns the listener, the live viewer conns and their handlers.
 	srv       *wire.Server
 	cache     *Cache
-	flights   *flightGroup
+	flights   *flight.Group[Key, *entry]
 	pool      par.SlabPool[byte]
 	upstreams chan *upstreamConn
 
@@ -147,7 +144,7 @@ func NewEdge(addr string, cfg Config) (*Edge, error) {
 	e := &Edge{
 		cfg:         cfg,
 		cache:       NewCache(cfg.CacheBytes, DefaultShards),
-		flights:     newFlightGroup(),
+		flights:     flight.New[Key, *entry](grant, (*entry).release),
 		upstreams:   make(chan *upstreamConn, DefaultUpstreamConns),
 		closed:      make(chan struct{}),
 		subs:        make(map[uint32]map[*subscriber]struct{}),
@@ -273,49 +270,35 @@ func (e *Edge) handleFetch(c *wire.Conn, msg wire.Message) error {
 }
 
 // getChunk resolves a key to a refcounted entry: cache first, then the
-// per-key flight (joining an airborne fetch if one exists, else leading
+// key's flight (waiting on an airborne fetch if one exists, else leading
 // one). The caller owns one reference on the returned entry.
 func (e *Edge) getChunk(k Key, deadline time.Time) (ent *entry, hit bool, err error) {
-	if e.cfg.PassThrough {
-		e.misses.Add(1)
-		ent, err = e.fetchUpstream(k, deadline)
-		return ent, false, err
-	}
 	if ent, ok := e.cache.Get(k); ok {
 		e.hits.Add(1)
 		return ent, true, nil
 	}
-	f, leader := e.flights.join(k)
+	f, leader := e.flights.Join(k)
 	if !leader {
 		e.coalescedWaits.Add(1)
-		// Wait only as long as this request's own budget allows: the
-		// leader's fetch is bounded by the *leader's* deadline, which may
-		// be later than ours.
-		wait := time.NewTimer(time.Until(deadline))
-		defer wait.Stop()
-		select {
-		case <-f.done:
-		case <-wait.C:
-			e.flights.abandon(f)
-			return nil, false, fmt.Errorf("edge: budget exhausted waiting on in-flight fetch of stream %d chunk %d", k.Stream, k.Seq)
-		}
-		if f.err != nil {
-			return nil, false, f.err
-		}
-		return f.ent, false, nil
+		ent, err = e.flights.Wait(f, deadline)
+		return ent, false, err
 	}
 	e.misses.Add(1)
 	ent, err = e.fetchUpstream(k, deadline)
 	if err == nil && !e.cache.Admit(ent) {
 		e.admissionRejects.Add(1)
 	}
-	// Admit-then-complete: by the time waiters can refetch, the cache
-	// already holds the entry (or admission deliberately declined it).
-	e.flights.complete(k, f, ent, err)
-	if err != nil {
-		return nil, false, err
-	}
-	return ent, false, nil
+	// Admit-then-complete: by the time the key retires, the cache already
+	// holds the entry (or admission deliberately declined it).
+	e.flights.Complete(k, f, ent, err)
+	return ent, false, err
+}
+
+// grant mints one coalesced waiter's own reference to a published entry;
+// the flight group calls it once per waiter before waking any of them.
+func grant(ent *entry) *entry {
+	ent.retain()
+	return ent
 }
 
 func (e *Edge) handleSubscribe(c *wire.Conn, msg wire.Message) error {

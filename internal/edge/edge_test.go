@@ -347,6 +347,58 @@ func TestEdgeSubscribeFanout(t *testing.T) {
 	if got := e.Counters().FanoutPushes; got != chunks {
 		t.Errorf("fanout pushes = %d, want %d", got, chunks)
 	}
+
+	// Pullers and subscribers mixed on a lazy origin: however the
+	// concurrent pulls interleave, each distinct chunk costs at most one
+	// edge miss and one enhancement (one anchor per test chunk).
+	streams := []uint32{11, 12}
+	lazy := startOrigin(t, true, streams, chunks)
+	le := startEdge(t, lazy, Config{})
+	var wg sync.WaitGroup
+	errs := make(chan error, 3*len(streams))
+	for _, id := range streams {
+		s, err := Dial(le.Addr(), 30*time.Second)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer s.Close()
+		if err := s.Subscribe(id, 0, 0); err != nil {
+			t.Fatal(err)
+		}
+		for v := 0; v < 3; v++ {
+			c, err := Dial(le.Addr(), 30*time.Second)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer c.Close()
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for seq := 0; seq < chunks; seq++ {
+					if _, err := c.FetchChunk(id, uint32(seq), 0); err != nil {
+						errs <- fmt.Errorf("stream %d chunk %d: %w", id, seq, err)
+						return
+					}
+				}
+			}()
+		}
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
+	}
+	distinct := uint64(len(streams) * chunks)
+	lc := le.Counters()
+	if lc.CacheMisses > distinct {
+		t.Errorf("lazy origin: edge misses = %d, want <= %d distinct chunks", lc.CacheMisses, distinct)
+	}
+	if calls := lazy.pool.Counters().Calls; calls > distinct {
+		t.Errorf("lazy origin: enhancer pool calls = %d, want <= %d distinct chunks", calls, distinct)
+	}
+	if lc.FanoutPushes < uint64(len(streams)) {
+		t.Errorf("lazy origin: fanout pushes = %d, want >= one per subscribed stream", lc.FanoutPushes)
+	}
 }
 
 // TestEdgeUpstreamChaos drives the origin link through a fault gate:

@@ -9,7 +9,7 @@ import (
 
 // budgetflowPkgs are the serving-path packages where every deadline must
 // trace back to a budget and every wait must honor one.
-var budgetflowPkgs = []string{"media", "edge", "wire"}
+var budgetflowPkgs = []string{"media", "edge", "wire", "flight"}
 
 // BudgetFlow is the source-sink taint check over deadline values: connio
 // demands that conn I/O *has* a deadline; budgetflow demands it is the

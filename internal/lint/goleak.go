@@ -7,7 +7,7 @@ import (
 // goLeakPkgs are the packages whose goroutines must be joinable: the
 // serving path and its direct infrastructure. Binaries under cmd/ and
 // examples/ own process-lifetime goroutines and are out of scope.
-var goLeakPkgs = []string{"media", "wire", "sched", "enhance", "par", "driver", "faults", "edge"}
+var goLeakPkgs = []string{"media", "wire", "sched", "enhance", "par", "driver", "faults", "edge", "flight"}
 
 // GoLeak requires statically-visible join evidence for every spawned
 // goroutine: the Server accept loop, the EnhancerPool heartbeat, and

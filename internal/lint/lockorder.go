@@ -10,7 +10,7 @@ import (
 // lockOrderPkgs are the packages whose mutexes participate in the
 // repo-wide acquisition graph: the serving-path state machines that can
 // deadlock against each other.
-var lockOrderPkgs = []string{"media", "sched", "wire"}
+var lockOrderPkgs = []string{"media", "sched", "wire", "flight"}
 
 // LockOrder lifts lockhold's per-function view into a repo-wide
 // lock-acquisition graph. Where lockhold sees only lexical nesting,

@@ -27,7 +27,8 @@ import (
 //   - every retain() grant must be followed by a handoff — a store,
 //     send, return, or call taking the handle — because a retain whose
 //     reference goes nowhere is an unreleasable leak by construction
-//     (the single-flight waiter-grant shape in flightGroup.complete).
+//     (the single-flight waiter-grant shape of the edge's grant, which
+//     flight.Group.Complete calls once per waiter).
 var RefBalance = &Analyzer{
 	Name: "refbalance",
 	Doc: "balance refcounted handle acquisitions (Cache.Get, constructors, retain grants) " +

@@ -188,6 +188,83 @@ func TestOriginBuildSingleFlight(t *testing.T) {
 	}
 }
 
+// slowEnhancer spends delay on every anchor before handing it to a
+// LocalEnhancer, which expires the anchor if its deadline passed
+// meanwhile.
+type slowEnhancer struct {
+	local *LocalEnhancer
+	delay time.Duration
+}
+
+func (e slowEnhancer) Register(streamID uint32, h wire.Hello) error {
+	return e.local.Register(streamID, h)
+}
+
+func (e slowEnhancer) Enhance(streamID uint32, job wire.AnchorJob) (wire.AnchorResult, error) {
+	time.Sleep(e.delay)
+	return e.local.Enhance(streamID, job)
+}
+
+// TestLazyShortBudgetNotWrittenBack: a fetch whose budget runs out
+// mid-build is served a degraded chunk, but the store keeps the chunk
+// pending, so the next fetch with room to finish builds it in full —
+// byte-identical to the eager build — and writes that back as final.
+func TestLazyShortBudgetNotWrittenBack(t *testing.T) {
+	provider, store := contentOracle(t, testGOP)
+	local, err := NewLocalEnhancer(provider)
+	if err != nil {
+		t.Fatal(err)
+	}
+	eager, err := NewServer("127.0.0.1:0", local, ServerConfig{AnchorFraction: 0.10, Logf: t.Logf})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer eager.Close()
+	slow, err := NewLocalEnhancer(provider)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lazy, err := NewServer("127.0.0.1:0", slowEnhancer{local: slow, delay: 50 * time.Millisecond}, ServerConfig{
+		AnchorFraction: 0.10, LazyEnhancement: true, Logf: t.Logf,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer lazy.Close()
+	ingestStream(t, eager.Addr(), 5, store, 1)
+	ingestStream(t, lazy.Addr(), 5, store, 1)
+	want, err := eager.Store().Chunk(5, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	short, err := fetchChunkRaw(t, lazy.Addr(), 5, 0, 20*time.Millisecond)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !short.Degraded {
+		t.Fatal("fetch with a 20ms budget over a 50ms/anchor enhancer was not degraded")
+	}
+	if _, _, pending, err := lazy.Store().ChunkState(5, 0); err != nil || !pending {
+		t.Fatalf("after the short fetch: pending=%v err=%v, want the chunk still pending", pending, err)
+	}
+
+	full, err := fetchChunkRaw(t, lazy.Addr(), 5, 0, time.Minute)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if full.Degraded || !bytes.Equal(full.Data, want) {
+		t.Fatalf("second fetch: degraded=%v identical=%v, want the full eager bytes", full.Degraded, bytes.Equal(full.Data, want))
+	}
+	data, degraded, pending, err := lazy.Store().ChunkState(5, 0)
+	if err != nil || pending || degraded || !bytes.Equal(data, want) {
+		t.Fatalf("store after the full build: pending=%v degraded=%v err=%v identical=%v", pending, degraded, err, bytes.Equal(data, want))
+	}
+	if got := lazy.Counters().LazyBuilds; got != 2 {
+		t.Errorf("LazyBuilds = %d, want 2 (the short build, then the full one)", got)
+	}
+}
+
 // TestFetchErrorsAreNonFatal pins the delivery-tier contract that a
 // stale or malformed *request* for data never tears down the shared
 // connection: unknown chunks and unsupported qualities answer with

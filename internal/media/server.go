@@ -1,6 +1,7 @@
 package media
 
 import (
+	"cmp"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -16,6 +17,7 @@ import (
 	"time"
 
 	"github.com/neuroscaler/neuroscaler/internal/anchor"
+	"github.com/neuroscaler/neuroscaler/internal/flight"
 	"github.com/neuroscaler/neuroscaler/internal/hybrid"
 	"github.com/neuroscaler/neuroscaler/internal/icodec"
 	"github.com/neuroscaler/neuroscaler/internal/par"
@@ -78,7 +80,9 @@ type ServerConfig struct {
 	// deadline-free (the legacy behavior); chunks that do carry a wire
 	// budget always use it. The budget is the chunk's whole
 	// admit-to-store allowance: decode, selection, enhancement (including
-	// the pool's retry ladder), and packaging all spend from it.
+	// the pool's retry ladder), and packaging all spend from it. A
+	// fetch without a wire budget gets it too, for the lazy build it
+	// leads or its wait on one.
 	DefaultChunkBudget time.Duration
 	// StreamChunkRate, when positive, rate-limits chunk admission per
 	// stream to this many chunks per second (token bucket of
@@ -107,11 +111,6 @@ type ServerConfig struct {
 	// amortization mode: enhancement cost becomes per-catalog-entry, paid
 	// only for chunks somebody watches.
 	LazyEnhancement bool
-	// LazyNoRetain, with LazyEnhancement, drops the built container
-	// after serving instead of writing it back to the store, so every
-	// fetch re-enhances. It models the un-amortized pass-through
-	// baseline (or a storage-constrained origin) for benchmarks.
-	LazyNoRetain bool
 	// Logf receives diagnostics; nil uses the standard logger.
 	Logf func(string, ...any)
 }
@@ -249,12 +248,9 @@ type Server struct {
 	// reader → decode stage → package stage, which alone may Put.
 	ingestArena par.SlabPool[byte]
 
-	// buildMu serializes the lazy-build single flight; builds is guarded
-	// by buildMu. Each in-flight fetch-time enhancement build has one
-	// entry; concurrent fetches of the same chunk join it instead of
-	// re-enhancing.
-	buildMu sync.Mutex
-	builds  map[buildKey]*buildCall
+	// builds coalesces concurrent fetches of one pending chunk into one
+	// fetch-time enhancement build (see handleFetch).
+	builds *flight.Group[chunkKey, wire.ChunkData]
 
 	mu sync.Mutex
 	// streams is guarded by mu.
@@ -354,7 +350,7 @@ func NewServer(addr string, enhancer AnchorEnhancer, cfg ServerConfig) (*Server,
 		queueDelayHist: NewLatencyHist(),
 		admitStoreHist: NewLatencyHist(),
 		anchorSlots:    make(chan struct{}, cfg.MaxInFlightAnchors),
-		builds:         make(map[buildKey]*buildCall),
+		builds:         flight.New[chunkKey, wire.ChunkData](nil, nil),
 		streams:        make(map[uint32]*serverStream),
 	}
 	s.srv = wire.Serve(ln, DefaultIdleTimeout, DefaultWriteTimeout, cfg.Logf, s.serveIngest)
@@ -520,12 +516,13 @@ func (s *Server) serveIngest(conn *wire.Conn) error {
 		case wire.TypeChunk:
 			s.admitChunk(job)
 		case wire.TypeFetchChunk:
-			// A fetch's wire budget bounds any lazy enhancement build it
-			// triggers; the deadline is re-derived here from arrival time
-			// (relative-budget semantics, as with chunks).
+			// A fetch's deadline bounds the lazy build it leads or its wait
+			// on one another fetch leads. It is derived like a chunk's: from
+			// arrival time (relative-budget semantics), the wire budget
+			// winning over DefaultChunkBudget.
 			job.admitted = time.Now()
-			if msg.Budget > 0 {
-				job.deadline = job.admitted.Add(msg.Budget)
+			if budget := cmp.Or(msg.Budget, s.cfg.DefaultChunkBudget); budget > 0 {
+				job.deadline = job.admitted.Add(budget)
 			}
 		default:
 			// Unstamped frame types ride through untouched: the decode
@@ -774,6 +771,8 @@ type pendingChunk struct {
 	// pending marks a lazy-enhancement chunk stored packets-only with
 	// its build deferred to first fetch (not degraded, not final).
 	pending bool
+	// expired marks a chunk that lost an anchor to its deadline budget.
+	expired bool
 }
 
 // enhanceJobs is the server's one dispatch: it runs jobs as a single
@@ -939,6 +938,7 @@ func (s *Server) assembleChunk(pc *pendingChunk, deadline time.Time) ([]byte, bo
 		if out.Err != nil {
 			if errors.Is(out.Err, ErrDeadlineExceeded) {
 				s.counters.anchorsExpired.Add(1)
+				pc.expired = true
 			} else {
 				s.counters.anchorsDropped.Add(1)
 			}
@@ -990,19 +990,10 @@ func (s *Server) packageChunk(p *ingestPipeline, job *ingestJob) {
 	p.send(wire.Message{Type: wire.TypeAck, StreamID: pc.streamID, Seq: uint32(seq)})
 }
 
-// buildKey identifies one chunk's fetch-time enhancement build.
-type buildKey struct {
-	streamID uint32
-	seq      int
-}
-
-// buildCall is one in-flight lazy build; done closes once data,
-// degraded, and err are final.
-type buildCall struct {
-	done     chan struct{}
-	data     []byte
-	degraded bool
-	err      error
+// chunkKey names one stored chunk: the key of its fetch-time build.
+type chunkKey struct {
+	stream uint32
+	seq    int
 }
 
 // handleFetch answers one TypeFetchChunk request from the package stage
@@ -1023,119 +1014,86 @@ func (s *Server) handleFetch(p *ingestPipeline, job *ingestJob) {
 		reply(fmt.Errorf("media: origin serves quality 0 only, not %d", req.Quality))
 		return
 	}
-	data, degraded, pending, err := s.store.ChunkState(msg.StreamID, int(req.Seq))
+	cd := wire.ChunkData{Seq: req.Seq}
+	var pending bool
+	cd.Data, cd.Degraded, pending, err = s.store.ChunkState(msg.StreamID, int(req.Seq))
+	if err == nil && pending {
+		// Concurrent fetches of one pending chunk share one build. Each
+		// waits only as long as its own deadline; the leader's deadline
+		// bounds the build. The leader completes after buildChunk's
+		// write-back, so a fetch that finds the key retired reads the
+		// final chunk instead of starting a second build.
+		k := chunkKey{stream: msg.StreamID, seq: int(req.Seq)}
+		if c, leader := s.builds.Join(k); leader {
+			cd, err = s.buildChunk(k, job.deadline)
+			s.builds.Complete(k, c, cd, err)
+		} else {
+			cd, err = s.builds.Wait(c, job.deadline)
+		}
+	}
 	if err != nil {
 		reply(err)
 		return
 	}
-	if pending {
-		data, degraded, err = s.buildEnhanced(msg.StreamID, int(req.Seq), job.deadline)
-		if err != nil {
-			reply(err)
-			return
-		}
-	}
 	s.counters.fetchesServed.Add(1)
-	out := wire.Message{
+	p.send(wire.Message{
 		Type:     wire.TypeChunkData,
 		StreamID: msg.StreamID,
 		Seq:      msg.Seq,
-		Payload:  wire.EncodeChunkData(wire.ChunkData{Seq: req.Seq, Data: data, Degraded: degraded}),
-	}
-	p.send(out)
-}
-
-// buildEnhanced is the origin-side single flight around the fetch-time
-// enhancement build: concurrent fetches of the same pending chunk share
-// one build (and its result) instead of re-enhancing. The leader's
-// deadline bounds the build; joiners inherit the shared outcome even if
-// their own budgets differ, because a result built under any deadline
-// is byte-identical or a typed error.
-func (s *Server) buildEnhanced(streamID uint32, seq int, deadline time.Time) ([]byte, bool, error) {
-	key := buildKey{streamID: streamID, seq: seq}
-	s.buildMu.Lock()
-	if c, ok := s.builds[key]; ok {
-		s.buildMu.Unlock()
-		// Joiners wait out their own budget, not the leader's: a fetch
-		// with no wire budget falls back to the config backstop so a
-		// wedged build cannot strand it forever.
-		joinDeadline := deadline
-		if joinDeadline.IsZero() && s.cfg.DefaultChunkBudget > 0 {
-			joinDeadline = time.Now().Add(s.cfg.DefaultChunkBudget)
-		}
-		if joinDeadline.IsZero() {
-			<-c.done //nslint:disable budgetflow -- no wire budget and no configured backstop: unbounded by operator choice
-			return c.data, c.degraded, c.err
-		}
-		wait := time.NewTimer(time.Until(joinDeadline))
-		defer wait.Stop()
-		select {
-		case <-c.done:
-		case <-wait.C:
-			return nil, false, ErrDeadlineExceeded
-		}
-		return c.data, c.degraded, c.err
-	}
-	c := &buildCall{done: make(chan struct{})}
-	s.builds[key] = c
-	s.buildMu.Unlock()
-
-	c.data, c.degraded, c.err = s.buildChunk(streamID, seq, deadline)
-
-	// Write-back (when retained) happens in buildChunk before the flight
-	// entry is removed, so a fetch arriving after the delete sees the
-	// finished chunk, never a second build.
-	s.buildMu.Lock()
-	delete(s.builds, key)
-	s.buildMu.Unlock()
-	close(c.done)
-	return c.data, c.degraded, c.err
+		Payload:  wire.EncodeChunkData(cd),
+	})
 }
 
 // buildChunk runs one deferred enhancement build: prepareChunk over the
-// stored packets-only container on a fresh decoder, then assemble. When
-// retention is on the finished container replaces the pending one.
-func (s *Server) buildChunk(streamID uint32, seq int, deadline time.Time) ([]byte, bool, error) {
+// stored packets-only container on a fresh decoder, then assemble, then
+// write the finished container back over the pending one.
+//
+// A build that lost an anchor to its deadline is served to its own
+// flight but not written back: the chunk stays pending, so the next
+// fetch builds it in full and one short budget cannot degrade it for
+// good. Anchors dropped or rejected for other reasons still write back —
+// availability over quality, as at eager ingest.
+func (s *Server) buildChunk(k chunkKey, deadline time.Time) (wire.ChunkData, error) {
+	cd := wire.ChunkData{Seq: uint32(k.seq)}
 	s.mu.Lock()
-	st := s.streams[streamID]
+	st := s.streams[k.stream]
 	s.mu.Unlock()
 	if st == nil {
-		return nil, false, fmt.Errorf("media: unknown stream %d", streamID)
+		return cd, fmt.Errorf("media: unknown stream %d", k.stream)
 	}
-	stored, degraded, pending, err := s.store.ChunkState(streamID, seq)
-	if err != nil {
-		return nil, false, err
+	stored, degraded, pending, err := s.store.ChunkState(k.stream, k.seq)
+	if err != nil || !pending {
+		// Not pending: raced a concurrent build's write-back, so the
+		// chunk is final.
+		cd.Data, cd.Degraded = stored, degraded
+		return cd, err
 	}
-	if !pending {
-		// Raced a concurrent build's write-back: the chunk is final.
-		return stored, degraded, nil
-	}
-	pc := &pendingChunk{streamID: streamID, st: st, container: new(hybrid.Container)}
+	pc := &pendingChunk{streamID: k.stream, st: st, container: new(hybrid.Container)}
 	if err := pc.container.UnmarshalBinary(stored); err != nil {
-		return nil, false, fmt.Errorf("media: stream %d chunk %d: %w", streamID, seq, err)
+		return cd, fmt.Errorf("media: stream %d chunk %d: %w", k.stream, k.seq, err)
 	}
 	dec, err := vcodec.NewDecoder(st.hello.Config.Width, st.hello.Config.Height)
 	if err != nil {
-		return nil, false, err
+		return cd, err
 	}
 	dec.CaptureResidual = false
 	if err := s.prepareChunk(pc, dec, deadline); err != nil {
-		return nil, false, err
+		return cd, err
 	}
 	s.dispatchAnchors(pc)
-	data, builtDegraded, err := s.assembleChunk(pc, deadline)
-	if err != nil {
-		return nil, false, err
+	if cd.Data, cd.Degraded, err = s.assembleChunk(pc, deadline); err != nil {
+		return cd, err
 	}
 	s.counters.lazyBuilds.Add(1)
-	if !s.cfg.LazyNoRetain {
-		if err := s.store.ReplaceChunk(streamID, seq, data, builtDegraded); err != nil {
-			// The chunk fell out of the retention window mid-build; the
-			// requester still gets the bytes.
-			s.cfg.Logf("media: stream %d chunk %d write-back: %v", streamID, seq, err)
-		}
+	if pc.expired {
+		return cd, nil
 	}
-	return data, builtDegraded, nil
+	if err := s.store.ReplaceChunk(k.stream, k.seq, cd.Data, cd.Degraded); err != nil {
+		// The chunk fell out of the retention window mid-build; the
+		// requester still gets the bytes.
+		s.cfg.Logf("media: stream %d chunk %d write-back: %v", k.stream, k.seq, err)
+	}
+	return cd, nil
 }
 
 // validateAnchor rejects enhancer results that would poison the
