@@ -30,7 +30,7 @@ func (k Key) hash() uint64 {
 // The slab holds a complete ChunkData payload as read off the upstream
 // wire. prefix aliases all of it except the trailing per-delivery flags
 // byte: every delivery writes the shared prefix plus a fresh 1-byte
-// tail (wire.WriteShared), so hit fanout re-marshals nothing and the
+// tail (wire.Conn.WriteShared), so hit fanout re-marshals nothing and the
 // frame CRC extends from crcPrefix in O(1).
 type entry struct {
 	key       Key

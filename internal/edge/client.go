@@ -59,12 +59,13 @@ func Dial(addr string, timeout time.Duration) (*Client, error) {
 func (c *Client) Close() error { return c.mux.Close() }
 
 // queuePush decodes one unsolicited frame into the backlog. It runs on
-// the Mux's reader goroutine and never blocks.
+// the Mux's reader goroutine and never blocks. The chunk aliases the
+// payload, which the Mux allocated for this frame alone.
 func (c *Client) queuePush(msg wire.Message) {
 	if msg.Type != wire.TypeChunkData {
 		return
 	}
-	cd, err := wire.DecodeChunkData(msg.Payload)
+	cd, err := wire.DecodeChunkDataAlias(msg.Payload)
 	if err != nil {
 		return
 	}
@@ -102,7 +103,9 @@ func (c *Client) roundTrip(m wire.Message, want wire.Type) (wire.Message, error)
 
 // FetchChunk requests one chunk, stamping the client timeout as the
 // request's end-to-end budget so the edge and origin shed work the
-// viewer has already abandoned.
+// viewer has already abandoned. The returned Data is the caller's: it
+// aliases the reply payload, which the Mux allocated for this frame
+// alone.
 func (c *Client) FetchChunk(streamID uint32, seq uint32, quality uint8) (wire.ChunkData, error) {
 	reply, err := c.roundTrip(wire.Message{
 		Type: wire.TypeFetchChunk, StreamID: streamID, Budget: c.timeout,
@@ -111,7 +114,7 @@ func (c *Client) FetchChunk(streamID uint32, seq uint32, quality uint8) (wire.Ch
 	if err != nil {
 		return wire.ChunkData{}, err
 	}
-	cd, err := wire.DecodeChunkData(reply.Payload)
+	cd, err := wire.DecodeChunkDataAlias(reply.Payload)
 	if err != nil {
 		return wire.ChunkData{}, fmt.Errorf("edge: fetch reply: %w", err)
 	}

@@ -253,10 +253,9 @@ func (e *Edge) handleFetch(c *wire.Conn, msg wire.Message) error {
 		return c.Write(wire.ErrorReply(msg, err))
 	}
 	e.fetchesServed.Add(1)
-	tail := [1]byte{wire.ChunkDataFlags(ent.degraded, hit)}
 	werr := c.WriteShared(wire.Message{
 		Type: wire.TypeChunkData, StreamID: k.Stream, Seq: msg.Seq,
-	}, ent.prefix, tail[:], ent.crcPrefix)
+	}, ent.prefix, wire.ChunkDataTail(ent.degraded, hit), ent.crcPrefix)
 	if hit {
 		e.hitLatency.Observe(time.Since(start))
 	} else {
@@ -337,10 +336,10 @@ func (e *Edge) fanout(k Key, ent *entry) {
 	if len(targets) == 0 {
 		return
 	}
-	tail := [1]byte{wire.ChunkDataFlags(ent.degraded, true)}
+	tail := wire.ChunkDataTail(ent.degraded, true)
 	msg := wire.Message{Type: wire.TypeChunkData, StreamID: k.Stream, Seq: 0}
 	for _, sub := range targets {
-		if err := sub.c.WriteShared(msg, ent.prefix, tail[:], ent.crcPrefix); err != nil {
+		if err := sub.c.WriteShared(msg, ent.prefix, tail, ent.crcPrefix); err != nil {
 			e.cfg.Logf("edge: push to %s: %v", sub.c.RemoteAddr(), err)
 			e.removeSubscriber(sub)
 			continue

@@ -401,6 +401,57 @@ func TestEdgeSubscribeFanout(t *testing.T) {
 	}
 }
 
+// TestClientChunksOwnTheirBytes: the client decodes a reply in place, so
+// pin that every delivery still owns its Data — two fetches of one key
+// and the push of it share no memory with each other.
+func TestClientChunksOwnTheirBytes(t *testing.T) {
+	origin := startOrigin(t, false, []uint32{4}, 1)
+	e := startEdge(t, origin, Config{})
+	c, err := Dial(e.Addr(), 30*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	if err := c.Subscribe(4, 0, 0); err != nil {
+		t.Fatal(err)
+	}
+	miss, err := c.FetchChunk(4, 0, 0) // the miss is pushed to the subscription too
+	if err != nil {
+		t.Fatal(err)
+	}
+	hit, err := c.FetchChunk(4, 0, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	push, err := c.NextPush(10 * time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := origin.srv.Store().Chunk(4, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := [][]byte{miss.Data, hit.Data, push.Chunk.Data}
+	for i := range got {
+		if !bytes.Equal(got[i], want) {
+			t.Fatalf("delivery %d differs from the stored chunk", i)
+		}
+	}
+	for i := range got {
+		for j := range got[i] {
+			got[i][j] ^= 0xFF
+		}
+		for k := range got {
+			if k != i && !bytes.Equal(got[k], want) {
+				t.Errorf("writing delivery %d changed delivery %d: they share memory", i, k)
+			}
+		}
+		for j := range got[i] {
+			got[i][j] ^= 0xFF
+		}
+	}
+}
+
 // TestEdgeUpstreamChaos drives the origin link through a fault gate:
 // with the link dead, fetches fail with typed errors but cached chunks
 // keep serving and viewer conns survive; after revival the edge redials

@@ -185,12 +185,14 @@ func connIOCall(pass *Pass, call *ast.CallExpr) (ioDir, string, bool) {
 	default:
 		return 0, "", false
 	}
+	// Lower-cased so a package's own unexported framing helpers (wire's
+	// readFrame, frameWriter.writeFrame) count like the exported ones.
 	var dir ioDir
-	name := fn.Name()
+	name := strings.ToLower(fn.Name())
 	switch {
-	case strings.HasPrefix(name, "Read") || strings.HasPrefix(name, "Decode"):
+	case strings.HasPrefix(name, "read") || strings.HasPrefix(name, "decode"):
 		dir = ioRead
-	case strings.HasPrefix(name, "Write") || strings.HasPrefix(name, "Encode") || name == "Copy":
+	case strings.HasPrefix(name, "write") || strings.HasPrefix(name, "encode") || name == "copy":
 		dir = ioWrite
 	default:
 		return 0, "", false

@@ -117,6 +117,8 @@ func TestConnIOFixture(t *testing.T) { runFixture(t, ConnIO, "connio/media") }
 
 func TestConnIOOutOfScope(t *testing.T) { runFixture(t, ConnIO, "connio/other") }
 
+func TestConnIOUnexportedHelpers(t *testing.T) { runFixture(t, ConnIO, "connio/wire") }
+
 func TestLockHoldFixture(t *testing.T) { runFixture(t, LockHold, "lockhold/sched") }
 
 func TestSeqSafeFixture(t *testing.T) { runFixture(t, SeqSafe, "seqsafe/media") }

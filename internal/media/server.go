@@ -1036,12 +1036,11 @@ func (s *Server) handleFetch(p *ingestPipeline, job *ingestJob) {
 		return
 	}
 	s.counters.fetchesServed.Add(1)
-	p.send(wire.Message{
-		Type:     wire.TypeChunkData,
-		StreamID: msg.StreamID,
-		Seq:      msg.Seq,
-		Payload:  wire.EncodeChunkData(cd),
-	})
+	// The stored container is immutable, so it goes out as it lies in the
+	// store: no payload is built around it.
+	if err := p.conn.WriteChunkData(wire.Message{Type: wire.TypeChunkData, StreamID: msg.StreamID, Seq: msg.Seq}, cd); err != nil {
+		p.fail(err)
+	}
 }
 
 // buildChunk runs one deferred enhancement build: prepareChunk over the

@@ -14,10 +14,12 @@ import (
 
 // Conn is one framed connection, and the only place the serving path arms
 // a connection deadline. Any number of goroutines may write: each frame
-// goes out whole, under the write lock and a write deadline, so a peer
-// that stops reading costs a writer the write timeout, never a wedged
-// goroutine or the lock. A connection has one reader at a time, which
-// waits at most the idle timeout for the next frame.
+// goes out whole, in one vectored write under the write lock and a write
+// deadline, so a peer that stops reading costs a writer the write
+// timeout, never a wedged goroutine or the lock. A connection has one
+// reader at a time, which waits at most the idle timeout for the next
+// frame. Headers are built and parsed in per-Conn scratch, so a frame
+// costs no allocation beyond a payload that Read hands out.
 type Conn struct {
 	nc net.Conn
 	// Both timeouts are fixed at construction; zero means unbounded.
@@ -26,6 +28,12 @@ type Conn struct {
 	// wmu serializes frame writes. It is a leaf lock: nothing is called
 	// under it but the net.Conn.
 	wmu sync.Mutex
+	// fw and head are the write scratch (the frame header and vector, a
+	// chunk-data payload's head), guarded by wmu.
+	fw   frameWriter
+	head [chunkDataHeadLen]byte
+	// rhdr is the read scratch; the one-reader rule is its only guard.
+	rhdr [headerLen + budgetLen]byte
 
 	closeOnce sync.Once
 	closeErr  error
@@ -55,23 +63,49 @@ func (c *Conn) Write(m Message) error {
 	return c.WriteShared(m, m.Payload, nil, crc32.ChecksumIEEE(m.Payload))
 }
 
-// WriteShared sends one frame whose payload is prefix‖tail (see the
-// package-level WriteShared), under the same deadline rule as Write.
+// WriteShared sends the frame Write would send with Payload =
+// prefix‖tail, under the same deadline rule. crcPrefix must be
+// crc32.ChecksumIEEE(prefix): the frame checksum is extended over tail
+// with crc32.Update, so a cached prefix (the edge's hit path, where tail
+// is ChunkDataTail) is never re-scanned. Neither part is copied or
+// retained, so a pooled prefix may go back to its pool once the call
+// returns.
 func (c *Conn) WriteShared(m Message, prefix, tail []byte, crcPrefix uint32) error {
 	c.wmu.Lock()
 	defer c.wmu.Unlock()
+	return c.writeLocked(m, crc32.Update(crcPrefix, crc32.IEEETable, tail), prefix, tail)
+}
+
+// WriteChunkData sends one frame carrying cd as its payload, the bytes
+// of EncodeChunkData(cd), without copying cd.Data: the 9-byte head is
+// built in the Conn's scratch and the container and flags byte go out as
+// parts of the same write. m gives the header fields; its Payload is not
+// sent.
+func (c *Conn) WriteChunkData(m Message, cd ChunkData) error {
+	c.wmu.Lock()
+	defer c.wmu.Unlock()
+	putChunkDataHead(&c.head, cd)
+	tail := ChunkDataTail(cd.Degraded, cd.CacheHit)
+	sum := crc32.Update(crc32.ChecksumIEEE(c.head[:]), crc32.IEEETable, cd.Data)
+	return c.writeLocked(m, crc32.Update(sum, crc32.IEEETable, tail), c.head[:], cd.Data, tail)
+}
+
+// writeLocked arms the write deadline Write describes and writes one
+// frame of parts. Callers hold wmu.
+func (c *Conn) writeLocked(m Message, sum uint32, parts ...[]byte) error {
 	timeout := c.writeTimeout
 	if m.Budget > 0 && (timeout <= 0 || m.Budget < timeout) {
 		timeout = m.Budget
 	}
 	_ = c.nc.SetWriteDeadline(deadlineIn(timeout))
-	return WriteShared(c.nc, m, prefix, tail, crcPrefix)
+	return c.fw.writeFrame(c.nc, m, sum, parts...)
 }
 
 // Read returns the next frame, waiting at most the idle timeout for it.
+// The payload is allocated for this frame alone.
 func (c *Conn) Read(maxPayload int) (Message, error) {
 	_ = c.nc.SetReadDeadline(deadlineIn(c.idleTimeout))
-	return Read(c.nc, maxPayload)
+	return readFrame(c.nc, &c.rhdr, maxPayload)
 }
 
 // ReadPooled is Read with the payload borrowed from pool (see the
@@ -80,7 +114,7 @@ func (c *Conn) Read(maxPayload int) (Message, error) {
 //nslint:slab-borrow pool
 func (c *Conn) ReadPooled(maxPayload int, pool *par.SlabPool[byte]) (Message, error) {
 	_ = c.nc.SetReadDeadline(deadlineIn(c.idleTimeout))
-	return ReadPooled(c.nc, maxPayload, pool)
+	return readPooled(c.nc, &c.rhdr, maxPayload, pool)
 }
 
 // RoundTrip is one serial request/response under a single deadline: for
@@ -93,12 +127,12 @@ func (c *Conn) ReadPooled(maxPayload int, pool *par.SlabPool[byte]) (Message, er
 func (c *Conn) RoundTrip(m Message, deadline time.Time, maxPayload int, pool *par.SlabPool[byte]) (Message, error) {
 	c.wmu.Lock()
 	_ = c.nc.SetDeadline(deadline)
-	err := Write(c.nc, m)
+	err := c.fw.writeFrame(c.nc, m, crc32.ChecksumIEEE(m.Payload), m.Payload)
 	c.wmu.Unlock()
 	if err != nil {
 		return Message{}, err
 	}
-	return ReadPooled(c.nc, maxPayload, pool)
+	return readPooled(c.nc, &c.rhdr, maxPayload, pool)
 }
 
 // RemoteAddr names the peer, for diagnostics.
@@ -123,7 +157,8 @@ var ErrClosed = errors.New("wire: connection closed")
 // number of goroutines Call concurrently, each request goes out under a
 // fresh Seq, and one reader goroutine hands every reply to the call
 // registered under the Seq it echoes. Frames with Seq 0 are unsolicited
-// and go to the push callback, never to a caller.
+// and go to the push callback, never to a caller. Each delivered Message
+// owns its Payload: it was allocated for that frame alone.
 //
 // A Mux is one connection generation: once it has failed it stays failed,
 // every pending call has been failed exactly once with the cause, later

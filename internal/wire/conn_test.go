@@ -1,14 +1,19 @@
 package wire
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
+	"hash/crc32"
+	"io"
 	"net"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"github.com/neuroscaler/neuroscaler/internal/par"
 )
 
 // The connection-layer tests run over net.Pipe: synchronous, in memory,
@@ -271,6 +276,145 @@ func TestMuxTimersAreReused(t *testing.T) {
 	// allocations, header and buffer.
 	if called := testing.AllocsPerRun(200, call); called > byHand+2 {
 		t.Errorf("a Call allocates %.0f, the bare exchange %.0f: more than the reply slot, so the timer is not reused", called, byHand)
+	}
+}
+
+// tcpPair returns the two ends of a loopback TCP connection, closed when
+// the test ends.
+func tcpPair(tb testing.TB) (net.Conn, net.Conn) {
+	tb.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		tb.Fatal(err)
+	}
+	defer ln.Close()
+	accepted := make(chan net.Conn, 1)
+	go func() {
+		c, _ := ln.Accept()
+		accepted <- c
+	}()
+	a, err := net.Dial("tcp", ln.Addr().String())
+	if err != nil {
+		tb.Fatal(err)
+	}
+	b := <-accepted
+	if b == nil {
+		tb.Fatal("accept failed")
+	}
+	tb.Cleanup(func() {
+		_ = a.Close()
+		_ = b.Close()
+	})
+	return a, b
+}
+
+// frameTransports are the two ways a Conn's frame reaches the kernel: one
+// writev on a TCP connection, or one Write per part on any other net.Conn
+// (net.Pipe here; fault-injecting and tracing wrappers in practice). Each
+// returns a Conn to write with and the raw end its bytes arrive at.
+var frameTransports = []struct {
+	name  string
+	conns func(testing.TB) (*Conn, net.Conn)
+}{
+	{"tcp", func(tb testing.TB) (*Conn, net.Conn) {
+		a, b := tcpPair(tb)
+		return NewConn(a, 0, testTimeout), b
+	}},
+	{"pipe", func(tb testing.TB) (*Conn, net.Conn) {
+		a, b := net.Pipe()
+		tb.Cleanup(func() {
+			_ = a.Close()
+			_ = b.Close()
+		})
+		return NewConn(a, 0, testTimeout), b
+	}},
+}
+
+// written runs write on c and returns the n bytes that arrive at peer.
+func written(tb testing.TB, c *Conn, peer net.Conn, n int, write func(*Conn) error) []byte {
+	tb.Helper()
+	errc := make(chan error, 1)
+	go func() { errc <- write(c) }()
+	got := make([]byte, n)
+	_ = peer.SetReadDeadline(time.Now().Add(testTimeout))
+	if _, err := io.ReadFull(peer, got); err != nil {
+		tb.Fatalf("read %d frame bytes: %v", n, err)
+	}
+	if err := <-errc; err != nil {
+		tb.Fatal(err)
+	}
+	return got
+}
+
+// TestConnFrameIOAllocs pins what a frame costs on the heap over TCP: a
+// write of any shape nothing, a Read its payload and nothing else, and a
+// warm ReadPooled nothing beyond the pool's own Get/Put cycle.
+func TestConnFrameIOAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool sheds entries under the race detector")
+	}
+	const runs = 50
+	container := bytes.Repeat([]byte{7}, 1000)
+	payload := EncodeChunkData(ChunkData{Seq: 1, Data: container})
+	prefix := payload[:len(payload)-1]
+	crcPrefix := crc32.ChecksumIEEE(prefix)
+	m := Message{Type: TypeChunkData, StreamID: 2, Seq: 3, Budget: time.Second}
+	full := m
+	full.Payload = payload
+
+	a, b := tcpPair(t)
+	w := NewConn(a, testTimeout, testTimeout)
+	go func() { // drains into one buffer, so it allocates nothing either
+		buf := make([]byte, 64<<10)
+		for {
+			if _, err := b.Read(buf); err != nil {
+				return
+			}
+		}
+	}()
+	if n := testing.AllocsPerRun(runs, func() {
+		if err := w.Write(full); err != nil {
+			t.Fatal(err)
+		}
+		if err := w.WriteShared(m, prefix, ChunkDataTail(false, true), crcPrefix); err != nil {
+			t.Fatal(err)
+		}
+		if err := w.WriteChunkData(m, ChunkData{Seq: 1, Data: container}); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 0 {
+		t.Errorf("three Conn writes allocate %.0f, want 0", n)
+	}
+
+	// Every frame the reads below take is on the socket before they start.
+	small := m
+	small.Payload = EncodeChunkData(ChunkData{Seq: 1, Data: container[:64]})
+	var one bytes.Buffer
+	if err := Write(&one, small); err != nil {
+		t.Fatal(err)
+	}
+	a2, b2 := tcpPair(t)
+	if _, err := a2.Write(bytes.Repeat(one.Bytes(), 2*(runs+1))); err != nil {
+		t.Fatal(err)
+	}
+	r := NewConn(b2, testTimeout, testTimeout)
+	if n := testing.AllocsPerRun(runs, func() {
+		if msg, err := r.Read(DefaultMaxPayload); err != nil || !bytes.Equal(msg.Payload, small.Payload) {
+			t.Fatalf("read: %v", err)
+		}
+	}); n != 1 {
+		t.Errorf("a Read allocates %.0f, want 1 (the payload)", n)
+	}
+	var pool par.SlabPool[byte]
+	cycle := testing.AllocsPerRun(runs, func() { pool.Put(pool.Get(len(small.Payload))) })
+	if n := testing.AllocsPerRun(runs, func() {
+		msg, err := r.ReadPooled(DefaultMaxPayload, &pool)
+		if err != nil || !bytes.Equal(msg.Payload, small.Payload) {
+			t.Fatalf("pooled read: %v", err)
+		}
+		pool.Put(msg.Payload)
+	}); n != cycle {
+		t.Errorf("a warm ReadPooled and its Put allocate %.0f, the pool's Get/Put cycle alone %.0f", n, cycle)
 	}
 }
 

@@ -2,6 +2,7 @@ package wire
 
 import (
 	"bytes"
+	"fmt"
 	"hash/crc32"
 	"testing"
 	"time"
@@ -98,33 +99,60 @@ func TestChunkDataPrefixSharing(t *testing.T) {
 	}
 }
 
-// TestWriteSharedMatchesWrite pins the fanout writer: for any split of
-// the payload into prefix+tail, WriteShared with the precomputed prefix
-// CRC emits bytes identical to a plain Write of the whole payload — in
-// both the v1 and the budget-bearing v2 layouts.
+// TestWriteSharedMatchesWrite pins every frame a Conn writes to the bytes
+// of the package-level Write of the same Message, on both transports (one
+// writev, or one Write per part), in the v1 and the budget-bearing v2
+// layouts: Conn.Write; Conn.WriteShared for any split of the payload into
+// prefix+tail with the precomputed prefix CRC (the edge's hit path);
+// Conn.WriteChunkData against EncodeChunkData (the origin's fetch reply);
+// and empty payloads, written with no parts and with empty ones.
 func TestWriteSharedMatchesWrite(t *testing.T) {
-	payload := EncodeChunkData(ChunkData{Seq: 3, Data: []byte("the cached container")})
-	for _, budget := range []time.Duration{0, 750 * time.Millisecond} {
-		m := Message{Type: TypeChunkData, StreamID: 11, Seq: 42, Budget: budget}
-		var want bytes.Buffer
-		full := m
-		full.Payload = payload
-		if err := Write(&want, full); err != nil {
-			t.Fatal(err)
-		}
-		for _, cut := range []int{0, 1, len(payload) - 1, len(payload)} {
-			prefix, tail := payload[:cut], payload[cut:]
-			var got bytes.Buffer
-			if err := WriteShared(&got, m, prefix, tail, crc32.ChecksumIEEE(prefix)); err != nil {
-				t.Fatal(err)
+	container := []byte("the cached container")
+	payload := EncodeChunkData(ChunkData{Seq: 3, Data: container})
+	for _, tr := range frameTransports {
+		t.Run(tr.name, func(t *testing.T) {
+			c, peer := tr.conns(t)
+			expect := func(what string, want Message, write func(*Conn) error) {
+				t.Helper()
+				var ref bytes.Buffer
+				if err := Write(&ref, want); err != nil {
+					t.Fatal(err)
+				}
+				if got := written(t, c, peer, ref.Len(), write); !bytes.Equal(got, ref.Bytes()) {
+					t.Fatalf("%s: bytes differ from Write\n got % x\nwant % x", what, got, ref.Bytes())
+				}
 			}
-			if !bytes.Equal(got.Bytes(), want.Bytes()) {
-				t.Fatalf("cut %d budget %v: WriteShared bytes differ from Write", cut, budget)
+			for _, budget := range []time.Duration{0, 750 * time.Millisecond} {
+				m := Message{Type: TypeChunkData, StreamID: 11, Seq: 42, Budget: budget}
+				full := m
+				full.Payload = payload
+				expect(fmt.Sprintf("Write, budget %v", budget), full, func(c *Conn) error { return c.Write(full) })
+				for _, cut := range []int{0, 1, len(payload) - 1, len(payload)} {
+					prefix, tail := payload[:cut], payload[cut:]
+					expect(fmt.Sprintf("WriteShared cut %d, budget %v", cut, budget), full, func(c *Conn) error {
+						return c.WriteShared(m, prefix, tail, crc32.ChecksumIEEE(prefix))
+					})
+				}
+				for _, cd := range []ChunkData{
+					{Seq: 3, Data: container},
+					{Seq: 9, Quality: 2, Data: container, Degraded: true, CacheHit: true},
+					{Seq: 1, Degraded: true},
+				} {
+					want := m
+					want.Payload = EncodeChunkData(cd)
+					expect(fmt.Sprintf("WriteChunkData %+v, budget %v", cd, budget), want, func(c *Conn) error {
+						return c.WriteChunkData(m, cd)
+					})
+				}
+				empty := Message{Type: TypePing, Seq: 7, Budget: budget}
+				expect("empty Write", empty, func(c *Conn) error { return c.Write(empty) })
+				expect("empty WriteShared", empty, func(c *Conn) error { return c.WriteShared(empty, nil, nil, 0) })
+				expect("empty parts", empty, func(c *Conn) error { return c.WriteShared(empty, []byte{}, []byte{}, 0) })
 			}
-		}
-	}
-	if err := WriteShared(&bytes.Buffer{}, Message{}, nil, nil, 0); err == nil {
-		t.Error("unset type accepted")
+			// A frame after the last one starts where Write says it does:
+			// no frame above left a stray byte behind.
+			expect("sentinel", Message{Type: TypeGoodbye}, func(c *Conn) error { return c.Write(Message{Type: TypeGoodbye}) })
+		})
 	}
 }
 

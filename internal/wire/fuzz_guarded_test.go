@@ -5,6 +5,7 @@ package wire
 import (
 	"bytes"
 	"hash/crc32"
+	"net"
 	"testing"
 	"time"
 )
@@ -14,10 +15,22 @@ import (
 // it, and requires the reader to hand back exactly the same message,
 // including the maxPayload boundary (a frame at the limit parses; one
 // past it must be rejected, never mis-framed). Non-empty payloads are
-// also re-emitted through WriteShared at a fuzzed prefix/tail split,
-// which must produce byte-identical output (the edge fanout path).
-// Guarded behind the fuzz build tag for the fuzz smoke job.
+// also re-emitted through Conn.WriteShared at a fuzzed prefix/tail split
+// (the edge fanout path), and payloads that parse as chunk data through
+// Conn.WriteChunkData (the origin's fetch reply), on both Conn transports;
+// each must be byte-identical to Write. Guarded behind the fuzz build tag
+// for the fuzz smoke job.
 func FuzzWireFrame(f *testing.F) {
+	type conn struct {
+		name string
+		c    *Conn
+		peer net.Conn
+	}
+	var conns []conn
+	for _, tr := range frameTransports {
+		c, peer := tr.conns(f)
+		conns = append(conns, conn{tr.name, c, peer})
+	}
 	f.Add(uint8(2), uint32(7), uint32(9), uint64(0), []byte("payload"))
 	f.Add(uint8(255), uint32(0), uint32(0), uint64(1500), []byte{})
 	f.Add(uint8(TypeFetchChunk), uint32(3), uint32(1), uint64(250_000), EncodeFetchChunk(FetchChunk{Seq: 8, Quality: 1}))
@@ -57,17 +70,40 @@ func FuzzWireFrame(f *testing.F) {
 				t.Fatalf("frame with %d-byte payload accepted under maxPayload=%d", len(payload), len(payload)-1)
 			}
 
+			// A Conn bounds a frame's write by its budget, so a frame with a
+			// budget this short may rightly not be written at all.
+			if m.Budget > 0 && m.Budget < 50*time.Millisecond {
+				return
+			}
 			// The fanout writer must be indistinguishable on the wire from a
 			// plain Write for every prefix/tail split.
 			cut := int(seq) % (len(payload) + 1)
 			shared := m
 			shared.Payload = nil
-			var sbuf bytes.Buffer
-			if err := WriteShared(&sbuf, shared, payload[:cut], payload[cut:], crc32.ChecksumIEEE(payload[:cut])); err != nil {
-				t.Fatalf("WriteShared: %v", err)
+			for _, cn := range conns {
+				got := written(t, cn.c, cn.peer, len(wireBytes), func(c *Conn) error {
+					return c.WriteShared(shared, payload[:cut], payload[cut:], crc32.ChecksumIEEE(payload[:cut]))
+				})
+				if !bytes.Equal(got, wireBytes) {
+					t.Fatalf("%s: WriteShared(cut=%d) bytes differ from Write", cn.name, cut)
+				}
 			}
-			if !bytes.Equal(sbuf.Bytes(), wireBytes) {
-				t.Fatalf("WriteShared(cut=%d) bytes differ from Write", cut)
+
+			cd, err := DecodeChunkDataAlias(payload)
+			if err != nil {
+				return
+			}
+			var want bytes.Buffer
+			ref := shared
+			ref.Payload = EncodeChunkData(cd)
+			if err := Write(&want, ref); err != nil {
+				t.Fatal(err)
+			}
+			for _, cn := range conns {
+				got := written(t, cn.c, cn.peer, want.Len(), func(c *Conn) error { return c.WriteChunkData(shared, cd) })
+				if !bytes.Equal(got, want.Bytes()) {
+					t.Fatalf("%s: WriteChunkData bytes differ from Write(EncodeChunkData)", cn.name)
+				}
 			}
 		}
 	})

@@ -408,7 +408,7 @@ func DecodeSubscribe(data []byte) (Subscribe, error) {
 // Layout: seq(4) quality(1) dataLen(4) data flags(1). The per-delivery
 // flags byte rides at the END so an edge can cache the marshalled
 // prefix (everything before flags) verbatim from its upstream read and
-// fan it out with WriteShared, flipping only the trailing byte — a
+// fan it out with Conn.WriteShared, flipping only the trailing byte — a
 // cache hit and the original miss delivery share the same immutable
 // prefix bytes and differ in exactly one tail byte.
 type ChunkData struct {
@@ -428,6 +428,9 @@ type ChunkData struct {
 const (
 	chunkDataFlagDegraded = 1 << 0
 	chunkDataFlagCacheHit = 1 << 1
+	// chunkDataHeadLen is the size of everything before Data: seq(4)
+	// quality(1) dataLen(4).
+	chunkDataHeadLen = 4 + 1 + 4
 )
 
 // ChunkDataFlags packs the per-delivery trailing flags byte.
@@ -442,7 +445,27 @@ func ChunkDataFlags(degraded, cacheHit bool) byte {
 	return f
 }
 
-// EncodeChunkData serializes a ChunkData payload.
+// flagTails holds every flags byte value, so a delivery's tail is a slice
+// of it rather than an allocation. Nothing writes to it.
+var flagTails = [4]byte{0, 1, 2, 3}
+
+// ChunkDataTail returns the one-byte payload tail carrying the flags
+// (see ChunkDataFlags), for Conn.WriteShared after a cached prefix. The
+// slice is shared and must not be modified.
+func ChunkDataTail(degraded, cacheHit bool) []byte {
+	f := ChunkDataFlags(degraded, cacheHit)
+	return flagTails[f : f+1 : f+1]
+}
+
+// putChunkDataHead fills head with c's seq, quality and container length.
+func putChunkDataHead(head *[chunkDataHeadLen]byte, c ChunkData) {
+	binary.BigEndian.PutUint32(head[0:], c.Seq)
+	head[4] = c.Quality
+	binary.BigEndian.PutUint32(head[5:], uint32(len(c.Data)))
+}
+
+// EncodeChunkData serializes a ChunkData payload. Conn.WriteChunkData
+// sends the same bytes without copying c.Data.
 func EncodeChunkData(c ChunkData) []byte {
 	buf := make([]byte, 0, 4+1+4+len(c.Data)+1)
 	buf = binary.BigEndian.AppendUint32(buf, c.Seq)
@@ -455,7 +478,8 @@ func EncodeChunkData(c ChunkData) []byte {
 // ChunkDataPrefix splits an encoded ChunkData payload into its shared
 // immutable prefix (everything before the trailing flags byte, aliasing
 // payload) and the flags byte, validating the framing. An edge caches
-// the prefix and re-emits it with WriteShared plus a fresh flags tail.
+// the prefix and re-emits it with Conn.WriteShared plus a fresh flags
+// tail (ChunkDataTail).
 func ChunkDataPrefix(payload []byte) (prefix []byte, flags byte, err error) {
 	if len(payload) < 10 {
 		return nil, 0, errors.New("wire: truncated chunk-data")

@@ -13,6 +13,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"net"
 	"sync/atomic"
 	"time"
 
@@ -206,32 +207,52 @@ func putHeader(hdr *[headerLen + budgetLen]byte, m Message, n int, sum uint32) (
 // Frame layout: magic(2) type(1) streamID(4) seq(4) len(4) crc32(4)
 // [budgetMicros(8) if v2] payload.
 func Write(w io.Writer, m Message) error {
-	return WriteShared(w, m, m.Payload, nil, crc32.ChecksumIEEE(m.Payload))
+	var fw frameWriter
+	return fw.writeFrame(w, m, crc32.ChecksumIEEE(m.Payload), m.Payload)
 }
 
-// readBudget consumes the v2 budget extension when the magic calls for
-// it, returning the decoded relative budget (never zero for v2 frames).
-func readBudget(r io.Reader, magic uint16) (time.Duration, error) {
-	if magic != frameMagicV2 {
-		return 0, nil
+// frameWriter is the scratch one frame write needs: the header and the
+// vector of parts handed to the writer. A Conn keeps one under its write
+// lock, so its frames allocate nothing.
+type frameWriter struct {
+	hdr  [headerLen + budgetLen]byte
+	vec  [4][]byte
+	bufs net.Buffers
+}
+
+// writeFrame writes one frame whose payload is the concatenation of parts
+// and whose payload checksum is sum. The header and the non-empty parts
+// go out as one net.Buffers write: a single writev(2) on a *net.TCPConn,
+// one Write per part on any other writer. The parts are only read, and
+// not retained once it returns. At most three parts.
+func (fw *frameWriter) writeFrame(w io.Writer, m Message, sum uint32, parts ...[]byte) error {
+	size := 0
+	for _, p := range parts {
+		size += len(p)
 	}
-	var ext [budgetLen]byte
-	if _, err := io.ReadFull(r, ext[:]); err != nil {
-		return 0, fmt.Errorf("wire: read budget: %w", err)
+	n, err := putHeader(&fw.hdr, m, size, sum)
+	if err != nil {
+		return err
 	}
-	micros := binary.BigEndian.Uint64(ext[:])
-	if micros == 0 || micros > uint64(1<<62)/uint64(time.Microsecond) {
-		return 0, ErrBadFrame
+	fw.bufs = append(fw.vec[:0], fw.hdr[:n])
+	for _, p := range parts {
+		if len(p) > 0 {
+			fw.bufs = append(fw.bufs, p)
+		}
 	}
-	return time.Duration(micros) * time.Microsecond, nil
+	_, err = fw.bufs.WriteTo(w)
+	clear(fw.vec[:])
+	if err != nil {
+		return fmt.Errorf("wire: write frame: %w", err)
+	}
+	return nil
 }
 
 // readHeader parses and validates a frame header (and the v2 budget
-// extension), returning the message shell plus the payload length and
-// checksum still to be read.
-func readHeader(r io.Reader, maxPayload int) (m Message, n, sum uint32, err error) {
-	var hdr [headerLen]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+// extension) read into hdr, returning the message shell plus the payload
+// length and checksum still to be read.
+func readHeader(r io.Reader, hdr *[headerLen + budgetLen]byte, maxPayload int) (m Message, n, sum uint32, err error) {
+	if _, err := io.ReadFull(r, hdr[:headerLen]); err != nil {
 		if errors.Is(err, io.EOF) {
 			return m, 0, 0, io.EOF
 		}
@@ -254,9 +275,19 @@ func readHeader(r io.Reader, maxPayload int) (m Message, n, sum uint32, err erro
 	if int64(n) > int64(maxPayload) {
 		return Message{}, 0, 0, ErrFrameTooLarge
 	}
-	if m.Budget, err = readBudget(r, magic); err != nil {
-		return Message{}, 0, 0, err
+	if magic != frameMagicV2 {
+		return m, n, sum, nil
 	}
+	ext := hdr[headerLen:]
+	if _, err := io.ReadFull(r, ext); err != nil {
+		return Message{}, 0, 0, fmt.Errorf("wire: read budget: %w", err)
+	}
+	// The relative budget is never zero in a v2 frame.
+	micros := binary.BigEndian.Uint64(ext)
+	if micros == 0 || micros > uint64(1<<62)/uint64(time.Microsecond) {
+		return Message{}, 0, 0, ErrBadFrame
+	}
+	m.Budget = time.Duration(micros) * time.Microsecond
 	return m, n, sum, nil
 }
 
@@ -264,7 +295,13 @@ func readHeader(r io.Reader, maxPayload int) (m Message, n, sum uint32, err erro
 // maxPayload (use DefaultMaxPayload when in doubt). Both v1 and v2
 // (deadline-bearing) frames are accepted.
 func Read(r io.Reader, maxPayload int) (Message, error) {
-	m, n, sum, err := readHeader(r, maxPayload)
+	var hdr [headerLen + budgetLen]byte
+	return readFrame(r, &hdr, maxPayload)
+}
+
+// readFrame is Read with the header parsed into hdr.
+func readFrame(r io.Reader, hdr *[headerLen + budgetLen]byte, maxPayload int) (Message, error) {
+	m, n, sum, err := readHeader(r, hdr, maxPayload)
 	if err != nil {
 		return Message{}, err
 	}
@@ -280,41 +317,6 @@ func Read(r io.Reader, maxPayload int) (Message, error) {
 	return m, nil
 }
 
-// WriteShared writes a frame whose payload is split into a shared
-// immutable prefix plus a small per-delivery tail, without copying or
-// re-scanning the prefix. This is the edge fanout hot path: a cached
-// chunk payload is marshalled and checksummed once, then written to
-// every subscriber connection with only the per-delivery header and
-// tail (the cache-hit/degraded flags byte) recomputed.
-//
-// crcPrefix must be crc32.ChecksumIEEE(prefix); the frame checksum is
-// extended over tail in O(len(tail)) with crc32.Update, so the result
-// on the wire is byte-identical to Write with Payload =
-// prefix‖tail. The prefix is only read, never retained: ownership
-// stays with the caller (a pooled cache entry may go back to its slab
-// pool once the caller's last write returns).
-func WriteShared(w io.Writer, m Message, prefix, tail []byte, crcPrefix uint32) error {
-	var hdr [headerLen + budgetLen]byte
-	n, err := putHeader(&hdr, m, len(prefix)+len(tail), crc32.Update(crcPrefix, crc32.IEEETable, tail))
-	if err != nil {
-		return err
-	}
-	if _, err := w.Write(hdr[:n]); err != nil {
-		return fmt.Errorf("wire: write header: %w", err)
-	}
-	if len(prefix) > 0 {
-		if _, err := w.Write(prefix); err != nil {
-			return fmt.Errorf("wire: write payload: %w", err)
-		}
-	}
-	if len(tail) > 0 {
-		if _, err := w.Write(tail); err != nil {
-			return fmt.Errorf("wire: write payload: %w", err)
-		}
-	}
-	return nil
-}
-
 // ReadPooled parses the next message from r like Read, but borrows the
 // payload buffer from pool instead of allocating it. On success, ownership
 // of m.Payload transfers to the caller, who must return it to the same
@@ -323,7 +325,15 @@ func WriteShared(w io.Writer, m Message, prefix, tail []byte, crcPrefix uint32) 
 //
 //nslint:slab-borrow pool
 func ReadPooled(r io.Reader, maxPayload int, pool *par.SlabPool[byte]) (Message, error) {
-	m, n, sum, err := readHeader(r, maxPayload)
+	var hdr [headerLen + budgetLen]byte
+	return readPooled(r, &hdr, maxPayload, pool)
+}
+
+// readPooled is ReadPooled with the header parsed into hdr.
+//
+//nslint:slab-borrow pool
+func readPooled(r io.Reader, hdr *[headerLen + budgetLen]byte, maxPayload int, pool *par.SlabPool[byte]) (Message, error) {
+	m, n, sum, err := readHeader(r, hdr, maxPayload)
 	if err != nil {
 		return Message{}, err
 	}

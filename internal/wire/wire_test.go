@@ -51,12 +51,22 @@ func TestFrameRoundTrip(t *testing.T) {
 func TestUnassignedTypesRefused(t *testing.T) {
 	var buf bytes.Buffer
 	_ = Write(&buf, Message{Type: TypeAck, Payload: []byte("x")})
+	a, b := net.Pipe()
+	defer b.Close()
+	c := NewConn(a, 0, testTimeout) // a refused frame never reaches the pipe
+	defer c.Close()
 	for _, typ := range []Type{0, 3, 4, maxType + 1} {
 		if err := Write(io.Discard, Message{Type: typ}); err == nil {
 			t.Errorf("Write accepted type %d", typ)
 		}
-		if err := WriteShared(io.Discard, Message{Type: typ}, nil, nil, 0); err == nil {
-			t.Errorf("WriteShared accepted type %d", typ)
+		if err := c.Write(Message{Type: typ}); err == nil {
+			t.Errorf("Conn.Write accepted type %d", typ)
+		}
+		if err := c.WriteShared(Message{Type: typ}, nil, nil, 0); err == nil {
+			t.Errorf("Conn.WriteShared accepted type %d", typ)
+		}
+		if err := c.WriteChunkData(Message{Type: typ}, ChunkData{}); err == nil {
+			t.Errorf("Conn.WriteChunkData accepted type %d", typ)
 		}
 		frame := append([]byte(nil), buf.Bytes()...)
 		frame[2] = byte(typ)
