@@ -2,7 +2,7 @@
 
 GOBIN ?= $(shell go env GOPATH)/bin
 
-.PHONY: build test race lint nslint vet-nslint fuzz-smoke chaos-overload delivery-fanout bench-selftest loc
+.PHONY: build test race lint nslint fuzz-smoke chaos-overload delivery-fanout bench-selftest loc
 
 build:
 	go build ./...
@@ -27,23 +27,9 @@ lint: nslint
 # enforces; the interprocedural analyzers (ownership, refbalance,
 # budgetflow, lockorder, goleak) need the multi-package load, so the
 # budget keeps them honest.
-#
-# Adopting a new analyzer over a tree with pre-existing findings:
-#   /tmp/nslint -write-baseline .nslint-baseline ./internal/... ./cmd/... ./examples/... .
-# records them (line-insensitively), then add
-#   -baseline .nslint-baseline
-# to the run below to fail only on NEW findings. Entries that stop
-# matching are reported as stale, so the baseline ratchets toward
-# empty; the tree is currently clean and carries no baseline file.
 nslint:
 	go build -o /tmp/nslint ./cmd/nslint
 	timeout 60 /tmp/nslint ./internal/... ./cmd/... ./examples/... .
-
-# The same suite through go vet's -vettool driver (exercises the
-# unit-checker protocol path).
-vet-nslint:
-	go build -o /tmp/nslint ./cmd/nslint
-	go vet -vettool=/tmp/nslint ./...
 
 fuzz-smoke:
 	go test -tags fuzz -run xxx -fuzz FuzzContainerRoundTrip -fuzztime 30s ./internal/hybrid
@@ -81,8 +67,13 @@ bench-selftest:
 	sh cmd/nsbench/run.sh --workload delivery_zipf --seed 1 --seconds 5 --trace 0 | tail -n 1 | grep -q '"correct":true'
 
 # Non-test lines of the three serving-path packages, then their sum
-# (ROADMAP "One serving path, one world" sets its target against the sum).
+# (ROADMAP "One serving path, one world" sets its target against the
+# sum); then the same for the lint suite, internal/lint and cmd/nslint
+# without their test fixtures (ROADMAP "nslint diet").
 loc:
 	@for pkg in media edge wire; do \
 		find internal/$$pkg -name '*.go' ! -name '*_test.go' | xargs cat | wc -l; \
+	done | awk '{ print; sum += $$1 } END { print sum, "total" }'
+	@for dir in internal/lint cmd/nslint; do \
+		find $$dir -maxdepth 1 -name '*.go' ! -name '*_test.go' | xargs cat | wc -l; \
 	done | awk '{ print; sum += $$1 } END { print sum, "total" }'

@@ -1,42 +1,22 @@
 // Command nslint runs the repo's static-analysis suite (internal/lint):
 // determinism, arenapair, connio, budgetflow, framecase, lockhold,
-// seqsafe, errwrap, ledger, and the interprocedural ownership,
-// refbalance, lockorder, and goleak analyzers.
-//
-// Standalone:
+// seqsafe, errwrap, and the interprocedural ownership, refbalance,
+// lockorder, and goleak analyzers, over the whole loaded program at
+// once.
 //
 //	go run ./cmd/nslint ./...            # whole tree, all analyzers
 //	go run ./cmd/nslint -only connio ./internal/media
-//	go run ./cmd/nslint -json ./...      # machine-readable findings
 //	go run ./cmd/nslint -sarif out.sarif ./...
-//	go run ./cmd/nslint -write-baseline nslint-baseline.json ./...
-//	go run ./cmd/nslint -baseline nslint-baseline.json ./...
 //	go run ./cmd/nslint -list
 //
-// A baseline is a JSON array of {file, analyzer, message} entries.
-// Findings matching an entry are dropped (line-insensitively, so
-// unrelated edits that shift a legacy finding do not resurrect it);
-// baseline entries matching nothing are reported as stale, mirroring
-// the in-source stale-suppression check.
-//
-// As a vet tool (unit-checker protocol, one package per invocation):
-//
-//	go build -o /tmp/nslint ./cmd/nslint
-//	go vet -vettool=/tmp/nslint ./...
-//
-// Exit status: 0 clean, 1 findings (standalone), 2 findings (vet mode,
-// matching go vet's convention), >0 on load errors.
+// Exit status: 0 clean, 1 findings, 2 on usage or load errors.
 package main
 
 import (
 	"bytes"
-	"crypto/sha256"
 	"encoding/json"
 	"flag"
 	"fmt"
-	"go/importer"
-	"go/token"
-	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -45,40 +25,14 @@ import (
 )
 
 func main() {
-	args := os.Args[1:]
-
-	// go vet driver protocol: the go command probes the tool's identity
-	// and flags, then invokes it once per package with a .cfg file.
-	if len(args) == 1 && strings.HasSuffix(args[0], ".cfg") {
-		os.Exit(runVetUnit(args[0]))
+	only := flag.String("only", "", "comma-separated analyzer subset (default: all)")
+	list := flag.Bool("list", false, "print the analyzers and exit")
+	sarifOut := flag.String("sarif", "", "also write findings to this file as SARIF 2.1.0")
+	flag.Usage = func() {
+		fmt.Fprintln(os.Stderr, "usage: nslint [-only a,b] [-sarif file] [-list] [packages]")
+		flag.PrintDefaults()
 	}
-	for _, a := range args {
-		switch a {
-		case "-V=full", "--V=full":
-			// The go command content-addresses a vettool by this line: for a
-			// "devel" version the last field must be buildID=<id>, and the id
-			// should change whenever the tool does so vet results are not
-			// stale-cached. Hash the binary itself.
-			fmt.Printf("nslint version devel buildID=%s\n", selfBuildID())
-			return
-		case "-flags", "--flags":
-			fmt.Println("[]")
-			return
-		}
-	}
-
-	fs := flag.NewFlagSet("nslint", flag.ExitOnError)
-	only := fs.String("only", "", "comma-separated analyzer subset (default: all)")
-	list := fs.Bool("list", false, "print the analyzers and exit")
-	jsonOut := fs.Bool("json", false, "emit findings as a JSON array instead of file:line:col lines")
-	baseline := fs.String("baseline", "", "drop findings matching entries in this JSON baseline file")
-	writeBaseline := fs.String("write-baseline", "", "write current findings to this file as a baseline and exit 0")
-	sarifOut := fs.String("sarif", "", "also write findings to this file as SARIF 2.1.0")
-	fs.Usage = func() {
-		fmt.Fprintln(os.Stderr, "usage: nslint [-only a,b] [-json] [-sarif file] [-baseline file] [-write-baseline file] [-list] [packages]")
-		fs.PrintDefaults()
-	}
-	_ = fs.Parse(args)
+	flag.Parse()
 
 	if *list {
 		for _, a := range lint.All {
@@ -92,7 +46,7 @@ func main() {
 		fmt.Fprintln(os.Stderr, "nslint:", err)
 		os.Exit(2)
 	}
-	patterns := fs.Args()
+	patterns := flag.Args()
 	if len(patterns) == 0 {
 		patterns = []string{"./..."}
 	}
@@ -102,37 +56,14 @@ func main() {
 		os.Exit(2)
 	}
 	diags := lint.Run(pkgs, analyzers)
-	if *writeBaseline != "" {
-		if err := saveBaseline(*writeBaseline, diags); err != nil {
-			fmt.Fprintln(os.Stderr, "nslint:", err)
-			os.Exit(2)
-		}
-		fmt.Fprintf(os.Stderr, "nslint: wrote %d baseline entrie(s) to %s\n", len(diags), *writeBaseline)
-		return
-	}
-	if *baseline != "" {
-		var err error
-		diags, err = applyBaseline(*baseline, diags)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "nslint:", err)
-			os.Exit(2)
-		}
-	}
 	if *sarifOut != "" {
 		if err := saveSARIF(*sarifOut, analyzers, diags); err != nil {
 			fmt.Fprintln(os.Stderr, "nslint:", err)
 			os.Exit(2)
 		}
 	}
-	if *jsonOut {
-		if err := writeJSON(os.Stdout, diags); err != nil {
-			fmt.Fprintln(os.Stderr, "nslint:", err)
-			os.Exit(2)
-		}
-	} else {
-		for _, d := range diags {
-			fmt.Println(d.String())
-		}
+	for _, d := range diags {
+		fmt.Println(d.String())
 	}
 	if len(diags) > 0 {
 		fmt.Fprintf(os.Stderr, "nslint: %d finding(s)\n", len(diags))
@@ -140,79 +71,15 @@ func main() {
 	}
 }
 
-// baselineEntry identifies one accepted legacy finding. Line numbers are
-// deliberately absent: a baseline should survive unrelated edits above
-// the finding, and an analyzer's message already pins what was accepted.
-type baselineEntry struct {
-	File     string `json:"file"`
-	Analyzer string `json:"analyzer"`
-	Message  string `json:"message"`
-}
-
-// baselineFile normalizes a finding's filename to a cwd-relative path so
-// baselines are stable across checkouts.
-func baselineFile(name string) string {
+// relPath normalizes a finding's filename to a cwd-relative path so
+// reports are stable across checkouts.
+func relPath(name string) string {
 	if wd, err := os.Getwd(); err == nil {
 		if rel, err := filepath.Rel(wd, name); err == nil && !strings.HasPrefix(rel, "..") {
 			return filepath.ToSlash(rel)
 		}
 	}
 	return filepath.ToSlash(name)
-}
-
-func saveBaseline(path string, diags []lint.Diagnostic) error {
-	out := make([]baselineEntry, 0, len(diags))
-	for _, d := range diags {
-		out = append(out, baselineEntry{File: baselineFile(d.Pos.Filename), Analyzer: d.Analyzer, Message: d.Message})
-	}
-	var buf bytes.Buffer
-	enc := json.NewEncoder(&buf)
-	enc.SetIndent("", "\t")
-	if err := enc.Encode(out); err != nil {
-		return err
-	}
-	return os.WriteFile(path, buf.Bytes(), 0o666)
-}
-
-// applyBaseline drops findings matching a baseline entry. Each entry
-// absorbs any number of identical findings; entries that matched nothing
-// are themselves reported, so the baseline shrinks monotonically as the
-// debt it records is paid down.
-func applyBaseline(path string, diags []lint.Diagnostic) ([]lint.Diagnostic, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	var entries []baselineEntry
-	if err := json.Unmarshal(data, &entries); err != nil {
-		return nil, fmt.Errorf("parse baseline %s: %w", path, err)
-	}
-	used := make([]bool, len(entries))
-	var kept []lint.Diagnostic
-	for _, d := range diags {
-		file := baselineFile(d.Pos.Filename)
-		matched := false
-		for i, e := range entries {
-			if e.File == file && e.Analyzer == d.Analyzer && e.Message == d.Message {
-				used[i] = true
-				matched = true
-			}
-		}
-		if !matched {
-			kept = append(kept, d)
-		}
-	}
-	for i, e := range entries {
-		if !used[i] {
-			kept = append(kept, lint.Diagnostic{
-				Pos:      token.Position{Filename: path},
-				Analyzer: "nslint",
-				Message: fmt.Sprintf("stale baseline entry: no %q finding matches %s: %q; delete it",
-					e.Analyzer, e.File, e.Message),
-			})
-		}
-	}
-	return kept, nil
 }
 
 // saveSARIF writes findings in SARIF 2.1.0, the interchange format CI
@@ -248,11 +115,11 @@ func saveSARIF(path string, analyzers []*lint.Analyzer, diags []lint.Diagnostic)
 	for _, a := range analyzers {
 		rules = append(rules, sarifRule{ID: a.Name, ShortDescription: sarifMsg{Text: a.Doc}})
 	}
-	rules = append(rules, sarifRule{ID: "nslint", ShortDescription: sarifMsg{Text: "nslint driver diagnostics (malformed or stale suppressions, stale baseline entries)"}})
+	rules = append(rules, sarifRule{ID: "nslint", ShortDescription: sarifMsg{Text: "nslint driver diagnostics (malformed or stale suppressions)"}})
 	results := make([]sarifResult, 0, len(diags))
 	for _, d := range diags {
 		var loc sarifLocation
-		loc.PhysicalLocation.ArtifactLocation.URI = baselineFile(d.Pos.Filename)
+		loc.PhysicalLocation.ArtifactLocation.URI = relPath(d.Pos.Filename)
 		loc.PhysicalLocation.Region = sarifRegion{StartLine: max(d.Pos.Line, 1), StartColumn: d.Pos.Column}
 		results = append(results, sarifResult{
 			RuleID:    d.Analyzer,
@@ -282,117 +149,4 @@ func saveSARIF(path string, analyzers []*lint.Analyzer, diags []lint.Diagnostic)
 		return err
 	}
 	return os.WriteFile(path, buf.Bytes(), 0o666)
-}
-
-// jsonDiag is the machine-readable finding shape: stable field names for
-// editor integrations and CI annotation tooling.
-type jsonDiag struct {
-	File     string `json:"file"`
-	Line     int    `json:"line"`
-	Column   int    `json:"column"`
-	Analyzer string `json:"analyzer"`
-	Message  string `json:"message"`
-}
-
-func writeJSON(w io.Writer, diags []lint.Diagnostic) error {
-	out := make([]jsonDiag, 0, len(diags))
-	for _, d := range diags {
-		out = append(out, jsonDiag{
-			File:     d.Pos.Filename,
-			Line:     d.Pos.Line,
-			Column:   d.Pos.Column,
-			Analyzer: d.Analyzer,
-			Message:  d.Message,
-		})
-	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "\t")
-	return enc.Encode(out)
-}
-
-// selfBuildID derives a content ID for the running binary so the vet
-// driver's result cache invalidates when nslint is rebuilt.
-func selfBuildID() string {
-	exe, err := os.Executable()
-	if err != nil {
-		return "unknown"
-	}
-	f, err := os.Open(exe)
-	if err != nil {
-		return "unknown"
-	}
-	defer f.Close()
-	h := sha256.New()
-	if _, err := io.Copy(h, f); err != nil {
-		return "unknown"
-	}
-	return fmt.Sprintf("%x", h.Sum(nil)[:16])
-}
-
-// vetCfg is the unit-checker configuration the go command hands a
-// vettool: the package's files plus pre-resolved export data for every
-// dependency.
-type vetCfg struct {
-	ImportPath                string
-	Dir                       string
-	GoFiles                   []string
-	ImportMap                 map[string]string
-	PackageFile               map[string]string
-	VetxOnly                  bool
-	VetxOutput                string
-	SucceedOnTypecheckFailure bool
-}
-
-func runVetUnit(cfgPath string) int {
-	data, err := os.ReadFile(cfgPath)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "nslint:", err)
-		return 1
-	}
-	var cfg vetCfg
-	if err := json.Unmarshal(data, &cfg); err != nil {
-		fmt.Fprintf(os.Stderr, "nslint: parse %s: %v\n", cfgPath, err)
-		return 1
-	}
-	// The driver expects a facts file regardless of findings; nslint has
-	// no cross-package facts, so an empty marker suffices.
-	if cfg.VetxOutput != "" {
-		if err := os.WriteFile(cfg.VetxOutput, []byte("nslint\n"), 0o666); err != nil {
-			fmt.Fprintln(os.Stderr, "nslint:", err)
-			return 1
-		}
-	}
-	if cfg.VetxOnly {
-		return 0
-	}
-	lookup := func(path string) (io.ReadCloser, error) {
-		if mapped, ok := cfg.ImportMap[path]; ok {
-			path = mapped
-		}
-		file, ok := cfg.PackageFile[path]
-		if !ok {
-			return nil, fmt.Errorf("nslint: no export data for %q", path)
-		}
-		return os.Open(file)
-	}
-	imp := importer.ForCompiler(token.NewFileSet(), "gc", lookup)
-	pkg, err := lint.CheckFiles(cfg.ImportPath, cfg.GoFiles, imp)
-	if err != nil {
-		if cfg.SucceedOnTypecheckFailure {
-			return 0
-		}
-		fmt.Fprintln(os.Stderr, "nslint:", err)
-		return 1
-	}
-	// Stale-suppression reporting stays off here: under the unit-checker
-	// protocol only one package is loaded, so program-scoped analyzers
-	// may legitimately not reproduce the finding a directive suppresses.
-	diags := lint.Run([]*lint.Package{pkg}, lint.All, lint.NoStaleCheck())
-	for _, d := range diags {
-		fmt.Fprintln(os.Stderr, d.String())
-	}
-	if len(diags) > 0 {
-		return 2
-	}
-	return 0
 }

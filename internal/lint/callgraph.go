@@ -20,8 +20,7 @@ import (
 // has distinct type objects depending on which side of an import it is
 // seen from. The string key unifies the two views (and lets fixture
 // packages stand in for the real tree, like every other analyzer
-// scope). In the vet-tool unit mode only one package is loaded and the
-// graph degrades gracefully to an intra-package one.
+// scope).
 type Program struct {
 	Pkgs []*Package
 	// Funcs maps canonical keys to declaration nodes.

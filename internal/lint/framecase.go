@@ -24,8 +24,7 @@ import (
 //     non-Alias decoder must be exercised by some Fuzz* function (the
 //     symmetry that keeps Read's bounds honest).
 //
-// The fuzz check reads the package's test files syntax-only; in the vet
-// unit mode no test files are handed over and it degrades to a no-op.
+// The fuzz check reads the package's test files syntax-only.
 var FrameCase = &Analyzer{
 	Name: "framecase",
 	Doc: "require wire frame-type switches to be exhaustive or defaulted, " +

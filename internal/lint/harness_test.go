@@ -115,9 +115,15 @@ func TestArenaPairTransferFixture(t *testing.T) { runFixture(t, ArenaPair, "aren
 
 func TestConnIOFixture(t *testing.T) { runFixture(t, ConnIO, "connio/media") }
 
+// sched is in scope: conn I/O under a scheduler lock is reported
+// whether or not a deadline is armed beside it.
+func TestConnIOSchedFixture(t *testing.T) { runFixture(t, ConnIO, "connio/sched") }
+
 func TestConnIOOutOfScope(t *testing.T) { runFixture(t, ConnIO, "connio/other") }
 
-func TestConnIOUnexportedHelpers(t *testing.T) { runFixture(t, ConnIO, "connio/wire") }
+// Package wire is where conn I/O is allowed: raw reads and writes there,
+// through its own framing helpers or directly, are clean.
+func TestConnIOInsideWire(t *testing.T) { runFixture(t, ConnIO, "connio/wire") }
 
 func TestLockHoldFixture(t *testing.T) { runFixture(t, LockHold, "lockhold/sched") }
 
@@ -188,20 +194,11 @@ func TestFrameCaseFixture(t *testing.T) { runFixture(t, FrameCase, "framecase/wi
 // Exhaustive and defaulted switches over the imported enum are clean.
 func TestFrameCaseCleanFixture(t *testing.T) { runFixture(t, FrameCase, "framecase/reader") }
 
-func TestLedgerFixture(t *testing.T) { runFixture(t, Ledger, "ledger/media") }
-
-// Exactly-one booking per path, across continue exits and switch arms.
-func TestLedgerCleanFixture(t *testing.T) { runFixture(t, Ledger, "ledger/clean") }
-
 // TestStaleSuppression pins stale-directive reporting: a justified
-// directive that suppresses nothing is reported by default and silenced
-// under NoStaleCheck (the vet unit mode).
+// directive that suppresses nothing is reported.
 func TestStaleSuppression(t *testing.T) {
 	runFixture(t, Determinism, "suppress/stale")
 	pkgs := loadFixture(t, "suppress/stale")
-	if diags := Run(pkgs, []*Analyzer{Determinism}, NoStaleCheck()); len(diags) != 0 {
-		t.Fatalf("NoStaleCheck still reported: %v", diags)
-	}
 	// A directive naming an analyzer outside the run set is not judged:
 	// that analyzer never had the chance to produce the suppressed
 	// finding.
@@ -212,8 +209,8 @@ func TestStaleSuppression(t *testing.T) {
 
 // TestTreeCleanUnderNewAnalyzers pins the shipping tree (internal, cmd,
 // examples, root) clean under the path-sensitive round — refbalance,
-// budgetflow, framecase, ledger — including the stale-suppression
-// check over their directives.
+// budgetflow, framecase — including the stale-suppression check over
+// their directives.
 func TestTreeCleanUnderNewAnalyzers(t *testing.T) {
 	if testing.Short() {
 		t.Skip("loads and type-checks the whole module")
@@ -222,7 +219,7 @@ func TestTreeCleanUnderNewAnalyzers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	diags := Run(pkgs, []*Analyzer{RefBalance, BudgetFlow, FrameCase, Ledger})
+	diags := Run(pkgs, []*Analyzer{RefBalance, BudgetFlow, FrameCase})
 	for _, d := range diags {
 		t.Errorf("unexpected finding: %s", d)
 	}

@@ -88,31 +88,6 @@ func (p *Pass) recvTypeName(fd *ast.FuncDecl) string {
 	return ""
 }
 
-// funcKey names a declaration for intra-package call-graph edges:
-// "Type.Method" for methods, "Func" for functions.
-func (p *Pass) funcKey(fd *ast.FuncDecl) string {
-	if r := p.recvTypeName(fd); r != "" {
-		return r + "." + fd.Name.Name
-	}
-	return fd.Name.Name
-}
-
-// callKey names a call target declared in this package in funcKey form,
-// "" for anything else.
-func (p *Pass) callKey(call *ast.CallExpr) string {
-	fn := p.calleeFunc(call)
-	if fn == nil || fn.Pkg() == nil || fn.Pkg() != p.Pkg.Types {
-		return ""
-	}
-	sig, _ := fn.Type().(*types.Signature)
-	if sig != nil && sig.Recv() != nil {
-		if n := namedOf(sig.Recv().Type()); n != nil {
-			return n.Obj().Name() + "." + fn.Name()
-		}
-	}
-	return fn.Name()
-}
-
 // isErrorType reports whether t implements the error interface.
 func isErrorType(t types.Type) bool {
 	if t == nil {

@@ -1,13 +1,17 @@
 // Package lint implements nslint: a suite of repo-specific static
 // analyzers that mechanically enforce the invariants the NeuroScaler
 // serving path depends on — byte-determinism of codec output, paired
-// arena Get/Put, deadline-armed connection I/O, no blocking calls under
-// locks, mutex-guarded field discipline, %w error wrapping across
-// package boundaries, and the three interprocedural properties built on
-// the call-graph dataflow layer: pooled-buffer ownership linearity
-// (ownership), the repo-wide lock-acquisition order (lockorder), and
-// goroutine join evidence (goleak). See DESIGN.md "Invariants" for the
-// rationale behind each analyzer and how to suppress a finding.
+// arena Get/Put, connection I/O confined to the deadline-arming wire
+// package, no blocking calls under locks, mutex-guarded field
+// discipline, %w error wrapping across package boundaries, and the
+// interprocedural properties built on the call-graph dataflow layer:
+// pooled-buffer ownership linearity (ownership), reference balance
+// (refbalance), deadline-budget flow (budgetflow), the repo-wide
+// lock-acquisition order (lockorder), and goroutine join evidence
+// (goleak). An invariant a test can pin is pinned by a test instead:
+// nslint keeps only the checks no test makes. See DESIGN.md
+// "Invariants" for the rationale behind each analyzer and how to
+// suppress a finding.
 //
 // The framework mirrors golang.org/x/tools/go/analysis in shape but is
 // built on the standard library only: packages are resolved and
@@ -45,10 +49,8 @@ type Analyzer struct {
 	Doc string
 	// Run performs the per-package check, reporting via pass.Reportf.
 	Run func(pass *Pass)
-	// RunProgram performs the whole-program check. In the vet-tool unit
-	// mode only one package is loaded, so the view degrades to an
-	// intra-package one; the full cross-package graph needs the
-	// standalone driver (`make nslint`).
+	// RunProgram performs the whole-program check over every loaded
+	// package.
 	RunProgram func(pass *ProgramPass)
 }
 
@@ -57,7 +59,8 @@ type Pass struct {
 	Analyzer *Analyzer
 	Pkg      *Package
 	// Prog is the whole-run call graph, available to per-package
-	// analyzers that want interprocedural context (connio, arenapair).
+	// analyzers that want interprocedural context (arenapair,
+	// budgetflow).
 	Prog *Program
 
 	diags *[]Diagnostic
@@ -113,7 +116,6 @@ var All = []*Analyzer{
 	ErrWrap,
 	Ownership,
 	RefBalance,
-	Ledger,
 	LockOrder,
 	GoLeak,
 }
@@ -139,21 +141,6 @@ func ByName(names string) ([]*Analyzer, error) {
 	return out, nil
 }
 
-// RunOption adjusts Run's behavior.
-type RunOption func(*runConfig)
-
-type runConfig struct {
-	noStaleCheck bool
-}
-
-// NoStaleCheck disables stale-suppression reporting. The vet unit mode
-// uses it: with only one package loaded, program-scoped analyzers see a
-// degraded graph and may legitimately not produce the finding a
-// directive suppresses under the standalone driver.
-func NoStaleCheck() RunOption {
-	return func(c *runConfig) { c.noStaleCheck = true }
-}
-
 // Run executes the analyzers over the packages and returns the surviving
 // diagnostics, sorted by position. Suppressed findings are dropped;
 // malformed suppressions (no "-- reason") are themselves reported, and
@@ -162,11 +149,7 @@ func NoStaleCheck() RunOption {
 // honest as analyzers evolve). Suppressions from every package are
 // merged into one filename/line index so program-scoped findings honor
 // them no matter which package's pass surfaced them.
-func Run(pkgs []*Package, analyzers []*Analyzer, opts ...RunOption) []Diagnostic {
-	var cfg runConfig
-	for _, o := range opts {
-		o(&cfg)
-	}
+func Run(pkgs []*Package, analyzers []*Analyzer) []Diagnostic {
 	prog := BuildProgram(pkgs)
 	sup := &suppressions{byFileLine: make(map[string]map[int][]*supEntry)}
 	var diags []Diagnostic
@@ -204,23 +187,21 @@ func Run(pkgs []*Package, analyzers []*Analyzer, opts ...RunOption) []Diagnostic
 		}
 		diags = append(diags, d)
 	}
-	if !cfg.noStaleCheck {
-		ran := make(map[string]bool, len(analyzers))
-		for _, a := range analyzers {
-			ran[a.Name] = true
-		}
-		for _, lines := range sup.byFileLine {
-			for _, entries := range lines {
-				for _, e := range entries {
-					if e.used || (e.name != "*" && !ran[e.name]) {
-						continue
-					}
-					diags = append(diags, Diagnostic{
-						Pos:      e.pos,
-						Analyzer: "nslint",
-						Message:  fmt.Sprintf("stale suppression: no %q finding is reported here anymore; delete the directive", e.name),
-					})
+	ran := make(map[string]bool, len(analyzers))
+	for _, a := range analyzers {
+		ran[a.Name] = true
+	}
+	for _, lines := range sup.byFileLine {
+		for _, entries := range lines {
+			for _, e := range entries {
+				if e.used || (e.name != "*" && !ran[e.name]) {
+					continue
 				}
+				diags = append(diags, Diagnostic{
+					Pos:      e.pos,
+					Analyzer: "nslint",
+					Message:  fmt.Sprintf("stale suppression: no %q finding is reported here anymore; delete the directive", e.name),
+				})
 			}
 		}
 	}

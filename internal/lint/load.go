@@ -13,7 +13,6 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
-	"strings"
 )
 
 // Package is one loaded, type-checked package ready for analysis.
@@ -32,8 +31,7 @@ type Package struct {
 	// in-package and external test package both). They are never parsed
 	// into Files or type-checked — analyzers that need a syntax-only view
 	// of the tests (framecase's fuzz-symmetry check) parse them on
-	// demand. Empty in the vet unit mode, where the go command hands over
-	// only the shipping files; checks that need it degrade gracefully.
+	// demand.
 	TestFiles []string
 }
 
@@ -158,21 +156,4 @@ func checkPackage(fset *token.FileSet, imp types.Importer, t *listedPkg) (*Packa
 		TypeErrors: softErrs,
 		TestFiles:  testFiles,
 	}, nil
-}
-
-// CheckFiles type-checks an explicit file set (the vet-tool unit mode,
-// where the go command hands nslint a pre-resolved file list and an
-// import map instead of patterns).
-func CheckFiles(importPath string, goFiles []string, imp types.Importer) (*Package, error) {
-	t := &listedPkg{ImportPath: importPath, GoFiles: goFiles}
-	fset := token.NewFileSet()
-	var kept []string
-	for _, f := range goFiles {
-		if !strings.HasSuffix(f, ".go") {
-			continue
-		}
-		kept = append(kept, f)
-	}
-	t.GoFiles = kept
-	return checkPackage(fset, imp, t)
 }

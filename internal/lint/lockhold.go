@@ -23,13 +23,14 @@ var allowedLockOrder = map[string]bool{
 }
 
 // LockHold flags blocking operations inside lexical critical sections:
-// conn I/O without a same-function deadline, sends/receives on provably
-// unbuffered channels, WaitGroup/Cond Wait, and time.Sleep. It also
-// checks nested mutex acquisitions against the documented lock order.
-// Methods named *Locked are analyzed as if their receiver's mu is held.
+// sends/receives on provably unbuffered channels, WaitGroup/Cond Wait,
+// and time.Sleep (conn I/O cannot happen there at all: connio confines
+// it to package wire). It also checks nested mutex acquisitions against
+// the documented lock order. Methods named *Locked are analyzed as if
+// their receiver's mu is held.
 var LockHold = &Analyzer{
 	Name: "lockhold",
-	Doc: "forbid blocking calls (undeadlined conn I/O, unbuffered channel ops, Wait, Sleep) " +
+	Doc: "forbid blocking calls (unbuffered channel ops, Wait, Sleep) " +
 		"while holding a mutex, and enforce the documented lock order",
 	Run: runLockHold,
 }
@@ -48,8 +49,7 @@ func runLockHold(pass *Pass) {
 				held = append(held, r+".mu")
 			}
 		}
-		armed := armedDirs(pass, fd)
-		walkLockStmts(pass, fd.Body.List, held, armed, unbuffered)
+		walkLockStmts(pass, fd.Body.List, held, unbuffered)
 	})
 }
 
@@ -57,7 +57,7 @@ func runLockHold(pass *Pass) {
 // mutexes. Lock pushes, Unlock pops; `defer mu.Unlock()` leaves the
 // mutex held to the end of the enclosing list, which is exactly the
 // lexical region the convention protects.
-func walkLockStmts(pass *Pass, stmts []ast.Stmt, held []string, armed map[ioDir]bool, unbuffered map[types.Object]bool) {
+func walkLockStmts(pass *Pass, stmts []ast.Stmt, held []string, unbuffered map[types.Object]bool) {
 	held = append([]string(nil), held...)
 	for _, s := range stmts {
 		switch s := s.(type) {
@@ -73,7 +73,7 @@ func walkLockStmts(pass *Pass, stmts []ast.Stmt, held []string, armed map[ioDir]
 				continue
 			}
 			if len(held) > 0 {
-				checkBlockingExpr(pass, s.X, held, armed, unbuffered)
+				checkBlockingExpr(pass, s.X, held, unbuffered)
 			}
 		case *ast.DeferStmt:
 			// defer mu.Unlock() keeps the region open; any other defer is
@@ -82,7 +82,7 @@ func walkLockStmts(pass *Pass, stmts []ast.Stmt, held []string, armed map[ioDir]
 		case *ast.AssignStmt:
 			if len(held) > 0 {
 				for _, r := range s.Rhs {
-					checkBlockingExpr(pass, r, held, armed, unbuffered)
+					checkBlockingExpr(pass, r, held, unbuffered)
 				}
 			}
 		case *ast.SendStmt:
@@ -90,26 +90,26 @@ func walkLockStmts(pass *Pass, stmts []ast.Stmt, held []string, armed map[ioDir]
 				checkChanOp(pass, s.Chan, s.Pos(), held, unbuffered, "send on")
 			}
 		case *ast.BlockStmt:
-			walkLockStmts(pass, s.List, held, armed, unbuffered)
+			walkLockStmts(pass, s.List, held, unbuffered)
 		case *ast.IfStmt:
-			walkLockStmts(pass, s.Body.List, held, armed, unbuffered)
+			walkLockStmts(pass, s.Body.List, held, unbuffered)
 			if s.Else != nil {
-				walkLockStmts(pass, []ast.Stmt{s.Else}, held, armed, unbuffered)
+				walkLockStmts(pass, []ast.Stmt{s.Else}, held, unbuffered)
 			}
 		case *ast.ForStmt:
-			walkLockStmts(pass, s.Body.List, held, armed, unbuffered)
+			walkLockStmts(pass, s.Body.List, held, unbuffered)
 		case *ast.RangeStmt:
-			walkLockStmts(pass, s.Body.List, held, armed, unbuffered)
+			walkLockStmts(pass, s.Body.List, held, unbuffered)
 		case *ast.SwitchStmt:
 			for _, c := range s.Body.List {
 				if cc, ok := c.(*ast.CaseClause); ok {
-					walkLockStmts(pass, cc.Body, held, armed, unbuffered)
+					walkLockStmts(pass, cc.Body, held, unbuffered)
 				}
 			}
 		case *ast.TypeSwitchStmt:
 			for _, c := range s.Body.List {
 				if cc, ok := c.(*ast.CaseClause); ok {
-					walkLockStmts(pass, cc.Body, held, armed, unbuffered)
+					walkLockStmts(pass, cc.Body, held, unbuffered)
 				}
 			}
 		case *ast.SelectStmt:
@@ -119,7 +119,7 @@ func walkLockStmts(pass *Pass, stmts []ast.Stmt, held []string, armed map[ioDir]
 			// bodies only.
 			for _, c := range s.Body.List {
 				if cc, ok := c.(*ast.CommClause); ok {
-					walkLockStmts(pass, cc.Body, held, armed, unbuffered)
+					walkLockStmts(pass, cc.Body, held, unbuffered)
 				}
 			}
 		case *ast.GoStmt:
@@ -128,7 +128,7 @@ func walkLockStmts(pass *Pass, stmts []ast.Stmt, held []string, armed map[ioDir]
 		case *ast.ReturnStmt:
 			if len(held) > 0 {
 				for _, r := range s.Results {
-					checkBlockingExpr(pass, r, held, armed, unbuffered)
+					checkBlockingExpr(pass, r, held, unbuffered)
 				}
 			}
 		}
@@ -138,7 +138,7 @@ func walkLockStmts(pass *Pass, stmts []ast.Stmt, held []string, armed map[ioDir]
 // checkBlockingExpr reports blocking operations in an expression
 // evaluated while holding held. Function literals are skipped: they run
 // later, typically without the lock.
-func checkBlockingExpr(pass *Pass, e ast.Expr, held []string, armed map[ioDir]bool, unbuffered map[types.Object]bool) {
+func checkBlockingExpr(pass *Pass, e ast.Expr, held []string, unbuffered map[types.Object]bool) {
 	ast.Inspect(e, func(n ast.Node) bool {
 		switch n := n.(type) {
 		case *ast.FuncLit:
@@ -148,17 +148,13 @@ func checkBlockingExpr(pass *Pass, e ast.Expr, held []string, armed map[ioDir]bo
 				checkChanOp(pass, n.X, n.Pos(), held, unbuffered, "receive from")
 			}
 		case *ast.CallExpr:
-			checkBlockingCall(pass, n, held, armed, unbuffered)
+			checkBlockingCall(pass, n, held, unbuffered)
 		}
 		return true
 	})
 }
 
-func checkBlockingCall(pass *Pass, call *ast.CallExpr, held []string, armed map[ioDir]bool, unbuffered map[types.Object]bool) {
-	if dir, connExpr, isIO := connIOCall(pass, call); isIO && !armed[dir] {
-		pass.Reportf(call.Pos(), "conn I/O on %q while holding %s without a deadline in this function: a stalled peer holds the lock indefinitely", connExpr, held[len(held)-1])
-		return
-	}
+func checkBlockingCall(pass *Pass, call *ast.CallExpr, held []string, unbuffered map[types.Object]bool) {
 	fn := pass.calleeFunc(call)
 	if fn == nil {
 		return

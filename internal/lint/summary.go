@@ -81,10 +81,6 @@ type funcSummary struct {
 	// mutex this function can take while running synchronously, with a
 	// witness for diagnostics.
 	mayAcquire map[string]*lockVia
-
-	// arms are the deadline directions set anywhere in a declaration's
-	// body, literals included (mirrors connio's lexical attribution).
-	arms map[ioDir]bool
 }
 
 type relEdge struct {
@@ -150,9 +146,6 @@ func (prog *Program) ensureSummaries() {
 		prog.refFacts(n, s)
 		prog.joinFacts(n, s)
 		prog.lockFacts(n, s)
-		if n.Decl != nil {
-			s.arms = armedDirs(n.pass(prog), n.Decl)
-		}
 	}
 	prog.closeReleases()
 	prog.closeRefs()

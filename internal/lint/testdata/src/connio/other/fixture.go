@@ -1,5 +1,5 @@
-// Package other sits outside connio's scope (media, wire, faults):
-// identical undeadlined I/O must produce zero findings.
+// Package other sits outside connio's scope (media, edge, faults,
+// sched): identical raw conn I/O must produce zero findings.
 package other
 
 import "net"

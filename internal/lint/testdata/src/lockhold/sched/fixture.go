@@ -3,7 +3,6 @@
 package sched
 
 import (
-	"net"
 	"sync"
 	"time"
 )
@@ -50,21 +49,6 @@ func (q *queue) sleepOutsideLock() {
 	q.mu.Lock()
 	q.mu.Unlock() //nolint:staticcheck // empty critical section is the fixture's point
 	time.Sleep(time.Millisecond)
-}
-
-func (q *queue) connUnderLockArmed(conn net.Conn, buf []byte) error {
-	_ = conn.SetWriteDeadline(time.Now().Add(time.Second))
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	_, err := conn.Write(buf)
-	return err
-}
-
-func (q *queue) connUnderLock(conn net.Conn, buf []byte) error {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	_, err := conn.Write(buf) // want `conn I/O on "conn" while holding`
-	return err
 }
 
 // Lock-order fixtures named after the real types so the documented

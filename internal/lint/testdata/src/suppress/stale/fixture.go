@@ -1,7 +1,6 @@
 // Package stale pins stale-suppression reporting: a justified
 // directive for an analyzer in the run set that suppresses nothing is
-// itself reported, and the NoStaleCheck option silences that report
-// for the vet unit mode.
+// itself reported.
 package stale
 
 import "time"

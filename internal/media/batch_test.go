@@ -123,5 +123,6 @@ func TestBatchMidChaosDegradesOnlyAffectedAnchors(t *testing.T) {
 	if ctr.AnchorsRejected != 1 || ctr.AnchorsEnhanced != 3 || ctr.ChunksDegraded != 1 {
 		t.Errorf("counters = %+v, want 1 rejected / 3 enhanced / 1 degraded chunk", ctr)
 	}
+	requireAnchorLedger(t, ctr)
 	requireLedgerClosed(t, pool)
 }

@@ -180,6 +180,7 @@ func TestChaosKillAndRecoverSingleReplica(t *testing.T) {
 	if sc.AnchorsDropped == 0 || sc.AnchorsEnhanced == 0 {
 		t.Errorf("anchor counters: %+v", sc)
 	}
+	requireAnchorLedger(t, sc)
 
 	// The replica rejoined: the breaker is closed again and the outage
 	// left its trace in the pool counters.
@@ -281,6 +282,7 @@ func TestChaosFailoverHidesReplicaLoss(t *testing.T) {
 	if sc.AnchorsDropped != 0 {
 		t.Errorf("anchors dropped despite a healthy replica: %+v", sc)
 	}
+	requireAnchorLedger(t, sc)
 	requireLedgerClosed(t, pool)
 
 	httpSrv := httptest.NewServer(srv.DistributionHandler())
@@ -394,6 +396,7 @@ func TestChaosStressConcurrentStreams(t *testing.T) {
 	if sc.ChunksProcessed != nStreams*chunks {
 		t.Errorf("processed %d chunks, want %d", sc.ChunksProcessed, nStreams*chunks)
 	}
+	requireAnchorLedger(t, sc)
 	requireLedgerClosed(t, pool)
 }
 
@@ -426,6 +429,7 @@ func TestChaosCorruptAnchorsRejected(t *testing.T) {
 	if sc.AnchorsRejected == 0 || sc.AnchorsEnhanced != 0 {
 		t.Errorf("validation let corrupt anchors through: %+v", sc)
 	}
+	requireAnchorLedger(t, sc)
 	if n := srv.Store().DegradedCount(5); n != 1 {
 		t.Errorf("degraded chunks = %d, want 1", n)
 	}

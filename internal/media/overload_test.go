@@ -660,17 +660,6 @@ func TestDeadlineNoOpByteIdentical(t *testing.T) {
 
 // --- overload chaos (tentpole) ---
 
-// requireAnchorLedger checks the selection ledger: every selected anchor
-// must land in exactly one outcome bucket, whatever the overload did.
-func requireAnchorLedger(t *testing.T, c ServerCounters) {
-	t.Helper()
-	accounted := c.AnchorsEnhanced + c.AnchorsDropped + c.AnchorsRejected + c.AnchorsExpired
-	if c.AnchorsSelected != accounted {
-		t.Errorf("anchor ledger broken: selected %d, accounted %d (enhanced %d dropped %d rejected %d expired %d)",
-			c.AnchorsSelected, accounted, c.AnchorsEnhanced, c.AnchorsDropped, c.AnchorsRejected, c.AnchorsExpired)
-	}
-}
-
 // TestChaosOverloadBurstBoundedLatency drives ~5x sustained burst
 // arrivals into slow replicas and requires the overload plane to hold
 // the line: every chunk acked and stored (degraded at worst), p99

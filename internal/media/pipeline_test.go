@@ -133,6 +133,20 @@ func requireLedgerClosed(t testing.TB, enh AnchorEnhancer) {
 	}
 }
 
+// requireAnchorLedger checks the anchor conservation law serverCounters
+// states: at quiescence (no chunk in flight) every selected anchor has
+// landed in exactly one outcome counter, whatever the faults or the
+// overload did — so an anchor booked twice shows up as surely as one
+// booked nowhere.
+func requireAnchorLedger(t testing.TB, c ServerCounters) {
+	t.Helper()
+	accounted := c.AnchorsEnhanced + c.AnchorsDropped + c.AnchorsRejected + c.AnchorsExpired
+	if c.AnchorsSelected != accounted {
+		t.Errorf("anchor ledger broken: selected %d, accounted %d (enhanced %d dropped %d rejected %d expired %d)",
+			c.AnchorsSelected, accounted, c.AnchorsEnhanced, c.AnchorsDropped, c.AnchorsRejected, c.AnchorsExpired)
+	}
+}
+
 func requireIdenticalRuns(t *testing.T, want, got pipelineRun, label string) {
 	t.Helper()
 	if len(got.containers) != len(want.containers) {

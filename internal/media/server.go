@@ -157,11 +157,11 @@ type ServerCounters struct {
 }
 
 // serverCounters is the pipeline's operational ledger. The anchor
-// counters obey a conservation law, declared below and verified by the
-// ledger analyzer: every anchor the select stage counts in is settled
-// into exactly one outcome counter by the package stage.
-//
-//nslint:ledger anchorsSelected == anchorsEnhanced + anchorsDropped + anchorsRejected + anchorsExpired
+// counters obey a conservation law: every anchor the select stage counts
+// in is settled into exactly one outcome counter by the package stage,
+// so at quiescence anchorsSelected == anchorsEnhanced + anchorsDropped +
+// anchorsRejected + anchorsExpired (the tests check it with
+// requireAnchorLedger).
 type serverCounters struct {
 	chunksProcessed, chunksDegraded atomic.Uint64
 	anchorsEnhanced, anchorsDropped atomic.Uint64

@@ -166,6 +166,48 @@ func TestMuxCloseSaysGoodbyeAndCallAfterCloseFails(t *testing.T) {
 	}
 }
 
+// lingeringConn is a net.Conn whose reads linger a while after failing,
+// as a read unwinding through a wrapper may, and which counts the reads
+// still running.
+type lingeringConn struct {
+	net.Conn
+	entered chan struct{} // closed by the first Read
+	once    sync.Once
+	reading atomic.Int32
+}
+
+func (c *lingeringConn) Read(p []byte) (int, error) {
+	c.reading.Add(1)
+	defer c.reading.Add(-1)
+	c.once.Do(func() { close(c.entered) })
+	n, err := c.Conn.Read(p)
+	if err != nil {
+		time.Sleep(100 * time.Millisecond)
+	}
+	return n, err
+}
+
+// TestMuxCloseJoinsItsReader pins that Close returns only once the
+// reader goroutine is done with the conn.
+func TestMuxCloseJoinsItsReader(t *testing.T) {
+	a, b := net.Pipe()
+	defer b.Close()
+	go func() { _, _ = io.Copy(io.Discard, b) }() // takes the goodbye
+	lc := &lingeringConn{Conn: a, entered: make(chan struct{})}
+	m := NewMux(NewConn(lc, 0, testTimeout), nil)
+	select {
+	case <-lc.entered:
+	case <-time.After(testTimeout):
+		t.Fatal("the reader never started reading")
+	}
+	if err := returnsWithin(t, "Mux.Close", m.Close); err != nil {
+		t.Fatalf("close: %v", err)
+	}
+	if n := lc.reading.Load(); n != 0 {
+		t.Errorf("Close returned with %d read(s) still running on the conn: the reader was not joined", n)
+	}
+}
+
 func TestMuxSeqZeroFramesGoToPushNeverToACaller(t *testing.T) {
 	pushed := make(chan Message, 4)
 	m, peer := muxPair(t, func(msg Message) { pushed <- msg })
@@ -418,51 +460,105 @@ func TestConnFrameIOAllocs(t *testing.T) {
 	}
 }
 
-func TestConnWriteToStalledPeerTimesOutAndReleasesTheLock(t *testing.T) {
-	a, b := net.Pipe()
-	defer b.Close() // b never reads
-	c := NewConn(a, 0, 20*time.Millisecond)
-	defer c.Close()
-	for i := 0; i < 2; i++ {
-		done := make(chan error, 1)
-		go func() { done <- c.Write(Message{Type: TypePing}) }()
-		select {
-		case err := <-done:
-			var ne net.Error
-			if !errors.As(err, &ne) || !ne.Timeout() {
-				t.Errorf("write %d to a stalled peer: %v, want a timeout", i, err)
-			}
-		case <-time.After(testTimeout):
-			t.Fatalf("write %d to a stalled peer never returned (write lock held: %v)", i, i > 0)
-		}
-	}
-	// A frame's own budget tightens the bound: an hour's write timeout,
-	// a 20 ms budget, and the write still gives up.
-	a2, b2 := net.Pipe()
-	defer b2.Close()
-	c2 := NewConn(a2, 0, time.Hour)
-	defer c2.Close()
+// connWrites are the three ways to write a frame on a Conn. Each goes
+// through writeLocked, which arms the write deadline.
+var connWrites = []struct {
+	name  string
+	write func(*Conn, Message) error
+}{
+	{"Write", (*Conn).Write},
+	{"WriteShared", func(c *Conn, m Message) error {
+		return c.WriteShared(m, m.Payload, nil, crc32.ChecksumIEEE(m.Payload))
+	}},
+	{"WriteChunkData", func(c *Conn, m Message) error {
+		return c.WriteChunkData(m, ChunkData{Seq: 1, Data: []byte("container")})
+	}},
+}
+
+// returnsWithin runs op and returns its error, failing the test if op
+// has not returned within testTimeout: a missing deadline fails here
+// instead of hanging the test binary.
+func returnsWithin(t *testing.T, what string, op func() error) error {
+	t.Helper()
 	done := make(chan error, 1)
-	go func() { done <- c2.Write(Message{Type: TypeChunk, Budget: 20 * time.Millisecond}) }()
+	go func() { done <- op() }()
 	select {
 	case err := <-done:
-		if err == nil {
-			t.Error("budgeted write to a stalled peer succeeded")
-		}
+		return err
 	case <-time.After(testTimeout):
-		t.Fatal("a frame's budget did not bound its write")
+		t.Fatalf("%s never returned: no deadline bounds it", what)
+		return nil
 	}
 }
 
+func TestConnWriteToStalledPeerTimesOutAndReleasesTheLock(t *testing.T) {
+	for _, w := range connWrites {
+		t.Run(w.name, func(t *testing.T) {
+			a, b := net.Pipe()
+			defer b.Close() // b never reads
+			c := NewConn(a, 0, 20*time.Millisecond)
+			defer c.Close()
+			// The second write fails the same way only if the first one
+			// gave the write lock back.
+			for i := 0; i < 2; i++ {
+				err := returnsWithin(t, fmt.Sprintf("write %d to a stalled peer", i), func() error {
+					return w.write(c, Message{Type: TypePing})
+				})
+				var ne net.Error
+				if !errors.As(err, &ne) || !ne.Timeout() {
+					t.Errorf("write %d to a stalled peer: %v, want a timeout", i, err)
+				}
+			}
+			// A frame's own budget tightens the bound: an hour's write
+			// timeout, a 20 ms budget, and the write still gives up.
+			a2, b2 := net.Pipe()
+			defer b2.Close()
+			c2 := NewConn(a2, 0, time.Hour)
+			defer c2.Close()
+			if err := returnsWithin(t, "a budgeted write to a stalled peer", func() error {
+				return w.write(c2, Message{Type: TypeChunk, Budget: 20 * time.Millisecond})
+			}); err == nil {
+				t.Error("budgeted write to a stalled peer succeeded")
+			}
+		})
+	}
+}
+
+// TestConnReadIdleTimeout pins the deadline on every read a Conn makes:
+// Read and ReadPooled wait at most the idle timeout for a silent peer,
+// and RoundTrip at most its deadline for the reply.
 func TestConnReadIdleTimeout(t *testing.T) {
-	a, b := net.Pipe()
-	defer b.Close() // b never writes
-	c := NewConn(a, 20*time.Millisecond, 0)
-	defer c.Close()
-	_, err := c.Read(DefaultMaxPayload)
-	var ne net.Error
-	if !errors.As(err, &ne) || !ne.Timeout() {
-		t.Errorf("read from a silent peer: %v, want a timeout", err)
+	const idle = 20 * time.Millisecond
+	var pool par.SlabPool[byte]
+	for _, tc := range []struct {
+		name string
+		read func(*Conn) error
+	}{
+		{"Read", func(c *Conn) error {
+			_, err := c.Read(DefaultMaxPayload)
+			return err
+		}},
+		{"ReadPooled", func(c *Conn) error {
+			_, err := c.ReadPooled(DefaultMaxPayload, &pool)
+			return err
+		}},
+		{"RoundTrip", func(c *Conn) error {
+			_, err := c.RoundTrip(Message{Type: TypePing}, time.Now().Add(idle), DefaultMaxPayload, &pool)
+			return err
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			a, b := net.Pipe()
+			defer b.Close()
+			go func() { _, _ = io.Copy(io.Discard, b) }() // b takes any request and never answers
+			c := NewConn(a, idle, 0)
+			defer c.Close()
+			err := returnsWithin(t, "a read from a silent peer", func() error { return tc.read(c) })
+			var ne net.Error
+			if !errors.As(err, &ne) || !ne.Timeout() {
+				t.Errorf("read from a silent peer: %v, want a timeout", err)
+			}
+		})
 	}
 }
 
