@@ -37,6 +37,7 @@ fuzz-smoke:
 	go test -run xxx -fuzz '^FuzzDecode$$' -fuzztime 30s ./internal/vcodec
 	go test -run xxx -fuzz '^FuzzScan$$' -fuzztime 30s ./internal/vcodec
 	go test -run xxx -fuzz '^FuzzSkipCoeffs$$' -fuzztime 30s ./internal/bitstream
+	go test -run xxx -fuzz '^FuzzDecode$$' -fuzztime 30s ./internal/icodec
 
 # Overload-control tier under the race detector: deadline propagation,
 # queue discipline, brownout ladder, and the burst / gray-failure chaos

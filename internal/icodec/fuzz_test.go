@@ -15,6 +15,9 @@ func FuzzDecode(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
+	if _, err := Decode(good); err != nil {
+		f.Fatalf("seed stream does not decode: %v", err)
+	}
 	f.Add(good)
 	f.Add([]byte{})
 	f.Add(good[:len(good)/2])

@@ -22,9 +22,12 @@ var coeffPool par.SlabPool[int32]
 // blockGrain is how many 8×8 blocks one worker claims at a time.
 const blockGrain = 16
 
+// version 2 is the fixed-point transform. Version 1 streams were coded
+// with a float DCT that the integer IDCT reconstructs within ±1 but not
+// exactly, so they are refused rather than decoded with drift.
 const (
 	magic   = 0x4E53_4952 // "NSIR"
-	version = 1
+	version = 2
 )
 
 // Options configures the encoder.

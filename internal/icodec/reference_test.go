@@ -118,6 +118,16 @@ func TestValidateMatchesDecode(t *testing.T) {
 			}
 		}
 	}
+	// A version-1 stream, coded with the float transform, is refused by
+	// both with the same error.
+	v1 := bytes.Clone(inputs[0])
+	v1[4] = 1
+	inputs = append(inputs, v1)
+	_, _, verr := Validate(v1)
+	_, derr := Decode(v1)
+	if verr == nil || derr == nil || verr.Error() != derr.Error() {
+		t.Fatalf("version 1: Validate err = %v, Decode err = %v, want the same refusal", verr, derr)
+	}
 	accepted := 0
 	for i, data := range inputs {
 		w, h, verr := Validate(data)

@@ -1,12 +1,15 @@
-// Package transform implements the 8×8 type-II DCT / inverse DCT,
+// Package transform implements the 8×8 forward and inverse DCT,
 // quantization, and zigzag scanning shared by the image codec (intra
 // blocks) and the video codec (residual blocks).
+//
+// The transform is fixed-point: the Loeffler–Ligtenberg–Moschytz (LLM)
+// factorisation of libjpeg's "islow" DCT (jfdctint.c / jidctint.c), with
+// 13-bit constants and 2 extra bits kept between the passes. Coefficients
+// come out at the orthonormal DCT-II scale: a constant block of value v
+// has DC 8·v. Every step is integer arithmetic, so codec bytes do not
+// depend on the architecture: there is no float product for a compiler to
+// fuse into a multiply-add.
 package transform
-
-import (
-	"math"
-	"math/bits"
-)
 
 // BlockSize is the transform block edge length in samples.
 const BlockSize = 8
@@ -18,206 +21,203 @@ const blockLen = BlockSize * BlockSize
 // level-shifted signed samples; inverse output is the same domain.
 type Block [blockLen]int32
 
-var cosTable [BlockSize][BlockSize]float64
+// Fixed-point constants of the islow transform, round(v·2^constBits)
+// with ck = cos(kπ/16). passBits is the precision the first pass keeps
+// for the second. Each 1-D pass of the factorisation scales its output by
+// √8 relative to the orthonormal DCT; the second pass's descale removes
+// that factor for both passes with 3 extra bits.
+//
+// Intermediates are int64, which holds every input a Block can carry,
+// not just the codecs' residuals in [−255, 255] or the dequantized
+// coefficients an encoder emits: an int32 input through the first pass
+// stays under 2^50 and through the second under 2^60. Only the final
+// store to int32 can wrap, on coefficients no encoder produces, and Go
+// defines that wraparound, so hostile streams still decode
+// deterministically.
+const (
+	constBits = 13
+	passBits  = 2
 
-// cosTableT is cosTable transposed (indexed [n][k]) so the inverse
-// transform's inner products walk contiguous memory.
-var cosTableT [BlockSize][BlockSize]float64
+	fix0_298631336 = 2446  // √2·(−c1+c3+c5−c7)
+	fix0_390180644 = 3196  // √2·(c3−c5)
+	fix0_541196100 = 4433  // √2·c6
+	fix0_765366865 = 6270  // √2·(c2−c6)
+	fix0_899976223 = 7373  // √2·(c3−c7)
+	fix1_175875602 = 9633  // √2·c3
+	fix1_501321110 = 12299 // √2·(c1+c3−c5−c7)
+	fix1_847759065 = 15137 // √2·(c2+c6)
+	fix1_961570560 = 16069 // √2·(c3+c5)
+	fix2_053119869 = 16819 // √2·(c1+c3−c5+c7)
+	fix2_562915447 = 20995 // √2·(c1+c3)
+	fix3_072711026 = 25172 // √2·(c1+c3+c5−c7)
+)
 
-func init() {
-	for k := 0; k < BlockSize; k++ {
-		for n := 0; n < BlockSize; n++ {
-			c := math.Cos(math.Pi * float64(2*n+1) * float64(k) / 16)
-			cosTable[k][n] = c
-			cosTableT[n][k] = c
-		}
-	}
+// descale divides x by 2^n, rounding half up.
+func descale(x int64, n uint) int64 {
+	return (x + 1<<(n-1)) >> n
 }
 
-// dot8 is the 8-term inner product, fully unrolled with left-to-right
-// addition — the same order as a sequential accumulation loop starting
-// from zero, so results stay bit-exact (float addition is
-// order-sensitive; only the sign of a zero sum could differ, which the
-// int32 rounding at the call sites erases).
-func dot8(a, b *[BlockSize]float64) float64 {
-	return a[0]*b[0] + a[1]*b[1] + a[2]*b[2] + a[3]*b[3] +
-		a[4]*b[4] + a[5]*b[5] + a[6]*b[6] + a[7]*b[7]
-}
-
-// FDCT computes the forward 8×8 DCT of src into dst (may alias).
-// Output coefficients are scaled ×4 relative to the orthonormal DCT so
-// that integer quantization keeps enough precision.
+// FDCT computes the forward 8×8 DCT of src into dst (may alias), at the
+// orthonormal scale, rounded to integers. Zero rows and columns, common
+// in residual blocks, transform to zeros without arithmetic.
 func FDCT(dst, src *Block) {
-	var tmp [blockLen]float64
-	// Rows: convert each row once, then unrolled inner products against
-	// the contiguous cosine rows.
+	var ws [blockLen]int64
+	// Pass 1: rows, scaled up by √8·2^passBits.
 	for y := 0; y < BlockSize; y++ {
-		var in [BlockSize]float64
-		or := int32(0)
-		for n, v := range src[y*BlockSize : y*BlockSize+BlockSize] {
-			or |= v
-			in[n] = float64(v)
+		s := (*[BlockSize]int32)(src[y*BlockSize:])
+		if s[0]|s[1]|s[2]|s[3]|s[4]|s[5]|s[6]|s[7] == 0 {
+			continue // ws is zeroed
 		}
-		out := tmp[y*BlockSize : y*BlockSize+BlockSize]
-		// A zero input row (common in residual blocks) transforms to a row
-		// of signed zeros; writing +0 can differ only in zero sign, which
-		// the column pass's zero test treats identically and the final
-		// rounding erases.
-		if or == 0 {
-			for k := 0; k < BlockSize; k++ {
-				out[k] = 0
-			}
-			continue
-		}
-		for k := 0; k < BlockSize; k++ {
-			s := dot8(&in, &cosTable[k])
-			if k == 0 {
-				s *= math.Sqrt2 / 2
-			}
-			out[k] = s / 2
-		}
+		o0, o1, o2, o3, o4, o5, o6, o7 := fdct8(int64(s[0]), int64(s[1]), int64(s[2]), int64(s[3]),
+			int64(s[4]), int64(s[5]), int64(s[6]), int64(s[7]))
+		const shift = constBits - passBits
+		w := (*[BlockSize]int64)(ws[y*BlockSize:])
+		w[0] = o0 << passBits
+		w[1] = descale(o1, shift)
+		w[2] = descale(o2, shift)
+		w[3] = descale(o3, shift)
+		w[4] = o4 << passBits
+		w[5] = descale(o5, shift)
+		w[6] = descale(o6, shift)
+		w[7] = descale(o7, shift)
 	}
-	// Columns: gather the strided column once per x. An all-zero column
-	// (common for residual blocks) yields inner products that are sums of
-	// signed zeros, and RoundToEven maps either zero sign to 0, so the
-	// skip is bit-exact.
+	// Pass 2: columns; the descale removes passBits and both passes' √8.
 	for x := 0; x < BlockSize; x++ {
-		var in [BlockSize]float64
-		zero := true
-		for n := 0; n < BlockSize; n++ {
-			v := tmp[n*BlockSize+x]
-			if v != 0 {
-				zero = false
-			}
-			in[n] = v
-		}
-		if zero {
+		d0, d1, d2, d3 := ws[0*BlockSize+x], ws[1*BlockSize+x], ws[2*BlockSize+x], ws[3*BlockSize+x]
+		d4, d5, d6, d7 := ws[4*BlockSize+x], ws[5*BlockSize+x], ws[6*BlockSize+x], ws[7*BlockSize+x]
+		if d0|d1|d2|d3|d4|d5|d6|d7 == 0 {
 			for k := 0; k < BlockSize; k++ {
 				dst[k*BlockSize+x] = 0
 			}
 			continue
 		}
-		for k := 0; k < BlockSize; k++ {
-			s := dot8(&in, &cosTable[k])
-			if k == 0 {
-				s *= math.Sqrt2 / 2
-			}
-			dst[k*BlockSize+x] = int32(math.RoundToEven(s / 2))
-		}
+		o0, o1, o2, o3, o4, o5, o6, o7 := fdct8(d0, d1, d2, d3, d4, d5, d6, d7)
+		const shift = constBits + passBits + 3
+		dst[0*BlockSize+x] = int32(descale(o0, passBits+3))
+		dst[1*BlockSize+x] = int32(descale(o1, shift))
+		dst[2*BlockSize+x] = int32(descale(o2, shift))
+		dst[3*BlockSize+x] = int32(descale(o3, shift))
+		dst[4*BlockSize+x] = int32(descale(o4, passBits+3))
+		dst[5*BlockSize+x] = int32(descale(o5, shift))
+		dst[6*BlockSize+x] = int32(descale(o6, shift))
+		dst[7*BlockSize+x] = int32(descale(o7, shift))
 	}
 }
 
-// IDCT computes the inverse 8×8 DCT of src into dst (may alias),
-// undoing FDCT's scaling. The k==0 basis scaling is applied once per
-// column/row instead of once per output sample — the identical multiply,
-// hoisted — and the inner products run against the transposed table.
+// fdct8 is the 1-D LLM forward transform of d0..d7, scaled up by √8; the
+// outputs other than 0 and 4 carry 2^constBits more, and the caller
+// descales.
+func fdct8(d0, d1, d2, d3, d4, d5, d6, d7 int64) (o0, o1, o2, o3, o4, o5, o6, o7 int64) {
+	tmp0, tmp7 := d0+d7, d0-d7
+	tmp1, tmp6 := d1+d6, d1-d6
+	tmp2, tmp5 := d2+d5, d2-d5
+	tmp3, tmp4 := d3+d4, d3-d4
+
+	// Even part.
+	tmp10, tmp13 := tmp0+tmp3, tmp0-tmp3
+	tmp11, tmp12 := tmp1+tmp2, tmp1-tmp2
+	z1 := (tmp12 + tmp13) * fix0_541196100
+	o0 = tmp10 + tmp11
+	o4 = tmp10 - tmp11
+	o2 = z1 + tmp13*fix0_765366865
+	o6 = z1 - tmp12*fix1_847759065
+
+	// Odd part.
+	z1 = (tmp4 + tmp7) * -fix0_899976223
+	z2 := (tmp5 + tmp6) * -fix2_562915447
+	z3 := tmp4 + tmp6
+	z4 := tmp5 + tmp7
+	z5 := (z3 + z4) * fix1_175875602
+	z3 = z3*-fix1_961570560 + z5
+	z4 = z4*-fix0_390180644 + z5
+	o7 = tmp4*fix0_298631336 + z1 + z3
+	o5 = tmp5*fix2_053119869 + z2 + z4
+	o3 = tmp6*fix3_072711026 + z2 + z3
+	o1 = tmp7*fix1_501321110 + z1 + z4
+	return
+}
+
+// IDCT computes the inverse 8×8 DCT of orthonormal-scale coefficients src
+// into dst (may alias), undoing FDCT. A column or row whose AC terms are
+// all zero, the common case for quantized blocks, reconstructs as its
+// scaled DC alone, which is exactly what the full butterfly computes for
+// it.
 func IDCT(dst, src *Block) {
-	var tmp [blockLen]float64
-	// Both passes accumulate only the nonzero terms of each inner product,
-	// in ascending index order — the same term order as dot8, so every
-	// nonzero partial sum is bit-identical. Skipped zero terms can change
-	// only the sign of an all-zero prefix (IEEE: x + ±0 == x for x != 0,
-	// and -0 + +0 == +0), and zero signs are erased by the RoundToEven
-	// int32 conversion at the end, so results match the dense transform
-	// exactly. Quantized blocks typically carry a handful of nonzero
-	// coefficients, which makes this the dominant IDCT saving.
-	//
-	// A single pass over the block records which entries are nonzero;
-	// per-column population counts then route each column without a
-	// strided re-scan.
-	var mask uint64
-	for i, v := range src {
-		if v != 0 {
-			mask |= 1 << uint(i)
-		}
-	}
-	// Columns.
+	var ws [blockLen]int64
+	// Pass 1: columns, scaled up by √8·2^passBits.
 	for x := 0; x < BlockSize; x++ {
-		const colBits = 0x0101010101010101
-		nz := bits.OnesCount64(mask >> uint(x) & colBits)
-		if nz == 0 {
+		c0, c1, c2, c3 := src[0*BlockSize+x], src[1*BlockSize+x], src[2*BlockSize+x], src[3*BlockSize+x]
+		c4, c5, c6, c7 := src[4*BlockSize+x], src[5*BlockSize+x], src[6*BlockSize+x], src[7*BlockSize+x]
+		if c1|c2|c3|c4|c5|c6|c7 == 0 {
+			dc := int64(c0) << passBits
 			for n := 0; n < BlockSize; n++ {
-				tmp[n*BlockSize+x] = 0
+				ws[n*BlockSize+x] = dc
 			}
 			continue
 		}
-		var c [BlockSize]float64
-		for k := 0; k < BlockSize; k++ {
-			c[k] = float64(src[k*BlockSize+x])
-		}
-		switch {
-		case nz >= 5:
-			// Dense column: the unrolled inner product wins.
-			c[0] *= math.Sqrt2 / 2
-			for n := 0; n < BlockSize; n++ {
-				tmp[n*BlockSize+x] = dot8(&c, &cosTableT[n]) / 2
-			}
-		default:
-			sparse8(&c, c[:])
-			for n := 0; n < BlockSize; n++ {
-				tmp[n*BlockSize+x] = c[n] / 2
-			}
-		}
+		o0, o1, o2, o3, o4, o5, o6, o7 := idct8(int64(c0), int64(c1), int64(c2), int64(c3),
+			int64(c4), int64(c5), int64(c6), int64(c7))
+		const shift = constBits - passBits
+		ws[0*BlockSize+x] = descale(o0, shift)
+		ws[1*BlockSize+x] = descale(o1, shift)
+		ws[2*BlockSize+x] = descale(o2, shift)
+		ws[3*BlockSize+x] = descale(o3, shift)
+		ws[4*BlockSize+x] = descale(o4, shift)
+		ws[5*BlockSize+x] = descale(o5, shift)
+		ws[6*BlockSize+x] = descale(o6, shift)
+		ws[7*BlockSize+x] = descale(o7, shift)
 	}
-	// Rows.
+	// Pass 2: rows; the descale removes passBits and both passes' √8.
 	for y := 0; y < BlockSize; y++ {
-		var c [BlockSize]float64
-		nz := 0
-		for k, v := range tmp[y*BlockSize : y*BlockSize+BlockSize] {
-			if v != 0 {
-				nz++
+		w := (*[BlockSize]int64)(ws[y*BlockSize:])
+		d := (*[BlockSize]int32)(dst[y*BlockSize:])
+		if w[1]|w[2]|w[3]|w[4]|w[5]|w[6]|w[7] == 0 {
+			v := int32(descale(w[0], passBits+3))
+			for n := range d {
+				d[n] = v
 			}
-			c[k] = v
+			continue
 		}
-		switch {
-		case nz == 0:
-			for n := 0; n < BlockSize; n++ {
-				dst[y*BlockSize+n] = 0
-			}
-		case nz >= 5:
-			c[0] *= math.Sqrt2 / 2
-			for n := 0; n < BlockSize; n++ {
-				dst[y*BlockSize+n] = int32(math.RoundToEven(dot8(&c, &cosTableT[n]) / 2))
-			}
-		default:
-			sparse8(&c, c[:])
-			for n := 0; n < BlockSize; n++ {
-				dst[y*BlockSize+n] = int32(math.RoundToEven(c[n] / 2))
-			}
-		}
+		o0, o1, o2, o3, o4, o5, o6, o7 := idct8(w[0], w[1], w[2], w[3], w[4], w[5], w[6], w[7])
+		const shift = constBits + passBits + 3
+		d[0] = int32(descale(o0, shift))
+		d[1] = int32(descale(o1, shift))
+		d[2] = int32(descale(o2, shift))
+		d[3] = int32(descale(o3, shift))
+		d[4] = int32(descale(o4, shift))
+		d[5] = int32(descale(o5, shift))
+		d[6] = int32(descale(o6, shift))
+		d[7] = int32(descale(o7, shift))
 	}
 }
 
-// sparse8 overwrites out with the 8-point inverse inner products of the
-// coefficient vector c, accumulating only nonzero terms in ascending index
-// order — the same order as dot8, so every nonzero partial sum is
-// bit-identical, and skipped zero terms change at most the sign of a zero
-// result, which callers erase at the int32 rounding. c and out may alias
-// because c is consumed before out is first written.
-func sparse8(c *[BlockSize]float64, out []float64) {
-	var acc [BlockSize]float64
-	any := false
-	for k := 0; k < BlockSize; k++ {
-		cv := c[k]
-		if cv == 0 {
-			continue
-		}
-		if k == 0 {
-			cv *= math.Sqrt2 / 2
-		}
-		t := &cosTable[k]
-		if !any {
-			any = true
-			for n := 0; n < BlockSize; n++ {
-				acc[n] = cv * t[n]
-			}
-			continue
-		}
-		for n := 0; n < BlockSize; n++ {
-			acc[n] += cv * t[n]
-		}
-	}
-	copy(out[:BlockSize], acc[:])
+// idct8 is the 1-D LLM inverse transform of c0..c7, scaled up by
+// √8·2^constBits; the caller descales.
+func idct8(c0, c1, c2, c3, c4, c5, c6, c7 int64) (o0, o1, o2, o3, o4, o5, o6, o7 int64) {
+	// Even part.
+	z1 := (c2 + c6) * fix0_541196100
+	tmp2 := z1 - c6*fix1_847759065
+	tmp3 := z1 + c2*fix0_765366865
+	tmp0 := (c0 + c4) << constBits
+	tmp1 := (c0 - c4) << constBits
+	tmp10, tmp13 := tmp0+tmp3, tmp0-tmp3
+	tmp11, tmp12 := tmp1+tmp2, tmp1-tmp2
+
+	// Odd part.
+	z1 = (c7 + c1) * -fix0_899976223
+	z2 := (c5 + c3) * -fix2_562915447
+	z3 := c7 + c3
+	z4 := c5 + c1
+	z5 := (z3 + z4) * fix1_175875602
+	z3 = z3*-fix1_961570560 + z5
+	z4 = z4*-fix0_390180644 + z5
+	tmp0 = c7*fix0_298631336 + z1 + z3
+	tmp1 = c5*fix2_053119869 + z2 + z4
+	tmp2 = c3*fix3_072711026 + z2 + z3
+	tmp3 = c1*fix1_501321110 + z1 + z4
+
+	return tmp10 + tmp3, tmp11 + tmp2, tmp12 + tmp1, tmp13 + tmp0,
+		tmp13 - tmp0, tmp12 - tmp1, tmp11 - tmp2, tmp10 - tmp3
 }
 
 // zigzag[i] is the row-major index of the i-th coefficient in zigzag
