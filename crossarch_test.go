@@ -11,9 +11,12 @@ import (
 
 // fusedFreePackages are the packages whose compiled code must hold no
 // fused multiply-add on any architecture: everything that produces or
-// parses codec bytes. Extend this list as more packages become
-// float-free (ROADMAP cross-architecture item).
+// parses codec bytes, and the scaling and super-resolution kernels that
+// produce the pixels anchors are coded from. Extend this list as more
+// packages round their float products (ROADMAP cross-architecture item).
 var fusedFreePackages = []string{
+	"./internal/frame",
+	"./internal/sr",
 	"./internal/transform",
 	"./internal/icodec",
 	"./internal/vcodec",

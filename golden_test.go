@@ -50,6 +50,24 @@ var (
 		"bf48663a006d1db55c38cd97e813d032722b7c55a1e56c16684f223163e821cb",
 		"837f2ba094409c92e20974f8bf7877988f948d81bbaaac4234e20e172ebb8ca0",
 	}
+	// goldenSR is sr.OracleModel.Apply with sr.HighQuality() on the first
+	// GOP, by display index: the Y, U and V rows of each output in turn.
+	// Anchor quantization can absorb a ±1 sample change, so these pin the
+	// super-resolved pixels the anchors are coded from.
+	goldenSR = []string{
+		"13f033e20248e3dd7888c8ca99d3ffceaebf656846dc6d12110319543e1eb08d",
+		"34a6c74a308c9173ecc5f64b6e878b302e79d4da0aa58bef89ca291b7958794d",
+		"5532cb07341c6121a844c27486235120073a1a7ec9f44f9b55addaf285ebad5b",
+		"50bd7181e956167797f4d54afaba7c3e6dfc16f6c39be6ab694c9423ee7e324b",
+		"5809615211703d993a8c7bf0f55f738e0e71a64a68268c8fc2fe60bcbb10148b",
+		"4deb83d627be84cdcbd61130c1132f0700a81b6cbad8c80258e408af6ec6e6db",
+		"d09a75d008c7cda8b5e76dca3a0780bca5e3a26bf34beccecb60fe3b0ec5c8cb",
+		"671f4e33eef2ae155f46c049efaa5978fa6accf2ae5cafb293c0f090ae15238c",
+		"3ab4ab54c3587e56626b0d18dd5017772986fc92f75dc04ee7674c7d814f3ffa",
+		"cca7b5e1f16a7cd6d08b2b041faaed99292d05fea7d0d454bc26336b204b7422",
+		"40a6a2054d81593ea4921fcfec3a9f9056a0b0de3eea842dc091fbe705468ba6",
+		"4ff9e5d4f0e7640842e47c868365e47a73158fefd9fd3eac322d1150f101579d",
+	}
 )
 
 // goldenContent renders `frames` HR frames of the golden content for
@@ -123,6 +141,26 @@ func TestGoldenCodecBytes(t *testing.T) {
 			all = append(all, p.Data...)
 		}
 		checkGolden(t, "vcodec GOP", all, goldenGOPPackets)
+	})
+	t.Run("sr", func(t *testing.T) {
+		hr, lr := goldenContent(t, goldenSeed, goldenGOP)
+		m, err := sr.NewOracleModel(sr.HighQuality(), hr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range lr {
+			out, err := m.Apply(lr[i], i)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var pix []byte
+			for _, p := range out.Planes() {
+				for y := 0; y < p.H; y++ {
+					pix = append(pix, p.Row(y)...)
+				}
+			}
+			checkGolden(t, fmt.Sprintf("sr display index %d", i), pix, goldenSR[i])
+		}
 	})
 	t.Run("hybrid", func(t *testing.T) {
 		const streams, chunks = 2, 2

@@ -1,9 +1,13 @@
 package frame
 
 import (
+	"bytes"
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
+
+	"github.com/neuroscaler/neuroscaler/internal/par"
 )
 
 func TestNewRejectsBadDimensions(t *testing.T) {
@@ -100,23 +104,26 @@ func TestDiffAddResidualRoundTrip(t *testing.T) {
 	}
 }
 
+// The blend tests scale a same-size source (a copy) so the blend alone
+// decides the output; TestScaleBicubicBlendMatchesSeparatePasses covers
+// the fused filter pass.
+
 func TestBlendExtremes(t *testing.T) {
 	a, b := MustNew(8, 8), MustNew(8, 8)
 	a.Y.Fill(10)
 	b.Y.Fill(250)
-	got := a.Clone()
-	if err := Blend(got, b, 0); err != nil {
+	got := MustNew(8, 8)
+	if err := ScaleBicubicBlendInto(got, a, b, 0); err != nil {
 		t.Fatal(err)
 	}
 	if got.Y.At(0, 0) != 10 {
-		t.Errorf("Blend alpha=0 changed dst: %d", got.Y.At(0, 0))
+		t.Errorf("blend alpha=0 changed the upscale: %d", got.Y.At(0, 0))
 	}
-	got = a.Clone()
-	if err := Blend(got, b, 1); err != nil {
+	if err := ScaleBicubicBlendInto(got, a, b, 1); err != nil {
 		t.Fatal(err)
 	}
 	if got.Y.At(0, 0) != 250 {
-		t.Errorf("Blend alpha=1 != src: %d", got.Y.At(0, 0))
+		t.Errorf("blend alpha=1 != target: %d", got.Y.At(0, 0))
 	}
 }
 
@@ -126,15 +133,97 @@ func TestBlendMonotonicInAlpha(t *testing.T) {
 	b.Y.Fill(200)
 	prev := -1
 	for _, alpha := range []float64{0, 0.25, 0.5, 0.75, 1} {
-		g := a.Clone()
-		if err := Blend(g, b, alpha); err != nil {
+		g := MustNew(4, 4)
+		if err := ScaleBicubicBlendInto(g, a, b, alpha); err != nil {
 			t.Fatal(err)
 		}
 		v := int(g.Y.At(0, 0))
 		if v < prev {
-			t.Errorf("Blend not monotonic: alpha=%v gave %d after %d", alpha, v, prev)
+			t.Errorf("blend not monotonic: alpha=%v gave %d after %d", alpha, v, prev)
 		}
 		prev = v
+	}
+}
+
+func TestScaleBicubicBlendRejectsMismatchedTarget(t *testing.T) {
+	if err := ScaleBicubicBlendInto(MustNew(8, 8), MustNew(4, 4), MustNew(8, 6), 0.5); err == nil {
+		t.Error("target of another size accepted")
+	}
+}
+
+// referenceBlend is the blend as its own pass over a finished upscale:
+// dst = (src*a + dst*(256-a) + 128) >> 8 with a = round(alpha*256).
+func referenceBlend(dst, src *Frame, alpha float64) {
+	alpha = math.Min(math.Max(alpha, 0), 1)
+	a := int(float64(alpha*256) + 0.5)
+	dp, sp := dst.Planes(), src.Planes()
+	for i := range dp {
+		for y := 0; y < dp[i].H; y++ {
+			dr, sr := dp[i].Row(y), sp[i].Row(y)
+			for x := range dr {
+				dr[x] = byte((int(sr[x])*a + int(dr[x])*(256-a) + 128) >> 8)
+			}
+		}
+	}
+}
+
+// TestScaleBicubicBlendMatchesSeparatePasses pins the fused pass to
+// ScaleBicubicInto followed by a separate blend, sample for sample, on
+// upscales, downscales and same-size copies, at alphas inside and outside
+// [0, 1], into dirty arena frames, for one and several workers.
+func TestScaleBicubicBlendMatchesSeparatePasses(t *testing.T) {
+	old := par.Workers()
+	defer par.SetWorkers(old)
+	rng := rand.New(rand.NewSource(33))
+	noise := func(w, h int) *Frame {
+		f := MustNew(w, h)
+		for _, p := range f.Planes() {
+			rng.Read(p.Pix)
+		}
+		return f
+	}
+	shapes := [][4]int{{32, 24, 96, 72}, {17, 9, 51, 27}, {33, 20, 66, 40}, {40, 30, 20, 15}, {12, 10, 12, 10}}
+	for _, workers := range []int{1, 3} {
+		par.SetWorkers(workers)
+		for _, sh := range shapes {
+			src, target := noise(sh[0], sh[1]), noise(sh[2], sh[3])
+			for _, alpha := range []float64{-0.5, 0, 0.3, 0.5, 0.8857, 1, 2} {
+				want := MustNew(sh[2], sh[3])
+				ScaleBicubicInto(want, src)
+				referenceBlend(want, target, alpha)
+				got := Borrow(sh[2], sh[3])
+				for _, p := range got.Planes() {
+					rng.Read(p.Pix)
+				}
+				if err := ScaleBicubicBlendInto(got, src, target, alpha); err != nil {
+					t.Fatal(err)
+				}
+				for i, p := range got.Planes() {
+					if !bytes.Equal(p.Pix, want.Planes()[i].Pix) {
+						t.Fatalf("workers %d, %dx%d -> %dx%d, alpha %v: plane %d differs from scale-then-blend",
+							workers, sh[0], sh[1], sh[2], sh[3], alpha, i)
+					}
+				}
+				Release(got)
+			}
+		}
+	}
+}
+
+// TestScaleBicubicSameSizeCopies checks that scaling to the source's own
+// size copies it exactly into a dirty destination.
+func TestScaleBicubicSameSizeCopies(t *testing.T) {
+	rng := rand.New(rand.NewSource(34))
+	src, dst := MustNew(13, 9), MustNew(13, 9)
+	for i, p := range src.Planes() {
+		rng.Read(p.Pix)
+		rng.Read(dst.Planes()[i].Pix)
+	}
+	ScaleBicubicInto(dst, src)
+	for i, p := range dst.Planes() {
+		if !bytes.Equal(p.Pix, src.Planes()[i].Pix) {
+			t.Fatalf("plane %d: same-size scale is not a copy", i)
+		}
 	}
 }
 

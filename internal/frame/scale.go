@@ -11,7 +11,12 @@ package frame
 // (typically from the arena, see Borrow/Release) so steady-state scaling
 // allocates nothing.
 
-import "github.com/neuroscaler/neuroscaler/internal/par"
+import (
+	"fmt"
+	"sync"
+
+	"github.com/neuroscaler/neuroscaler/internal/par"
+)
 
 // ScaleBilinear resizes src to w×h with bilinear interpolation.
 func ScaleBilinear(src *Frame, w, h int) (*Frame, error) {
@@ -79,26 +84,51 @@ func ScaleBicubic(src *Frame, w, h int) (*Frame, error) {
 func ScaleBicubicInto(dst, src *Frame) {
 	sp, dp := src.Planes(), dst.Planes()
 	for i := 0; i < 3; i++ {
-		bicubicPlane(sp[i], dp[i])
+		bicubicPlane(dp[i], sp[i], nil, 0)
 	}
 }
 
+// ScaleBicubicBlendInto resizes src into dst with the bicubic kernel and,
+// in the same pass, blends each sample toward target:
+// alpha*target + (1-alpha)*upscaled, with alpha clamped to [0, 1] and
+// applied in 8-bit fixed point. dst and target must have the same
+// dimensions; every destination sample is overwritten, so dst may come
+// from Borrow.
+func ScaleBicubicBlendInto(dst, src, target *Frame, alpha float64) error {
+	if dst.W != target.W || dst.H != target.H {
+		return fmt.Errorf("frame: blend dimension mismatch %dx%d != %dx%d", dst.W, dst.H, target.W, target.H)
+	}
+	if alpha < 0 {
+		alpha = 0
+	} else if alpha > 1 {
+		alpha = 1
+	}
+	a := int(float64(alpha*256) + 0.5)
+	sp, dp, tp := src.Planes(), dst.Planes(), target.Planes()
+	for i := 0; i < 3; i++ {
+		bicubicPlane(dp[i], sp[i], tp[i], a)
+	}
+	return nil
+}
+
 // cubicWeights returns the four Catmull-Rom weights for fractional
-// position t in [0, 1), scaled by 64 (6-bit fixed point).
+// position t in [0, 1), scaled by 64 (6-bit fixed point). Every product
+// is rounded before it is added (float64(x*y) + z) so no architecture
+// fuses it into a multiply-add and the weights are the same everywhere.
 func cubicWeights(t float64) [4]int {
-	t2, t3 := t*t, t*t*t
+	t2, t3 := float64(t*t), float64(t*t*t)
 	w := [4]float64{
-		-0.5*t3 + t2 - 0.5*t,
-		1.5*t3 - 2.5*t2 + 1,
-		-1.5*t3 + 2*t2 + 0.5*t,
-		0.5*t3 - 0.5*t2,
+		float64(-0.5*t3) + t2 - float64(0.5*t),
+		float64(1.5*t3) - float64(2.5*t2) + 1,
+		float64(-1.5*t3) + float64(2*t2) + float64(0.5*t),
+		float64(0.5*t3) - float64(0.5*t2),
 	}
 	var q [4]int
 	sum := 0
 	for i, f := range w {
-		q[i] = int(f*64 + 0.5)
+		q[i] = int(float64(f*64) + 0.5)
 		if f < 0 {
-			q[i] = int(f*64 - 0.5)
+			q[i] = int(float64(f*64) - 0.5)
 		}
 		sum += q[i]
 	}
@@ -114,14 +144,24 @@ type bicubicTap struct {
 	w   [4]int
 }
 
+// axisTaps caches bicubicAxisTaps by geometry, the way the frame arena
+// keys its pools by dimensions: a stream scales the same few plane sizes
+// for its whole life. Cached slices are shared and never written.
+var axisTaps sync.Map // [2]int{srcN, dstN} -> []bicubicTap
+
 // bicubicAxisTaps resolves taps for one axis. Tap positions and weights
-// depend only on the axis geometry, so precomputing them per plane turns
-// W×H weight evaluations and clamp checks into W+H.
+// depend only on the axis geometry, so resolving them once per
+// (srcN, dstN) turns W×H weight evaluations and clamp checks per plane
+// into a cache lookup.
 func bicubicAxisTaps(srcN, dstN int) []bicubicTap {
+	key := [2]int{srcN, dstN}
+	if v, ok := axisTaps.Load(key); ok {
+		return v.([]bicubicTap)
+	}
 	scale := float64(srcN) / float64(dstN)
 	taps := make([]bicubicTap, dstN)
 	for d := range taps {
-		sf := (float64(d)+0.5)*scale - 0.5
+		sf := float64((float64(d)+0.5)*scale) - 0.5
 		s0 := int(sf)
 		if sf < 0 {
 			s0 = -1
@@ -138,15 +178,29 @@ func bicubicAxisTaps(srcN, dstN int) []bicubicTap {
 			taps[d].w[i] = w[i]
 		}
 	}
-	return taps
+	v, _ := axisTaps.LoadOrStore(key, taps)
+	return v.([]bicubicTap)
 }
 
 // scaleScratch recycles the separable filter's intermediate rows.
 var scaleScratch par.SlabPool[int32]
 
-func bicubicPlane(src, dst *Plane) {
+// bicubicPlane scales src into dst. With a non-nil target each filtered
+// sample is blended toward the matching target sample by a/256 before it
+// is stored: (t*a + s*(256-a) + 128) >> 8.
+func bicubicPlane(dst, src, target *Plane, a int) {
 	if src.W == dst.W && src.H == dst.H {
-		_ = dst.CopyFrom(src)
+		// Nothing to filter; a plain copy blends toward dst itself by 0,
+		// which stores the source sample: (s*256 + 128) >> 8 == s.
+		if target == nil {
+			target = dst
+		}
+		for y := 0; y < dst.H; y++ {
+			row, srow, trow := dst.Row(y), src.Row(y)[:dst.W], target.Row(y)[:dst.W]
+			for x := range row {
+				row[x] = byte((int(trow[x])*a + int(srow[x])*(256-a) + 128) >> 8)
+			}
+		}
 		return
 	}
 	xTaps := bicubicAxisTaps(src.W, dst.W)
@@ -178,9 +232,20 @@ func bicubicPlane(src, dst *Plane) {
 			h3 := hbuf[ty.idx[3]*dst.W : ty.idx[3]*dst.W+dst.W]
 			wy0, wy1, wy2, wy3 := ty.w[0], ty.w[1], ty.w[2], ty.w[3]
 			row := dst.Row(y)
+			// Plain scaling keeps its own store loop: the blend's extra
+			// target load and multiplies show on BenchmarkScaleBicubic.
+			if target == nil {
+				for x := range row {
+					acc := wy0*int(h0[x]) + wy1*int(h1[x]) + wy2*int(h2[x]) + wy3*int(h3[x])
+					row[x] = clampByte((acc + 2048) >> 12)
+				}
+				continue
+			}
+			trow := target.Row(y)[:len(row)]
 			for x := range row {
 				acc := wy0*int(h0[x]) + wy1*int(h1[x]) + wy2*int(h2[x]) + wy3*int(h3[x])
-				row[x] = clampByte((acc + 2048) >> 12)
+				s := int(clampByte((acc + 2048) >> 12))
+				row[x] = byte((int(trow[x])*a + s*(256-a) + 128) >> 8)
 			}
 		}
 	})

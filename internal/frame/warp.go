@@ -153,30 +153,3 @@ func Diff(a, b *Frame) (*Frame, error) {
 	}
 	return out, nil
 }
-
-// Blend overwrites dst with alpha*src + (1-alpha)*dst per sample.
-// alpha is clamped to [0, 1].
-func Blend(dst, src *Frame, alpha float64) error {
-	if dst.W != src.W || dst.H != src.H {
-		return fmt.Errorf("frame: blend dimension mismatch %dx%d != %dx%d", dst.W, dst.H, src.W, src.H)
-	}
-	if alpha < 0 {
-		alpha = 0
-	} else if alpha > 1 {
-		alpha = 1
-	}
-	a := int(alpha*256 + 0.5)
-	dp, sp := dst.Planes(), src.Planes()
-	for i := 0; i < 3; i++ {
-		pd, ps := dp[i], sp[i]
-		par.For(pd.H, par.RowGrain(pd.W), func(yLo, yHi int) {
-			for y := yLo; y < yHi; y++ {
-				dr, sr := pd.Row(y), ps.Row(y)
-				for x := range dr {
-					dr[x] = byte((int(sr[x])*a + int(dr[x])*(256-a) + 128) >> 8)
-				}
-			}
-		})
-	}
-	return nil
-}

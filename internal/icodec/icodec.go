@@ -59,10 +59,10 @@ func Encode(f *frame.Frame, opts Options) ([]byte, Stats, error) {
 	w.WriteBits(uint64(f.W), 16)
 	w.WriteBits(uint64(f.H), 16)
 	w.WriteBits(uint64(opts.Quality), 8)
-	table := transform.NewQuantizer(opts.Quality)
+	table := transform.QuantizerFor(opts.Quality)
 	var st Stats
 	for _, p := range f.Planes() {
-		encodePlane(&w, p, &table, &st)
+		encodePlane(&w, p, table, &st)
 	}
 	buf := w.Bytes()
 	st.Bytes = len(buf)

@@ -9,6 +9,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"github.com/neuroscaler/neuroscaler/internal/frame"
 	"github.com/neuroscaler/neuroscaler/internal/icodec"
 	"github.com/neuroscaler/neuroscaler/internal/sr"
 	"github.com/neuroscaler/neuroscaler/internal/wire"
@@ -147,7 +148,10 @@ func (e *LocalEnhancer) Enhance(streamID uint32, job wire.AnchorJob) (wire.Ancho
 	if err != nil {
 		return wire.AnchorResult{}, fmt.Errorf("media: enhance stream %d packet %d: %w", streamID, job.Packet, err)
 	}
+	// The model's output is ours (sr.Model's contract); once coded it goes
+	// back to the frame arena for the next anchor of this geometry.
 	data, _, err := icodec.Encode(hr, icodec.Options{Quality: job.QP})
+	frame.Release(hr)
 	if err != nil {
 		return wire.AnchorResult{}, err
 	}

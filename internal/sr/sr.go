@@ -19,6 +19,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"sync"
 
 	"github.com/neuroscaler/neuroscaler/internal/frame"
 	"github.com/neuroscaler/neuroscaler/internal/par"
@@ -68,13 +69,16 @@ func (c ModelConfig) WeightBytes() int64 {
 	return int64(c.Blocks) * int64(c.Channels) * int64(c.Channels) * 9 * 4
 }
 
-// Model super-resolves single frames. Implementations must be safe for
-// sequential use by one goroutine; the enhancer serializes per-stream.
+// Model super-resolves single frames. Apply must be safe for concurrent
+// use: one enhancer runs several chunks of a stream at once, and an
+// enhancer service serves batches concurrently.
 type Model interface {
 	Config() ModelConfig
 	// Apply upscales a decoded ingest-resolution frame. displayIndex
 	// identifies the frame within the stream so content-aware models can
-	// exploit what they learned about the content.
+	// exploit what they learned about the content. The returned frame
+	// belongs to the caller, which may hand it back to the arena with
+	// frame.Release once done with it.
 	Apply(lr *frame.Frame, displayIndex int) (*frame.Frame, error)
 }
 
@@ -150,8 +154,9 @@ func (m *OracleModel) fidelityFor(displayIndex int) float64 {
 		return m.fidelity
 	}
 	if m.targeted[displayIndex] {
-		// Concentrated training closes ~35% of the remaining gap.
-		return m.fidelity + (1-m.fidelity)*0.35
+		// Concentrated training closes ~35% of the remaining gap. The
+		// product is rounded before the add so no architecture fuses it.
+		return m.fidelity + float64((1-m.fidelity)*0.35)
 	}
 	f := m.fidelity - 0.04 // the rest of the content sees less training
 	if f < 0 {
@@ -160,22 +165,27 @@ func (m *OracleModel) fidelityFor(displayIndex int) float64 {
 	return f
 }
 
-// Apply implements Model.
+// Apply implements Model. The output is borrowed from the frame arena
+// (the upscale overwrites every sample); Reconstructor and the media
+// enhancer release it when done.
 func (m *OracleModel) Apply(lr *frame.Frame, displayIndex int) (*frame.Frame, error) {
 	if displayIndex < 0 || displayIndex >= len(m.hr) {
 		return nil, fmt.Errorf("sr: display index %d outside trained range [0, %d)", displayIndex, len(m.hr))
 	}
 	gt := m.hr[displayIndex]
-	out, err := frame.ScaleBicubic(lr, gt.W, gt.H)
-	if err != nil {
-		return nil, err
-	}
-	if err := frame.Blend(out, gt, m.fidelityFor(displayIndex)); err != nil {
+	out := frame.Borrow(gt.W, gt.H)
+	if err := frame.ScaleBicubicBlendInto(out, lr, gt, m.fidelityFor(displayIndex)); err != nil {
+		frame.Release(out)
 		return nil, err
 	}
 	m.addFloor(out, displayIndex)
 	return out, nil
 }
+
+// floorRands recycles addFloor's generators: reseeding one yields the
+// same sequence as a new source with that seed, without allocating the
+// source's state per anchor.
+var floorRands = sync.Pool{New: func() any { return rand.New(rand.NewSource(0)) }}
 
 // addFloor perturbs the output with deterministic noise of amplitude
 // floorAmp, independent of the input error.
@@ -183,12 +193,17 @@ func (m *OracleModel) addFloor(f *frame.Frame, displayIndex int) {
 	if m.floorAmp <= 0 {
 		return
 	}
-	rng := rand.New(rand.NewSource(m.seed + int64(displayIndex)*7919))
-	amp := m.floorAmp * math.Sqrt(3) // uniform [-a, a] has RMS a/sqrt(3)
+	rng := floorRands.Get().(*rand.Rand)
+	defer floorRands.Put(rng)
+	rng.Seed(m.seed + int64(displayIndex)*7919)
+	amp := float64(m.floorAmp * math.Sqrt(3)) // uniform [-a, a] has RMS a/sqrt(3)
 	for y := 0; y < f.H; y++ {
 		row := f.Y.Row(y)
 		for x := 0; x < f.W; x += 2 {
-			v := int(row[x]) + int(rng.Float64()*2*amp-amp)
+			// Every product is rounded before it is added, the inlined
+			// Float64 (itself a product) included, so architectures that
+			// fuse multiply-adds compute the same sample.
+			v := int(row[x]) + int(float64(float64(rng.Float64())*2*amp)-amp)
 			if v < 0 {
 				v = 0
 			} else if v > 255 {

@@ -11,6 +11,8 @@
 // fuse into a multiply-add.
 package transform
 
+import "sync/atomic"
+
 // BlockSize is the transform block edge length in samples.
 const BlockSize = 8
 
@@ -322,8 +324,9 @@ type Quantizer struct {
 	half  [blockLen]int32
 }
 
-// NewQuantizer builds the quantizer for quality q (see QuantTable).
-func NewQuantizer(q int) Quantizer {
+// newQuantizer builds the quantizer for quality q (see QuantTable);
+// QuantizerFor shares one per quality.
+func newQuantizer(q int) Quantizer {
 	var z Quantizer
 	z.Table = QuantTable(q)
 	for i, d := range z.Table {
@@ -335,6 +338,23 @@ func NewQuantizer(q int) Quantizer {
 		z.half[i] = d / 2
 	}
 	return z
+}
+
+// quantizers caches newQuantizer by quality for QuantizerFor.
+var quantizers [101]atomic.Pointer[Quantizer]
+
+// QuantizerFor returns the shared quantizer for quality q (clamped to
+// [1, 100] as in QuantTable). The encoders code every frame and anchor
+// with one, and its tables depend only on q, so they are built once per
+// quality instead of once per frame. The result must not be modified.
+func QuantizerFor(q int) *Quantizer {
+	q = min(max(q, 1), 100)
+	if z := quantizers[q].Load(); z != nil {
+		return z
+	}
+	z := newQuantizer(q)
+	quantizers[q].CompareAndSwap(nil, &z)
+	return quantizers[q].Load()
 }
 
 // QuantizeZigzag quantizes b with round-to-nearest straight into zigzag

@@ -418,7 +418,7 @@ func TestQuickHighQualityNearLossless(t *testing.T) {
 func TestQuantizeZigzagMatchesSeparatePasses(t *testing.T) {
 	rng := rand.New(rand.NewSource(26))
 	for q := 1; q <= 100; q++ {
-		z := NewQuantizer(q)
+		z := newQuantizer(q)
 		for trial := 0; trial < 50; trial++ {
 			var b Block
 			if trial%2 == 0 {
@@ -458,5 +458,23 @@ func TestQuantizeZigzagMatchesSeparatePasses(t *testing.T) {
 				t.Fatalf("q=%d trial %d: non-zero count %d, want %d", q, trial, nz, wantNZ)
 			}
 		}
+	}
+}
+
+// TestQuantizerForIsCachedPerQuality checks the per-quality cache: one
+// shared quantizer per quality, equal to a freshly built one, with
+// out-of-range qualities clamped as QuantTable clamps them.
+func TestQuantizerForIsCachedPerQuality(t *testing.T) {
+	for q := 1; q <= 100; q++ {
+		z := QuantizerFor(q)
+		if *z != newQuantizer(q) {
+			t.Fatalf("q=%d: cached quantizer differs from a freshly built one", q)
+		}
+		if QuantizerFor(q) != z {
+			t.Fatalf("q=%d: second lookup built another quantizer", q)
+		}
+	}
+	if QuantizerFor(0) != QuantizerFor(1) || QuantizerFor(250) != QuantizerFor(100) {
+		t.Error("out-of-range qualities are not clamped to [1, 100]")
 	}
 }

@@ -216,7 +216,7 @@ func planeBlocks(p *frame.Plane) (nbx, nby, n int) {
 // pass applies DC prediction and entropy-codes the blocks in raster
 // order.
 func encodeIntraPlanes(w *bitstream.Writer, f *frame.Frame, quality int) {
-	table := transform.NewQuantizer(quality)
+	table := transform.QuantizerFor(quality)
 	scan := make([]int32, 64)
 	for _, p := range f.Planes() {
 		nbx, _, n := planeBlocks(p)
@@ -279,7 +279,7 @@ func encodeIntraPlanes(w *bitstream.Writer, f *frame.Frame, quality int) {
 // Residual blocks have no cross-block state, so the parallel phase stages
 // them directly in zigzag order and the serial phase only writes bits.
 func encodeResidualPlanes(w *bitstream.Writer, src, pred *frame.Frame, quality int) {
-	table := transform.NewQuantizer(quality)
+	table := transform.QuantizerFor(quality)
 	sp, pp := src.Planes(), pred.Planes()
 	for pi := 0; pi < 3; pi++ {
 		s, p := sp[pi], pp[pi]
