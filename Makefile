@@ -38,6 +38,9 @@ fuzz-smoke:
 	go test -run xxx -fuzz '^FuzzScan$$' -fuzztime 30s ./internal/vcodec
 	go test -run xxx -fuzz '^FuzzSkipCoeffs$$' -fuzztime 30s ./internal/bitstream
 	go test -run xxx -fuzz '^FuzzDecode$$' -fuzztime 30s ./internal/icodec
+	go test -run xxx -fuzz '^FuzzDecodeFrame$$' -fuzztime 30s ./internal/wire
+	go test -run xxx -fuzz '^FuzzDecodeAnchorBatchJob$$' -fuzztime 30s ./internal/wire
+	go test -run xxx -fuzz '^FuzzDecodeAnchorBatchResult$$' -fuzztime 30s ./internal/wire
 
 # Overload-control tier under the race detector: deadline propagation,
 # queue discipline, brownout ladder, and the burst / gray-failure chaos

@@ -11,10 +11,14 @@ import (
 
 // fusedFreePackages are the packages whose compiled code must hold no
 // fused multiply-add on any architecture: everything that produces or
-// parses codec bytes, and the scaling and super-resolution kernels that
-// produce the pixels anchors are coded from. Extend this list as more
-// packages round their float products (ROADMAP cross-architecture item).
+// parses codec bytes, the scaling and super-resolution kernels that
+// produce the pixels anchors are coded from, and the anchor selection and
+// scheduling that decide which frames become anchors. Extend this list as
+// more packages round their float products (ROADMAP cross-architecture
+// item).
 var fusedFreePackages = []string{
+	"./internal/anchor",
+	"./internal/sched",
 	"./internal/frame",
 	"./internal/sr",
 	"./internal/transform",

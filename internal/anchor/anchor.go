@@ -367,7 +367,10 @@ func KeyUniformAnchors(metas []FrameMeta, fraction float64) []int {
 		// Equally spaced positions across the whole sequence.
 		step := float64(len(metas)) / float64(extra)
 		for i := 0; i < extra; i++ {
-			idx := int(float64(i)*step + step/2)
+			// Both products are rounded before the add (step/2 compiles to
+			// one), so architectures that fuse multiply-adds pick the same
+			// position.
+			idx := int(float64(float64(i)*step) + float64(step/2))
 			if idx >= len(metas) {
 				idx = len(metas) - 1
 			}

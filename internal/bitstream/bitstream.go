@@ -25,6 +25,11 @@ type Writer struct {
 	cur  uint64
 }
 
+// AppendWriter returns a Writer whose output follows buf's contents:
+// Bytes returns buf extended by everything written, in buf's storage
+// while its capacity lasts.
+func AppendWriter(buf []byte) Writer { return Writer{buf: buf} }
+
 // Grow ensures room for n more bytes without another allocation, for
 // callers that can bound their output up front. Output bytes are
 // unaffected. n must not be negative.

@@ -54,6 +54,16 @@ func BorrowZero(w, h int) *Frame {
 	return f
 }
 
+// BorrowCopy is Clone from the arena: a compact copy of f that the caller
+// owns and may Release.
+func BorrowCopy(f *Frame) *Frame {
+	c := Borrow(f.W, f.H)
+	for i, p := range c.Planes() {
+		_ = p.CopyFrom(f.Planes()[i]) // same geometry by construction
+	}
+	return c
+}
+
 // Release returns f to the arena for reuse. A nil frame is ignored.
 // Frames with aliased (non-compact) planes are dropped rather than
 // pooled, since a future Borrow must hand out independent storage.

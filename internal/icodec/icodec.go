@@ -45,15 +45,23 @@ type Stats struct {
 }
 
 // Encode compresses f and returns the bitstream plus encoding statistics.
+// It is Append on a nil buffer.
 func Encode(f *frame.Frame, opts Options) ([]byte, Stats, error) {
+	return Append(nil, f, opts)
+}
+
+// Append compresses f onto the end of dst and returns the extended
+// buffer, as Encode returns its bitstream; Stats.Bytes counts the bytes
+// appended. Given Reserve(f.W, f.H, opts.Quality) bytes of spare capacity
+// in dst it allocates nothing for any frame whose code fits that room, so
+// a caller that recycles its buffers encodes without garbage.
+func Append(dst []byte, f *frame.Frame, opts Options) ([]byte, Stats, error) {
 	if opts.Quality < 1 || opts.Quality > 100 {
-		return nil, Stats{}, fmt.Errorf("icodec: quality %d out of [1, 100]", opts.Quality)
+		return dst, Stats{}, fmt.Errorf("icodec: quality %d out of [1, 100]", opts.Quality)
 	}
-	var w bitstream.Writer
-	// One allocation up front instead of append-doubling through a dozen:
-	// a quarter byte per pixel covers every anchor quality the system
-	// uses, and a busier frame just grows from there.
-	w.Grow(f.W*f.H/4 + 64)
+	w := bitstream.AppendWriter(dst)
+	// One allocation up front instead of append-doubling through a dozen.
+	w.Grow(Reserve(f.W, f.H, opts.Quality))
 	w.WriteBits(magic, 32)
 	w.WriteBits(version, 8)
 	w.WriteBits(uint64(f.W), 16)
@@ -65,8 +73,28 @@ func Encode(f *frame.Frame, opts Options) ([]byte, Stats, error) {
 		encodePlane(&w, p, table, &st)
 	}
 	buf := w.Bytes()
-	st.Bytes = len(buf)
+	st.Bytes = len(buf) - len(dst)
 	return buf, st, nil
+}
+
+// Reserve is the output room Append reserves for a w×h frame at quality:
+// enough for every content the system generates, whose coded size per
+// luma sample tops out near 0.19 bytes at quality 85, 0.23 at 90, 0.40 at
+// 95 and 0.76 at 100 (the six synth profiles, both benchmark geometries),
+// so coding one anchor is one allocation at most. A busier frame grows
+// the buffer from there.
+func Reserve(w, h, quality int) int {
+	px := w * h
+	switch {
+	case quality <= 85:
+		return px/4 + 64
+	case quality <= 90:
+		return px*3/8 + 64
+	case quality <= 95:
+		return px/2 + 64
+	default:
+		return px + 64
+	}
 }
 
 // encodePlane codes one plane in two phases: every block's forward

@@ -11,6 +11,7 @@ import (
 
 	"github.com/neuroscaler/neuroscaler/internal/frame"
 	"github.com/neuroscaler/neuroscaler/internal/icodec"
+	"github.com/neuroscaler/neuroscaler/internal/par"
 	"github.com/neuroscaler/neuroscaler/internal/sr"
 	"github.com/neuroscaler/neuroscaler/internal/wire"
 )
@@ -135,8 +136,21 @@ func (e *LocalEnhancer) Register(streamID uint32, h wire.Hello) error {
 // passed is skipped with ErrDeadlineExceeded before any inference runs:
 // enhancing a frame nobody can ship is pure waste under overload.
 func (e *LocalEnhancer) Enhance(streamID uint32, job wire.AnchorJob) (wire.AnchorResult, error) {
+	return e.enhance(streamID, job, nil)
+}
+
+// enhance is Enhance with the coded anchor appended to a buffer borrowed
+// from coded when coded is non-nil (a fresh one otherwise). The caller
+// owns a successful result's Encoded and returns it to coded once the
+// bytes are no longer read.
+//
+//nslint:slab-borrow coded
+func (e *LocalEnhancer) enhance(streamID uint32, job wire.AnchorJob, coded *par.SlabPool[byte]) (wire.AnchorResult, error) {
 	if expired(job.Deadline, time.Now()) {
 		return wire.AnchorResult{}, fmt.Errorf("media: enhance stream %d packet %d: %w", streamID, job.Packet, ErrDeadlineExceeded)
+	}
+	if job.Frame == nil {
+		return wire.AnchorResult{}, fmt.Errorf("media: enhance stream %d packet %d: job carries no frame", streamID, job.Packet)
 	}
 	e.mu.Lock()
 	m, ok := e.models[streamID]
@@ -148,9 +162,13 @@ func (e *LocalEnhancer) Enhance(streamID uint32, job wire.AnchorJob) (wire.Ancho
 	if err != nil {
 		return wire.AnchorResult{}, fmt.Errorf("media: enhance stream %d packet %d: %w", streamID, job.Packet, err)
 	}
+	var dst []byte
+	if coded != nil {
+		dst = coded.Get(icodec.Reserve(hr.W, hr.H, job.QP))[:0]
+	}
 	// The model's output is ours (sr.Model's contract); once coded it goes
 	// back to the frame arena for the next anchor of this geometry.
-	data, _, err := icodec.Encode(hr, icodec.Options{Quality: job.QP})
+	data, _, err := icodec.Append(dst, hr, icodec.Options{Quality: job.QP})
 	frame.Release(hr)
 	if err != nil {
 		return wire.AnchorResult{}, err
@@ -205,6 +223,10 @@ type EnhancerServer struct {
 	cfg      EnhancerServerConfig
 	// srv owns the listener, the live connections and their handlers.
 	srv *wire.Server
+	// payloads recycles the batch payloads serveConn reads, each back the
+	// moment its frames are decoded; coded recycles the coded anchors a
+	// reply is sent from, each back once its reply is written.
+	payloads, coded par.SlabPool[byte]
 
 	jobsShed    atomic.Uint64
 	jobsExpired atomic.Uint64
@@ -285,57 +307,65 @@ func (s *EnhancerServer) serveConn(conn *wire.Conn) error {
 		}()
 	}
 	for {
-		msg, err := conn.Read(wire.DefaultMaxPayload)
+		msg, err := conn.ReadPooled(wire.DefaultMaxPayload, &s.payloads)
 		if err != nil {
 			return err
 		}
-		switch msg.Type {
-		case wire.TypeHello:
-			h, err := wire.DecodeHello(msg.Payload)
-			if err != nil {
-				_ = conn.Write(wire.ErrorReply(msg, err))
-				return err
-			}
-			if err := s.enhancer.Register(msg.StreamID, h); err != nil {
-				if werr := conn.Write(wire.ErrorReply(msg, err)); werr != nil {
-					return werr
-				}
-				continue
-			}
-			if err := conn.Write(wire.Message{Type: wire.TypeAck, StreamID: msg.StreamID, Seq: msg.Seq}); err != nil {
-				return err
-			}
-		case wire.TypeAnchorBatchJob:
-			batch, err := wire.DecodeAnchorBatchJob(msg.Payload)
-			if err != nil {
-				_ = conn.Write(wire.ErrorReply(msg, err))
-				return err
-			}
-			// A batch is one dispatch: it occupies a single worker
-			// regardless of its size — that amortization is the point of
-			// batching (§6.2 context-switch elimination).
-			now := time.Now()
-			entry := &jobEntry{msg: msg, batch: batch, enqueued: now}
-			if msg.Budget > 0 {
-				// The wire budget is relative; re-derive the local deadline
-				// from arrival time so peer clock skew never leaks in.
-				entry.deadline = now.Add(msg.Budget)
-				for i := range entry.batch {
-					entry.batch[i].Deadline = entry.deadline
-				}
-			}
-			s.admit(queue, conn, entry)
-		case wire.TypePing:
-			if err := conn.Write(wire.Message{Type: wire.TypePong, StreamID: msg.StreamID, Seq: msg.Seq}); err != nil {
-				return err
-			}
-		case wire.TypeGoodbye:
-			return nil
-		default:
-			err := fmt.Errorf("unexpected message %v", msg.Type)
+		goodbye := msg.Type == wire.TypeGoodbye
+		err = s.serveFrame(conn, queue, msg)
+		// Nothing the frame's handling keeps aliases its payload: a batch's
+		// frames were decoded into the frame arena.
+		s.payloads.Put(msg.Payload)
+		if err != nil || goodbye {
+			return err
+		}
+	}
+}
+
+// serveFrame answers or enqueues one frame read by serveConn; an error
+// drops the connection.
+func (s *EnhancerServer) serveFrame(conn *wire.Conn, queue *jobQueue, msg wire.Message) error {
+	switch msg.Type {
+	case wire.TypeHello:
+		h, err := wire.DecodeHello(msg.Payload)
+		if err != nil {
 			_ = conn.Write(wire.ErrorReply(msg, err))
 			return err
 		}
+		if err := s.enhancer.Register(msg.StreamID, h); err != nil {
+			return conn.Write(wire.ErrorReply(msg, err))
+		}
+		return conn.Write(wire.Message{Type: wire.TypeAck, StreamID: msg.StreamID, Seq: msg.Seq})
+	case wire.TypeAnchorBatchJob:
+		batch, err := wire.DecodeAnchorBatchJob(msg.Payload)
+		if err != nil {
+			_ = conn.Write(wire.ErrorReply(msg, err))
+			return err
+		}
+		// A batch is one dispatch: it occupies a single worker
+		// regardless of its size — that amortization is the point of
+		// batching (§6.2 context-switch elimination).
+		now := time.Now()
+		msg.Payload = nil // back to the pool once this returns
+		entry := &jobEntry{msg: msg, batch: batch, enqueued: now}
+		if msg.Budget > 0 {
+			// The wire budget is relative; re-derive the local deadline
+			// from arrival time so peer clock skew never leaks in.
+			entry.deadline = now.Add(msg.Budget)
+			for i := range entry.batch {
+				entry.batch[i].Deadline = entry.deadline
+			}
+		}
+		s.admit(queue, conn, entry)
+		return nil
+	case wire.TypePing:
+		return conn.Write(wire.Message{Type: wire.TypePong, StreamID: msg.StreamID, Seq: msg.Seq})
+	case wire.TypeGoodbye:
+		return nil
+	default:
+		err := fmt.Errorf("unexpected message %v", msg.Type)
+		_ = conn.Write(wire.ErrorReply(msg, err))
+		return err
 	}
 }
 
@@ -347,6 +377,7 @@ func (s *EnhancerServer) admit(queue *jobQueue, conn *wire.Conn, entry *jobEntry
 		return
 	}
 	s.jobsShed.Add(1)
+	wire.ReleaseFrames(entry.batch)
 	err := fmt.Errorf("media: job queue full (depth %d): %w", s.cfg.JobQueueDepth, ErrShed)
 	if werr := conn.Write(wire.ErrorReply(entry.msg, err)); werr != nil {
 		s.cfg.Logf("media: enhancer reply: %v", werr)
@@ -356,44 +387,73 @@ func (s *EnhancerServer) admit(queue *jobQueue, conn *wire.Conn, entry *jobEntry
 // jobWorker serves one connection's queue until it closes, answering
 // each dispatch with the request's Seq.
 func (s *EnhancerServer) jobWorker(queue *jobQueue, conn *wire.Conn) {
+	var r batchReply
 	for {
 		e, ok := queue.pop()
 		if !ok {
 			return
 		}
-		if err := conn.Write(s.runBatch(e)); err != nil {
+		s.runBatch(e, &r)
+		wire.ReleaseFrames(e.batch) // nothing reads them once the batch has run
+		if err := s.sendReply(conn, &r); err != nil {
 			s.cfg.Logf("media: enhancer reply: %v", err)
 		}
 	}
 }
 
-// runBatch serves one dequeued dispatch and returns its reply frame: a
-// typed deadline error when the entry expired in the queue, otherwise the
-// per-anchor outcomes of one run on the enhancer.
-func (s *EnhancerServer) runBatch(e *jobEntry) wire.Message {
+// batchReply is one job worker's answer to a dispatch, reused from one
+// dispatch to the next: the reply frame's header fields, and for a batch
+// result its outcomes, whose coded anchors are borrowed from the server's
+// coded pool, laid out as the frame's parts.
+type batchReply struct {
+	msg  wire.Message
+	outs []AnchorOutcome
+	vec  wire.Vec
+}
+
+// runBatch serves one dequeued dispatch into r: a typed deadline error
+// when the entry expired in the queue, otherwise the per-anchor outcomes
+// of one run on the enhancer, each coded into a buffer from s.coded.
+func (s *EnhancerServer) runBatch(e *jobEntry, r *batchReply) {
 	if expired(e.deadline, time.Now()) {
 		s.jobsExpired.Add(1)
-		return wire.ErrorReply(e.msg, fmt.Errorf("media: job expired after %v in queue: %w",
+		r.msg = wire.ErrorReply(e.msg, fmt.Errorf("media: job expired after %v in queue: %w",
 			time.Since(e.enqueued).Round(time.Microsecond), ErrDeadlineExceeded))
+		return
 	}
-	outs, err := s.enhancer.EnhanceBatch(e.msg.StreamID, e.batch)
-	if err != nil {
-		return wire.ErrorReply(e.msg, err)
-	}
-	for i, o := range outs {
+	for _, job := range e.batch {
+		var o AnchorOutcome
+		o.Res, o.Err = s.enhancer.enhance(e.msg.StreamID, job, &s.coded)
 		if o.Err != nil {
 			if errors.Is(o.Err, ErrDeadlineExceeded) {
 				s.jobsExpired.Add(1)
 			}
-			outs[i].Res = wire.AnchorResult{Packet: e.batch[i].Packet}
+			o.Res = wire.AnchorResult{Packet: job.Packet}
 		}
+		r.outs = append(r.outs, o)
 	}
-	return wire.Message{
-		Type:     wire.TypeAnchorBatchResult,
-		StreamID: e.msg.StreamID,
-		Seq:      e.msg.Seq,
-		Payload:  wire.EncodeAnchorBatchResult(outs),
+	r.msg = wire.Message{Type: wire.TypeAnchorBatchResult, StreamID: e.msg.StreamID, Seq: e.msg.Seq}
+	r.vec.PutAnchorBatchResult(r.outs)
+}
+
+// sendReply writes r's frame on conn — a batch result as one vectored
+// write from the coded anchors, no payload built — and only then returns
+// the coded anchors to s.coded, since the write reads them. It leaves r
+// empty for the next dispatch.
+func (s *EnhancerServer) sendReply(conn *wire.Conn, r *batchReply) error {
+	var err error
+	if r.msg.Type == wire.TypeAnchorBatchResult {
+		err = conn.WriteParts(r.msg, r.vec.Parts()...)
+	} else {
+		err = conn.Write(r.msg)
 	}
+	for _, o := range r.outs {
+		s.coded.Put(o.Res.Encoded)
+	}
+	clear(r.outs)
+	r.outs = r.outs[:0]
+	r.vec.Reset()
+	return err
 }
 
 // RemoteEnhancer is an AnchorEnhancer backed by an EnhancerServer over
@@ -469,7 +529,7 @@ func (r *RemoteEnhancer) Register(streamID uint32, h wire.Hello) error {
 	r.mu.Lock()
 	r.hellos[streamID] = payload
 	r.mu.Unlock()
-	_, err = r.call(wire.Message{Type: wire.TypeHello, StreamID: streamID, Payload: payload}, wire.TypeAck)
+	_, err = r.call(wire.Message{Type: wire.TypeHello, StreamID: streamID}, wire.TypeAck, payload)
 	return err
 }
 
@@ -498,12 +558,16 @@ func (r *RemoteEnhancer) EnhanceBatch(streamID uint32, jobs []wire.AnchorJob) ([
 	if expired(minJobDeadline(jobs), time.Now()) {
 		return nil, fmt.Errorf("media: enhance batch stream %d: %w", streamID, ErrDeadlineExceeded)
 	}
+	// The frames go out as parts of the request, not copied into it.
+	v := jobVecs.Get().(*wire.Vec)
+	v.PutAnchorBatchJob(jobs)
 	reply, err := r.call(wire.Message{
 		Type:     wire.TypeAnchorBatchJob,
 		StreamID: streamID,
-		Payload:  wire.EncodeAnchorBatchJob(jobs),
 		Budget:   jobBudget(minJobDeadline(jobs), time.Now()),
-	}, wire.TypeAnchorBatchResult)
+	}, wire.TypeAnchorBatchResult, v.Parts()...)
+	v.Reset()
+	jobVecs.Put(v)
 	if err != nil {
 		return nil, err
 	}
@@ -521,6 +585,10 @@ func (r *RemoteEnhancer) EnhanceBatch(streamID uint32, jobs []wire.AnchorJob) ([
 	}
 	return outs, nil
 }
+
+// jobVecs recycles the parts of EnhanceBatch's request frames. A Vec
+// comes back empty, its storage kept.
+var jobVecs = sync.Pool{New: func() any { return new(wire.Vec) }}
 
 // Ping performs a liveness probe (heartbeat health checks).
 func (r *RemoteEnhancer) Ping() error {
@@ -574,11 +642,12 @@ func (r *RemoteEnhancer) live() (*wire.Mux, error) {
 }
 
 // call performs one request/response over the multiplexed connection and
-// returns the reply, which must be of type want. It waits at most the
-// call timeout — tightened to the frame's deadline budget when one is
+// returns the reply, which must be of type want. The request's payload is
+// the concatenation of parts (msg.Payload is not sent). It waits at most
+// the call timeout — tightened to the frame's deadline budget when one is
 // set, since waiting past the chunk's deadline for a reply nobody can use
 // just holds the slot open.
-func (r *RemoteEnhancer) call(msg wire.Message, want wire.Type) (wire.Message, error) {
+func (r *RemoteEnhancer) call(msg wire.Message, want wire.Type, parts ...[]byte) (wire.Message, error) {
 	mux, err := r.live()
 	if err != nil {
 		return wire.Message{}, err
@@ -587,7 +656,7 @@ func (r *RemoteEnhancer) call(msg wire.Message, want wire.Type) (wire.Message, e
 	if msg.Budget > 0 && msg.Budget < wait {
 		wait = msg.Budget
 	}
-	reply, err := mux.Call(msg, wait)
+	reply, err := mux.CallParts(msg, wait, parts...)
 	if err != nil {
 		return wire.Message{}, fmt.Errorf("media: enhancer call: %v: %w", err, ErrEnhancerUnavailable)
 	}

@@ -714,18 +714,20 @@ func (s *Server) prepareChunk(pc *pendingChunk, dec *vcodec.Decoder, deadline ti
 	for i := 0; i <= last; i++ {
 		pkt := frames[i].VideoPacket
 		si := slices.IndexFunc(pc.jobs, func(j wire.AnchorJob) bool { return j.Packet == i })
+		var err error
 		if si < 0 {
 			// Not an anchor: its pixels only advance the reference slots.
-			if err := dec.Reconstruct(pkt); err != nil {
-				return fmt.Errorf("media: stream %d packet %d: %w", pc.streamID, i, err)
+			err = dec.Reconstruct(pkt)
+		} else {
+			var d *vcodec.Decoded
+			if d, err = dec.Decode(pkt); err == nil {
+				pc.jobs[si].Frame = d.Frame
 			}
-			continue
 		}
-		d, err := dec.Decode(pkt)
 		if err != nil {
+			wire.ReleaseFrames(pc.jobs) // the anchors decoded so far go nowhere
 			return fmt.Errorf("media: stream %d packet %d: %w", pc.streamID, i, err)
 		}
-		pc.jobs[si].Frame = d.Frame
 	}
 	s.stages.decodeNanos.Add(int64(scanned + time.Since(start)))
 	s.stages.decodeCount.Add(1)
@@ -757,6 +759,12 @@ func (s *Server) dispatchAnchors(pc *pendingChunk) {
 // pendingChunk is one chunk's enhancement fan-out: outcomes land in a
 // slice indexed by selection order, so assembly is deterministic no
 // matter which replica finishes first.
+//
+// It owns its jobs' frames, borrowed from the frame arena by the decode,
+// until it releases them with wire.ReleaseFrames: at the end of
+// assembleChunk (after the rescue pass, which dispatches them again, and
+// the marshal), on a prepareChunk error, or after the fan-out of a chunk
+// a fatal connection abandons.
 type pendingChunk struct {
 	streamID  uint32
 	st        *serverStream
@@ -820,6 +828,7 @@ func (s *Server) packageStage(p *ingestPipeline, job *ingestJob) {
 		// server after close.
 		if job.pc != nil {
 			job.pc.wg.Wait()
+			wire.ReleaseFrames(job.pc.jobs)
 		}
 		return
 	}
@@ -907,6 +916,8 @@ func (s *Server) registerStream(msg wire.Message) error {
 func (s *Server) assembleChunk(pc *pendingChunk, deadline time.Time) ([]byte, bool, error) {
 	start := time.Now()
 	pc.wg.Wait()
+	// The rescue pass below is the last dispatch of the job frames.
+	defer wire.ReleaseFrames(pc.jobs)
 	s.stages.enhanceWaitNanos.Add(int64(time.Since(start)))
 	s.stages.enhanceWaitCount.Add(1)
 

@@ -10,14 +10,21 @@ import "sync"
 // the range they use (the determinism contract forbids reading stale
 // data).
 type SlabPool[T any] struct {
-	p sync.Pool
+	// p holds the pooled buffers, each boxed in a *[]T so the slice
+	// header itself is not boxed into a fresh allocation on every cycle
+	// (staticcheck SA6002); boxes holds the empty boxes Get leaves, for
+	// the next Put to fill, so a warm Get/Put cycle allocates nothing.
+	p, boxes sync.Pool
 }
 
 // Get returns a length-n slice, reusing a pooled buffer when one with
 // sufficient capacity is available.
 func (s *SlabPool[T]) Get(n int) []T {
 	if v := s.p.Get(); v != nil {
-		b := *v.(*[]T)
+		box := v.(*[]T)
+		b := *box
+		*box = nil
+		s.boxes.Put(box)
 		if cap(b) >= n {
 			return b[:n]
 		}
@@ -26,12 +33,15 @@ func (s *SlabPool[T]) Get(n int) []T {
 }
 
 // Put returns a buffer obtained from Get to the pool. The caller must not
-// use b afterwards. The pool stores *[]T so the slice header itself is
-// not boxed into a fresh allocation on every cycle (staticcheck SA6002).
+// use b afterwards.
 func (s *SlabPool[T]) Put(b []T) {
 	if cap(b) == 0 {
 		return
 	}
-	b = b[:cap(b)]
-	s.p.Put(&b)
+	box, _ := s.boxes.Get().(*[]T)
+	if box == nil {
+		box = new([]T)
+	}
+	*box = b[:cap(b)]
+	s.p.Put(box)
 }

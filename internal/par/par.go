@@ -30,7 +30,7 @@ import (
 var (
 	mu      sync.Mutex
 	nworker int
-	pool    chan func()
+	pool    chan *loop
 )
 
 func init() {
@@ -72,16 +72,60 @@ func setWorkers(n int) {
 	if n > 1 {
 		// The submitting goroutine always participates, so n-1 resident
 		// workers give n-way parallelism.
-		pool = make(chan func())
+		pool = make(chan *loop)
 		for i := 0; i < n-1; i++ {
 			go worker(pool)
 		}
 	}
 }
 
-func worker(tasks <-chan func()) {
-	for f := range tasks {
-		f()
+func worker(tasks <-chan *loop) {
+	for l := range tasks {
+		l.run()
+		l.wg.Done() // l is not touched after this: its caller may recycle it
+	}
+}
+
+// loop is the state one parallel For or ForChunks call shares with the
+// workers that join it: its index space, its body (exactly one of body
+// and rangeBody is set) and the counter chunks are claimed from. Loops
+// are recycled, so a parallel call allocates nothing beyond its body.
+type loop struct {
+	n, grain, chunks int
+	next             atomic.Int64
+	body             func(chunk, lo, hi int)
+	rangeBody        func(lo, hi int)
+	wg               sync.WaitGroup
+}
+
+var loops = sync.Pool{New: func() any { return new(loop) }}
+
+// recycle returns l, which no participant may touch any more, to the
+// pool, dropping its body.
+func (l *loop) recycle() {
+	l.body, l.rangeBody = nil, nil
+	loops.Put(l)
+}
+
+// run claims chunks and runs the body on them until none is left.
+func (l *loop) run() {
+	for {
+		c := int(l.next.Add(1) - 1)
+		if c >= l.chunks {
+			return
+		}
+		l.chunk(c)
+	}
+}
+
+// chunk runs the body on chunk c.
+func (l *loop) chunk(c int) {
+	lo := c * l.grain
+	hi := min(lo+l.grain, l.n)
+	if l.rangeBody != nil {
+		l.rangeBody(lo, hi)
+	} else {
+		l.body(c, lo, hi)
 	}
 }
 
@@ -102,7 +146,7 @@ func Chunks(n, grain int) int {
 // cannot deadlock even when every resident worker is busy. fn invocations
 // must only write state owned by their own index range.
 func For(n, grain int, fn func(lo, hi int)) {
-	ForChunks(n, grain, func(_, lo, hi int) { fn(lo, hi) })
+	forChunks(n, grain, nil, fn)
 }
 
 // ForChunks is For with the chunk index exposed, for deterministic
@@ -110,68 +154,54 @@ func For(n, grain int, fn func(lo, hi int)) {
 // slice serially afterwards. Chunk c always covers
 // [c*grain, min((c+1)*grain, n)), independent of the worker count.
 func ForChunks(n, grain int, fn func(chunk, lo, hi int)) {
+	forChunks(n, grain, fn, nil)
+}
+
+// forChunks is For (rangeBody set) and ForChunks (body set).
+func forChunks(n, grain int, body func(chunk, lo, hi int), rangeBody func(lo, hi int)) {
 	if n <= 0 {
 		return
 	}
 	if grain < 1 {
 		grain = 1
 	}
-	chunks := (n + grain - 1) / grain
+	l := loops.Get().(*loop)
+	l.n, l.grain, l.chunks = n, grain, (n+grain-1)/grain
+	l.body, l.rangeBody = body, rangeBody
+	// l goes back to the pool only once every participant is done with
+	// it, which a deferred Put would not wait for if the body panicked.
 
 	mu.Lock()
 	w := nworker
 	tasks := pool
 	mu.Unlock()
 
-	if w > chunks {
-		w = chunks
+	if w > l.chunks {
+		w = l.chunks
 	}
 	if w <= 1 || tasks == nil {
-		for c := 0; c < chunks; c++ {
-			lo := c * grain
-			hi := lo + grain
-			if hi > n {
-				hi = n
-			}
-			fn(c, lo, hi)
+		for c := 0; c < l.chunks; c++ {
+			l.chunk(c)
 		}
+		l.recycle()
 		return
 	}
 
-	var next int64
-	runner := func() {
-		for {
-			c := int(atomic.AddInt64(&next, 1) - 1)
-			if c >= chunks {
-				return
-			}
-			lo := c * grain
-			hi := lo + grain
-			if hi > n {
-				hi = n
-			}
-			fn(c, lo, hi)
-		}
-	}
-
-	var wg sync.WaitGroup
+	l.next.Store(0)
 	for i := 0; i < w-1; i++ {
-		wg.Add(1)
-		task := func() {
-			defer wg.Done()
-			runner()
-		}
+		l.wg.Add(1)
 		// Non-blocking submit: if every resident worker is occupied (for
 		// example by a nested For), the caller simply runs more chunks
 		// itself instead of queueing.
 		select {
-		case tasks <- task:
+		case tasks <- l:
 		default:
-			wg.Done()
+			l.wg.Done()
 		}
 	}
-	runner()
-	wg.Wait()
+	l.run()
+	l.wg.Wait()
+	l.recycle()
 }
 
 // RowGrain returns a chunk size (in rows) targeting roughly 32K samples

@@ -1,6 +1,7 @@
 package par
 
 import (
+	"sync"
 	"sync/atomic"
 	"testing"
 )
@@ -95,6 +96,65 @@ func TestNestedForCompletes(t *testing.T) {
 			t.Fatalf("nested For covered %d inner indices, want %d", total, 8*16)
 		}
 	})
+}
+
+// TestForConcurrentCallers runs For from several goroutines at once, each
+// over index spaces of its own, so the recycled state of one call is
+// reused by another caller's next call while workers join both; every
+// index must still be visited exactly once.
+func TestForConcurrentCallers(t *testing.T) {
+	withWorkers(t, 3, func() {
+		var wg sync.WaitGroup
+		for g := 0; g < 4; g++ {
+			wg.Add(1)
+			go func(g int) {
+				defer wg.Done()
+				for rep := 0; rep < 50; rep++ {
+					hits := make([]int32, 64+13*g+rep)
+					For(len(hits), 1+g, func(lo, hi int) {
+						for i := lo; i < hi; i++ {
+							atomic.AddInt32(&hits[i], 1)
+						}
+					})
+					for i, h := range hits {
+						if h != 1 {
+							t.Errorf("caller %d pass %d: index %d visited %d times", g, rep, i, h)
+							return
+						}
+					}
+				}
+			}(g)
+		}
+		wg.Wait()
+	})
+}
+
+// TestForAllocs pins what the execution layer costs a kernel call once
+// warm: a For, serial or parallel, allocates nothing but its body closure,
+// and a SlabPool Get/Put cycle nothing at all.
+func TestForAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool sheds entries under the race detector")
+	}
+	hits := make([]int32, 256)
+	for _, workers := range []int{1, 3} {
+		withWorkers(t, workers, func() {
+			n := testing.AllocsPerRun(100, func() {
+				For(len(hits), 16, func(lo, hi int) {
+					for i := lo; i < hi; i++ {
+						atomic.AddInt32(&hits[i], 1)
+					}
+				})
+			})
+			if n > 1 {
+				t.Errorf("workers %d: a warm For allocates %.0f times, want at most its body closure", workers, n)
+			}
+		})
+	}
+	var p SlabPool[byte]
+	if n := testing.AllocsPerRun(100, func() { p.Put(p.Get(1024)) }); n != 0 {
+		t.Errorf("a warm SlabPool Get/Put cycle allocates %.0f times, want 0", n)
+	}
 }
 
 func TestSetWorkersClampsToOne(t *testing.T) {

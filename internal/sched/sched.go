@@ -252,7 +252,9 @@ func (s *Scheduler) Schedule(streams []StreamInterval) (*Plan, error) {
 	}
 	selected := anchor.SelectWithinBudget(cands, latency, budget)
 	if s.MaxAnchorFraction > 0 {
-		if cap := int(s.MaxAnchorFraction*float64(len(cands)) + 0.5); len(selected) > cap {
+		// Rounded before the add: a fused multiply-add could round the
+		// cap differently on another architecture.
+		if cap := int(float64(s.MaxAnchorFraction*float64(len(cands))) + 0.5); len(selected) > cap {
 			selected = selected[:cap]
 		}
 	}

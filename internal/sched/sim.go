@@ -112,7 +112,10 @@ func (s SimStream) MakeInterval(intervalIdx, frames, gop int) StreamInterval {
 		}
 		res := 0.0
 		if typ != vcodec.Key {
-			res = s.MotionLevel * areaScale * (200 + 800*rng.Float64())
+			// Each product is rounded before it is added (the inlined
+			// Float64 is a product too), so architectures that fuse
+			// multiply-adds draw the same residual.
+			res = s.MotionLevel * areaScale * (200 + float64(800*float64(rng.Float64())))
 		}
 		metas[i] = anchor.FrameMeta{
 			Packet:       i,
@@ -132,7 +135,7 @@ func MixedStreams(n int) ([]SimStream, error) {
 	}
 	streams := make([]SimStream, n)
 	for i := range streams {
-		s := SimStream{ID: i, Model: sr.HighQuality(), MotionLevel: 0.5 + 0.5*float64(i%3)/2}
+		s := SimStream{ID: i, Model: sr.HighQuality(), MotionLevel: 0.5 + float64(0.5*float64(i%3)/2)}
 		if i < n/2 {
 			s.Width, s.Height = 640, 360
 		} else {

@@ -53,14 +53,15 @@ func NewDecoderFor(s *Stream) (*Decoder, error) {
 }
 
 // Decode parses one packet and returns its reconstruction. The returned
-// frame is owned by the caller; decoder reference state keeps its own
-// copies.
+// frame is a copy borrowed from the frame arena and owned by the caller,
+// who may Release it once done; decoder reference state keeps its own
+// frames.
 func (d *Decoder) Decode(data []byte) (*Decoded, error) {
 	ref, info, residual, err := d.reconstruct(data)
 	if err != nil {
 		return nil, err
 	}
-	return &Decoded{Frame: ref.Clone(), Info: info, Residual: residual}, nil
+	return &Decoded{Frame: frame.BorrowCopy(ref), Info: info, Residual: residual}, nil
 }
 
 // Reconstruct decodes one packet into the decoder's reference slots
@@ -74,7 +75,7 @@ func (d *Decoder) Reconstruct(data []byte) error {
 }
 
 // reconstruct decodes one packet into the reference slots and returns
-// the slot frame it wrote (decoder-owned: callers clone before handing
+// the slot frame it wrote (decoder-owned: callers copy before handing
 // it out), the packet's side information, and the captured residual.
 func (d *Decoder) reconstruct(data []byte) (*frame.Frame, Info, *frame.Frame, error) {
 	r := bitstream.NewReader(data)
@@ -88,11 +89,11 @@ func (d *Decoder) reconstruct(data []byte) (*frame.Frame, Info, *frame.Frame, er
 			return nil, Info{}, nil, err
 		}
 		// Reference slots are decoder-internal (callers only ever see
-		// clones), so superseded ones go back to the frame arena.
+		// copies), so superseded ones go back to the frame arena.
 		frame.Release(d.last)
 		frame.Release(d.altref)
 		d.last = f
-		d.altref = f.Clone()
+		d.altref = frame.BorrowCopy(f)
 		return f, info, nil, nil
 	}
 
@@ -277,11 +278,14 @@ func VisibleFrames(decoded []*Decoded) []*frame.Frame {
 // resolving DC prediction as it goes, since the DC sits at scan position
 // 0 — and the parallel phase runs dequantization, the inverse transform,
 // and the pixel store for disjoint block ranges.
+//
+// The frame comes from the arena: every sample of every plane belongs to
+// exactly one block, so the stores overwrite its old contents whole.
 func decodeIntraPlanes(r *bitstream.Reader, w, h, quality int) (*frame.Frame, error) {
-	f, err := frame.New(w, h)
-	if err != nil {
-		return nil, err
+	if w <= 0 || h <= 0 {
+		return nil, frame.ErrBadDimensions
 	}
+	f := frame.Borrow(w, h)
 	table := transform.QuantTable(quality)
 	for _, p := range f.Planes() {
 		nbx, _, n := planeBlocks(p)
@@ -293,6 +297,7 @@ func decodeIntraPlanes(r *bitstream.Reader, w, h, quality int) (*frame.Frame, er
 			for i := 0; i < n; i++ {
 				bx, by := (i%nbx)*transform.BlockSize, (i/nbx)*transform.BlockSize
 				if err := bitstream.ReadCoeffs(r, scan); err != nil {
+					frame.Release(f)
 					return nil, fmt.Errorf("vcodec: intra block (%d,%d): %w", bx, by, err)
 				}
 				scan[0] += prevDC
@@ -310,6 +315,7 @@ func decodeIntraPlanes(r *bitstream.Reader, w, h, quality int) (*frame.Frame, er
 			if err := bitstream.ReadCoeffs(r, scan); err != nil {
 				bx, by := (i%nbx)*transform.BlockSize, (i/nbx)*transform.BlockSize
 				coeffPool.Put(coeffs)
+				frame.Release(f)
 				return nil, fmt.Errorf("vcodec: intra block (%d,%d): %w", bx, by, err)
 			}
 			scan[0] += prevDC

@@ -107,7 +107,7 @@ func (e *Encoder) encodeKey(f *frame.Frame, displayIdx int) Packet {
 	frame.Release(e.last) // the superseded references are encoder-owned
 	frame.Release(e.altref)
 	e.last = recon
-	e.altref = recon.Clone() // a key frame resets both reference slots
+	e.altref = frame.BorrowCopy(recon) // a key frame resets both reference slots
 	e.rc.observe(len(data)*8, true)
 	return Packet{
 		Data: data,

@@ -60,7 +60,23 @@ func deadlineIn(bound time.Duration) time.Time {
 // when it carries one: a frame is not worth writing past the deadline of
 // the work it asks for.
 func (c *Conn) Write(m Message) error {
-	return c.WriteShared(m, m.Payload, nil, crc32.ChecksumIEEE(m.Payload))
+	return c.WriteParts(m, m.Payload)
+}
+
+// WriteParts sends the frame Write would send with Payload = the
+// concatenation of parts, under the same deadline rule, without joining
+// them: each part goes out as it lies, in the one vectored write every
+// frame is. m's own Payload is not sent. The parts are only read, and
+// not retained once it returns, so pooled parts may go back to their
+// pool then and not before.
+func (c *Conn) WriteParts(m Message, parts ...[]byte) error {
+	var sum uint32
+	for _, p := range parts {
+		sum = crc32.Update(sum, crc32.IEEETable, p)
+	}
+	c.wmu.Lock()
+	defer c.wmu.Unlock()
+	return c.writeLocked(m, sum, parts...)
 }
 
 // WriteShared sends the frame Write would send with Payload =
@@ -276,6 +292,11 @@ func (m *Mux) readLoop() {
 	}
 }
 
+// replySlots recycles Call's reply channels. A channel goes back only
+// once it has delivered its reply: the reader took it out of pending
+// before sending, so nothing else can send on it or close it.
+var replySlots = sync.Pool{New: func() any { return make(chan Message, 1) }}
+
 // callTimers recycles the timers that bound Call's waits, so a bounded
 // wait allocates nothing per call. Every timer in it is stopped and
 // drained.
@@ -298,18 +319,27 @@ func startTimer(wait time.Duration) *time.Timer {
 // the whole connection (see Mux); a TypeError reply is a reply, and is
 // returned as one.
 func (m *Mux) Call(msg Message, wait time.Duration) (Message, error) {
+	return m.CallParts(msg, wait, msg.Payload)
+}
+
+// CallParts is Call with the request payload given as parts, sent as
+// Conn.WriteParts sends them; msg.Payload is not sent. The parts are
+// not read once the request is written, which happens before it
+// returns.
+func (m *Mux) CallParts(msg Message, wait time.Duration, parts ...[]byte) (Message, error) {
 	msg.Seq = m.seqs.Next()
-	ch := make(chan Message, 1)
+	ch := replySlots.Get().(chan Message)
 	m.mu.Lock()
 	if m.err != nil {
 		err := m.err
 		m.mu.Unlock()
+		replySlots.Put(ch)
 		return Message{}, err
 	}
 	m.pending[msg.Seq] = ch
 	m.mu.Unlock()
 
-	if err := m.conn.Write(msg); err != nil {
+	if err := m.conn.WriteParts(msg, parts...); err != nil {
 		// A frame that failed part-way leaves the stream unframed: the
 		// connection is gone for everyone, this call's slot included.
 		m.fail(err)
@@ -335,6 +365,7 @@ func (m *Mux) Call(msg Message, wait time.Duration) (Message, error) {
 	if !ok {
 		return Message{}, m.Err()
 	}
+	replySlots.Put(ch)
 	return reply, nil
 }
 

@@ -389,8 +389,10 @@ func written(tb testing.TB, c *Conn, peer net.Conn, n int, write func(*Conn) err
 }
 
 // TestConnFrameIOAllocs pins what a frame costs on the heap over TCP: a
-// write of any shape nothing, a Read its payload and nothing else, and a
-// warm ReadPooled nothing beyond the pool's own Get/Put cycle.
+// write of any shape nothing — a vectored anchor batch of a dozen parts
+// included, once the Conn has written one — a Read its payload and
+// nothing else, and a warm ReadPooled nothing beyond the pool's own
+// Get/Put cycle.
 func TestConnFrameIOAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool sheds entries under the race detector")
@@ -414,8 +416,14 @@ func TestConnFrameIOAllocs(t *testing.T) {
 			}
 		}
 	}()
+	jobs, _ := batchFixtures()
+	var jobVec Vec
+	jobVec.PutAnchorBatchJob(jobs)
 	if n := testing.AllocsPerRun(runs, func() {
 		if err := w.Write(full); err != nil {
+			t.Fatal(err)
+		}
+		if err := w.WriteParts(Message{Type: TypeAnchorBatchJob, Seq: 4}, jobVec.Parts()...); err != nil {
 			t.Fatal(err)
 		}
 		if err := w.WriteShared(m, prefix, ChunkDataTail(false, true), crcPrefix); err != nil {
@@ -425,7 +433,7 @@ func TestConnFrameIOAllocs(t *testing.T) {
 			t.Fatal(err)
 		}
 	}); n != 0 {
-		t.Errorf("three Conn writes allocate %.0f, want 0", n)
+		t.Errorf("four Conn writes allocate %.0f, want 0", n)
 	}
 
 	// Every frame the reads below take is on the socket before they start.
@@ -685,11 +693,18 @@ func TestServeLogsHandlerErrorsButNotHangups(t *testing.T) {
 		t.Fatal(err)
 	}
 	<-handled
+	// Serve logs after the handler has returned, and not once Close has
+	// begun: wait for the line before closing.
+	var lines []string
+	select {
+	case l := <-logs:
+		lines = append(lines, l)
+	case <-time.After(testTimeout):
+	}
 	if err := srv.Close(); err != nil { // joins the handlers, so every line is in
 		t.Fatal(err)
 	}
 	close(logs)
-	var lines []string
 	for l := range logs {
 		lines = append(lines, l)
 	}

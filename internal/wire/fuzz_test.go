@@ -63,16 +63,20 @@ func FuzzDecodeChunk(f *testing.F) {
 	})
 }
 
-// FuzzDecodeFrame exercises the raw-frame payload parser.
+// FuzzDecodeFrame exercises the raw-frame payload parser, from a header
+// that lies about the frame's size among others.
 func FuzzDecodeFrame(f *testing.F) {
 	f.Add([]byte{0, 2, 0, 2, 1, 2, 3, 4, 5, 6})
+	f.Add(lyingFrame)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		_, _ = DecodeFrame(data) // must not panic
 	})
 }
 
-// FuzzDecodeAnchorBatchJob exercises the batched anchor-job parser.
+// FuzzDecodeAnchorBatchJob exercises the batched anchor-job parser, from
+// a job whose frame header lies about its size among others.
 func FuzzDecodeAnchorBatchJob(f *testing.F) {
+	f.Add(lyingBatchJob)
 	f.Add(EncodeAnchorBatchJob([]AnchorJob{
 		{Packet: 0, DisplayIndex: 3, QP: 80, Frame: frame.MustNew(16, 16)},
 		{Packet: 4, DisplayIndex: 11, QP: 95, Frame: frame.MustNew(24, 8)},

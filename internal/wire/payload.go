@@ -177,38 +177,118 @@ func DecodeChunkAlias(data []byte) ([][]byte, error) {
 	return out, nil
 }
 
-// EncodeFrame serializes a raw YUV frame.
-func EncodeFrame(f *frame.Frame) []byte {
-	buf := make([]byte, 0, 4+f.SizeBytes())
-	return appendFrame(buf, f)
+// Vec is a payload held as the parts one vectored write sends (see
+// Conn.WriteParts and Mux.CallParts): the fixed-size fields go into a
+// scratch head, and each body — a frame plane, a coded anchor — is a part
+// of its own, cut into the head where it belongs. Bodies are referenced,
+// never copied, so they must stay unmodified until the frame carrying
+// them has been written. The zero value is empty; Reset empties a Vec and
+// keeps its storage.
+type Vec struct {
+	head []byte
+	// cuts[i] is len(head) when bodies[i] was added.
+	cuts   []int
+	bodies [][]byte
+	parts  [][]byte
 }
 
-func appendFrame(buf []byte, f *frame.Frame) []byte {
-	buf = binary.BigEndian.AppendUint16(buf, uint16(f.W))
-	buf = binary.BigEndian.AppendUint16(buf, uint16(f.H))
-	for _, p := range f.Planes() {
-		for y := 0; y < p.H; y++ {
-			buf = append(buf, p.Row(y)...)
+// Reset empties v, dropping its body references and keeping its storage.
+func (v *Vec) Reset() {
+	clear(v.bodies)
+	clear(v.parts)
+	v.head, v.cuts, v.bodies, v.parts = v.head[:0], v.cuts[:0], v.bodies[:0], v.parts[:0]
+}
+
+// body cuts b into the payload after everything added so far.
+func (v *Vec) body(b []byte) {
+	v.cuts = append(v.cuts, len(v.head))
+	v.bodies = append(v.bodies, b)
+}
+
+// Len is the payload's size in bytes.
+func (v *Vec) Len() int {
+	n := len(v.head)
+	for _, b := range v.bodies {
+		n += len(b)
+	}
+	return n
+}
+
+// Parts returns the payload's non-empty parts in order. The slice is v's
+// own and valid until v next changes.
+func (v *Vec) Parts() [][]byte {
+	v.parts = v.parts[:0]
+	add := func(p []byte) {
+		if len(p) > 0 {
+			v.parts = append(v.parts, p)
 		}
+	}
+	lo := 0
+	for i, cut := range v.cuts {
+		add(v.head[lo:cut])
+		add(v.bodies[i])
+		lo = cut
+	}
+	add(v.head[lo:])
+	return v.parts
+}
+
+// join returns the payload as one right-sized buffer.
+func (v *Vec) join() []byte {
+	buf := make([]byte, 0, v.Len())
+	for _, p := range v.Parts() {
+		buf = append(buf, p...)
 	}
 	return buf
 }
 
-// DecodeFrame parses a raw YUV frame.
+// putFrame adds f as a raw YUV frame: its size, then each plane's rows,
+// one body per plane when the plane is compact.
+func (v *Vec) putFrame(f *frame.Frame) {
+	v.head = binary.BigEndian.AppendUint16(v.head, uint16(f.W))
+	v.head = binary.BigEndian.AppendUint16(v.head, uint16(f.H))
+	for _, p := range f.Planes() {
+		if p.Stride == p.W {
+			v.body(p.Pix[:p.W*p.H])
+			continue
+		}
+		for y := 0; y < p.H; y++ {
+			v.body(p.Row(y))
+		}
+	}
+}
+
+// EncodeFrame serializes a raw YUV frame.
+func EncodeFrame(f *frame.Frame) []byte {
+	var v Vec
+	v.putFrame(f)
+	return v.join()
+}
+
+// frameBodySize is the body length of a w×h raw YUV 4:2:0 frame.
+func frameBodySize(w, h int) int {
+	cw, ch := (w+1)/2, (h+1)/2
+	return w*h + 2*cw*ch
+}
+
+// DecodeFrame parses a raw YUV frame into a frame borrowed from the frame
+// arena, which the caller owns and may Release. The header's size is
+// checked against the body before anything is borrowed, so a payload that
+// lies about its size costs nothing.
 func DecodeFrame(data []byte) (*frame.Frame, error) {
 	if len(data) < 4 {
 		return nil, errors.New("wire: truncated frame header")
 	}
 	w := int(binary.BigEndian.Uint16(data))
 	h := int(binary.BigEndian.Uint16(data[2:]))
-	f, err := frame.New(w, h)
-	if err != nil {
-		return nil, fmt.Errorf("wire: frame header: %w", err)
+	if w == 0 || h == 0 {
+		return nil, fmt.Errorf("wire: frame header: %w", frame.ErrBadDimensions)
 	}
 	data = data[4:]
-	if len(data) != f.SizeBytes() {
-		return nil, fmt.Errorf("wire: frame body %d bytes, want %d", len(data), f.SizeBytes())
+	if want := frameBodySize(w, h); len(data) != want {
+		return nil, fmt.Errorf("wire: frame body %d bytes, want %d", len(data), want)
 	}
+	f := frame.Borrow(w, h)
 	for _, p := range f.Planes() {
 		for y := 0; y < p.H; y++ {
 			copy(p.Row(y), data[:p.W])
@@ -234,17 +314,10 @@ type AnchorJob struct {
 
 // anchorJobSize is the encoded size of one anchor job batch entry.
 func anchorJobSize(j AnchorJob) int {
-	return 12 + 4 + j.Frame.SizeBytes()
+	return 12 + 4 + frameBodySize(j.Frame.W, j.Frame.H)
 }
 
-func appendAnchorJob(buf []byte, j AnchorJob) []byte {
-	buf = binary.BigEndian.AppendUint32(buf, uint32(j.Packet))
-	buf = binary.BigEndian.AppendUint32(buf, uint32(j.DisplayIndex))
-	buf = binary.BigEndian.AppendUint32(buf, uint32(j.QP))
-	return appendFrame(buf, j.Frame)
-}
-
-// decodeAnchorJob parses one batch entry written by appendAnchorJob.
+// decodeAnchorJob parses one batch entry written by PutAnchorBatchJob.
 func decodeAnchorJob(data []byte) (AnchorJob, error) {
 	var j AnchorJob
 	if len(data) < 12 {
@@ -273,22 +346,40 @@ type AnchorResult struct {
 const maxAnchorBatch = 4096
 
 // EncodeAnchorBatchJob serializes a batch of anchor jobs into one
-// payload: count(4) then length-prefixed job entries.
+// payload: count(4) then length-prefixed job entries. It is the join of
+// the parts PutAnchorBatchJob lays out.
 func EncodeAnchorBatchJob(jobs []AnchorJob) []byte {
-	size := 4
-	for _, j := range jobs {
-		size += 4 + anchorJobSize(j)
-	}
-	buf := make([]byte, 0, size)
-	buf = binary.BigEndian.AppendUint32(buf, uint32(len(jobs)))
-	for _, j := range jobs {
-		buf = binary.BigEndian.AppendUint32(buf, uint32(anchorJobSize(j)))
-		buf = appendAnchorJob(buf, j)
-	}
-	return buf
+	var v Vec
+	v.PutAnchorBatchJob(jobs)
+	return v.join()
 }
 
-// DecodeAnchorBatchJob parses a batch anchor job payload.
+// PutAnchorBatchJob adds the EncodeAnchorBatchJob payload of jobs to v,
+// each frame's planes as bodies: the batch goes out without its frames
+// being copied, and they must not change until it has.
+func (v *Vec) PutAnchorBatchJob(jobs []AnchorJob) {
+	v.head = binary.BigEndian.AppendUint32(v.head, uint32(len(jobs)))
+	for _, j := range jobs {
+		v.head = binary.BigEndian.AppendUint32(v.head, uint32(anchorJobSize(j)))
+		v.head = binary.BigEndian.AppendUint32(v.head, uint32(j.Packet))
+		v.head = binary.BigEndian.AppendUint32(v.head, uint32(j.DisplayIndex))
+		v.head = binary.BigEndian.AppendUint32(v.head, uint32(j.QP))
+		v.putFrame(j.Frame)
+	}
+}
+
+// ReleaseFrames returns each job's frame to the frame arena and clears it
+// from the job, for the owner of a batch nothing will send or read again.
+func ReleaseFrames(jobs []AnchorJob) {
+	for i := range jobs {
+		frame.Release(jobs[i].Frame)
+		jobs[i].Frame = nil
+	}
+}
+
+// DecodeAnchorBatchJob parses a batch anchor job payload. The jobs'
+// frames are borrowed from the frame arena (see DecodeFrame); on error
+// none stays borrowed.
 func DecodeAnchorBatchJob(data []byte) ([]AnchorJob, error) {
 	if len(data) < 4 {
 		return nil, errors.New("wire: truncated anchor batch")
@@ -298,7 +389,9 @@ func DecodeAnchorBatchJob(data []byte) ([]AnchorJob, error) {
 		return nil, fmt.Errorf("wire: unreasonable anchor batch size %d", n)
 	}
 	data = data[4:]
-	jobs := make([]AnchorJob, 0, n)
+	// An entry is at least its length, three fields and a frame header,
+	// so a count the payload cannot hold reserves nothing.
+	jobs := make([]AnchorJob, 0, min(int(n), len(data)/20))
 	for i := uint32(0); i < n; i++ {
 		if len(data) < 4 {
 			return nil, errors.New("wire: truncated anchor batch entry length")
@@ -310,12 +403,14 @@ func DecodeAnchorBatchJob(data []byte) ([]AnchorJob, error) {
 		}
 		j, err := decodeAnchorJob(data[:l])
 		if err != nil {
+			ReleaseFrames(jobs)
 			return nil, err
 		}
 		jobs = append(jobs, j)
 		data = data[l:]
 	}
 	if len(data) != 0 {
+		ReleaseFrames(jobs)
 		return nil, errors.New("wire: trailing bytes after anchor batch")
 	}
 	return jobs, nil
@@ -330,29 +425,32 @@ type AnchorOutcome struct {
 	Err error
 }
 
-// EncodeAnchorBatchResult serializes per-anchor batch outcomes. An error
-// message longer than its 16-bit length field is cut to fit rather than
-// voiding the frame, and with it the siblings' results.
+// EncodeAnchorBatchResult serializes per-anchor batch outcomes. It is the
+// join of the parts PutAnchorBatchResult lays out.
 func EncodeAnchorBatchResult(outs []AnchorOutcome) []byte {
-	size := 4
-	for _, o := range outs {
-		size += 4 + 2 + 4 + len(o.Res.Encoded) // error text, rare, grows the buffer
-	}
-	buf := make([]byte, 0, size)
-	buf = binary.BigEndian.AppendUint32(buf, uint32(len(outs)))
+	var v Vec
+	v.PutAnchorBatchResult(outs)
+	return v.join()
+}
+
+// PutAnchorBatchResult adds the EncodeAnchorBatchResult payload of outs
+// to v, each coded anchor as a body. An error message longer than its
+// 16-bit length field is cut to fit rather than voiding the frame, and
+// with it the siblings' results.
+func (v *Vec) PutAnchorBatchResult(outs []AnchorOutcome) {
+	v.head = binary.BigEndian.AppendUint32(v.head, uint32(len(outs)))
 	for _, o := range outs {
 		var msg string
 		if o.Err != nil {
 			msg = o.Err.Error()
 			msg = msg[:min(len(msg), 0xFFFF)]
 		}
-		buf = binary.BigEndian.AppendUint32(buf, uint32(o.Res.Packet))
-		buf = binary.BigEndian.AppendUint16(buf, uint16(len(msg)))
-		buf = append(buf, msg...)
-		buf = binary.BigEndian.AppendUint32(buf, uint32(len(o.Res.Encoded)))
-		buf = append(buf, o.Res.Encoded...)
+		v.head = binary.BigEndian.AppendUint32(v.head, uint32(o.Res.Packet))
+		v.head = binary.BigEndian.AppendUint16(v.head, uint16(len(msg)))
+		v.head = append(v.head, msg...)
+		v.head = binary.BigEndian.AppendUint32(v.head, uint32(len(o.Res.Encoded)))
+		v.body(o.Res.Encoded)
 	}
-	return buf
 }
 
 // FetchChunk asks a serving tier for one stored chunk of a stream. The
@@ -533,7 +631,8 @@ func DecodeAnchorBatchResult(data []byte) ([]AnchorOutcome, error) {
 		return nil, fmt.Errorf("wire: unreasonable anchor batch size %d", n)
 	}
 	data = data[4:]
-	outs := make([]AnchorOutcome, 0, n)
+	// An outcome is at least its packet and two lengths.
+	outs := make([]AnchorOutcome, 0, min(int(n), len(data)/10))
 	for i := uint32(0); i < n; i++ {
 		if len(data) < 6 {
 			return nil, errors.New("wire: truncated batch outcome header")

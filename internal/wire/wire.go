@@ -213,18 +213,22 @@ func Write(w io.Writer, m Message) error {
 
 // frameWriter is the scratch one frame write needs: the header and the
 // vector of parts handed to the writer. A Conn keeps one under its write
-// lock, so its frames allocate nothing.
+// lock, so its frames allocate nothing once warm.
 type frameWriter struct {
-	hdr  [headerLen + budgetLen]byte
-	vec  [4][]byte
-	bufs net.Buffers
+	hdr [headerLen + budgetLen]byte
+	// vec backs bufs. It starts on the inline slots, enough for a frame of
+	// up to three parts, and keeps the capacity of the largest frame since,
+	// so only a Conn's first frame of many parts grows it.
+	inline [4][]byte
+	vec    [][]byte
+	bufs   net.Buffers
 }
 
 // writeFrame writes one frame whose payload is the concatenation of parts
 // and whose payload checksum is sum. The header and the non-empty parts
 // go out as one net.Buffers write: a single writev(2) on a *net.TCPConn,
 // one Write per part on any other writer. The parts are only read, and
-// not retained once it returns. At most three parts.
+// not retained once it returns.
 func (fw *frameWriter) writeFrame(w io.Writer, m Message, sum uint32, parts ...[]byte) error {
 	size := 0
 	for _, p := range parts {
@@ -234,14 +238,20 @@ func (fw *frameWriter) writeFrame(w io.Writer, m Message, sum uint32, parts ...[
 	if err != nil {
 		return err
 	}
+	if fw.vec == nil {
+		fw.vec = fw.inline[:0]
+	}
 	fw.bufs = append(fw.vec[:0], fw.hdr[:n])
 	for _, p := range parts {
 		if len(p) > 0 {
 			fw.bufs = append(fw.bufs, p)
 		}
 	}
+	// WriteTo consumes bufs from the front; vec keeps the backing array.
+	fw.vec = fw.bufs[:0]
+	used := len(fw.bufs)
 	_, err = fw.bufs.WriteTo(w)
-	clear(fw.vec[:])
+	clear(fw.vec[:used])
 	if err != nil {
 		return fmt.Errorf("wire: write frame: %w", err)
 	}
