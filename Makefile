@@ -41,6 +41,13 @@ fuzz-smoke:
 	go test -run xxx -fuzz '^FuzzDecodeFrame$$' -fuzztime 30s ./internal/wire
 	go test -run xxx -fuzz '^FuzzDecodeAnchorBatchJob$$' -fuzztime 30s ./internal/wire
 	go test -run xxx -fuzz '^FuzzDecodeAnchorBatchResult$$' -fuzztime 30s ./internal/wire
+	go test -run xxx -fuzz '^FuzzUnmarshal$$' -fuzztime 30s ./internal/hybrid
+	go test -run xxx -fuzz '^FuzzRead$$' -fuzztime 30s ./internal/wire
+	go test -run xxx -fuzz '^FuzzDecodeHello$$' -fuzztime 30s ./internal/wire
+	go test -run xxx -fuzz '^FuzzDecodeChunk$$' -fuzztime 30s ./internal/wire
+	go test -run xxx -fuzz '^FuzzDecodeFetchChunk$$' -fuzztime 30s ./internal/wire
+	go test -run xxx -fuzz '^FuzzDecodeSubscribe$$' -fuzztime 30s ./internal/wire
+	go test -run xxx -fuzz '^FuzzDecodeChunkData$$' -fuzztime 30s ./internal/wire
 
 # Overload-control tier under the race detector: deadline propagation,
 # queue discipline, brownout ladder, and the burst / gray-failure chaos

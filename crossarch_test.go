@@ -12,12 +12,12 @@ import (
 // fusedFreePackages are the packages whose compiled code must hold no
 // fused multiply-add on any architecture: everything that produces or
 // parses codec bytes, the scaling and super-resolution kernels that
-// produce the pixels anchors are coded from, and the anchor selection and
-// scheduling that decide which frames become anchors. Extend this list as
-// more packages round their float products (ROADMAP cross-architecture
-// item).
+// produce the pixels anchors are coded from, the anchor selection and
+// scheduling that decide which frames become anchors, and the quality
+// metrics (PSNR, SSIM) every reported figure is measured with.
 var fusedFreePackages = []string{
 	"./internal/anchor",
+	"./internal/metrics",
 	"./internal/sched",
 	"./internal/frame",
 	"./internal/sr",

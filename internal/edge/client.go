@@ -50,8 +50,9 @@ func Dial(addr string, timeout time.Duration) (*Client, error) {
 	c := &Client{timeout: timeout, pushes: make(chan Push, pushBacklog)}
 	// The idle bound is generous — a client parked on a subscription may
 	// legitimately idle; it exists to fail the connection if the edge
-	// silently vanishes.
-	c.mux = wire.NewMux(wire.NewConn(nc, DefaultReadTimeout, timeout), c.queuePush)
+	// silently vanishes. The Mux gets no payload pool: every ChunkData the
+	// client returns aliases its frame's payload, and the caller keeps it.
+	c.mux = wire.NewMux(wire.NewConn(nc, DefaultReadTimeout, timeout), nil, c.queuePush)
 	return c, nil
 }
 

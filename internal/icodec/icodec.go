@@ -211,9 +211,9 @@ func Decode(data []byte) (*frame.Frame, error) {
 	if err != nil {
 		return nil, fmt.Errorf("icodec: corrupt dimensions: %w", err)
 	}
-	table := transform.QuantTable(int(q))
+	table := &transform.QuantizerFor(int(q)).Table
 	for _, p := range f.Planes() {
-		if err := decodePlane(r, p, &table); err != nil {
+		if err := decodePlane(r, p, table); err != nil {
 			return nil, err
 		}
 	}

@@ -6,22 +6,25 @@ import (
 	"net"
 	"runtime"
 	"runtime/debug"
+	"sync"
 	"testing"
 	"time"
 
 	"github.com/neuroscaler/neuroscaler/internal/hybrid"
+	"github.com/neuroscaler/neuroscaler/internal/icodec"
 	"github.com/neuroscaler/neuroscaler/internal/par"
 	"github.com/neuroscaler/neuroscaler/internal/wire"
 )
 
 // TestLocalEnhanceAllocs guards the live anchor path's memory: once warm,
-// LocalEnhancer.Enhance allocates at most the coded anchor it returns
-// (the capacity of its buffer) plus 2 KB, at the anchor quality the
-// origin picks for anchor fraction 0.15 and at the top qualities 95 and
-// 100, whose anchors the image encoder's reservation must hold in one
-// allocation too. The super-resolved frame comes from the arena and goes
-// back after the image encode, so no per-anchor HR frame, filter taps,
-// quantizer or noise generator reach the heap.
+// LocalEnhancer.Enhance plus the release of the coded anchor it returns
+// allocates at most 2 KB, at the anchor quality the origin picks for
+// anchor fraction 0.15 and at the top qualities 95 and 100, whose anchors
+// the image encoder's reservation must hold in one buffer too. The
+// super-resolved frame comes from the arena and goes back after the image
+// encode, and the coded anchor is coded into a buffer from codedAnchors,
+// so no per-anchor HR frame, coded bytes, filter taps, quantizer or noise
+// generator reach the heap.
 func TestLocalEnhanceAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool sheds entries under the race detector")
@@ -50,26 +53,28 @@ func TestLocalEnhanceAllocs(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			coded = cap(res.Encoded)
+			coded = len(res.Encoded)
+			codedAnchors.Put(res.Encoded)
 		}
 		for _, workers := range []int{1, 2} {
 			par.SetWorkers(workers)
 			perAnchor := allocBytesPerRun(runs, enhance)
 			t.Logf("workers %d QP %d: %.0f B per anchor, %d B coded", workers, q, perAnchor, coded)
-			if perAnchor > float64(coded+2048) {
-				t.Errorf("workers %d QP %d: warm Enhance allocates %.0f B per anchor, want at most the %d B coded + 2048",
-					workers, q, perAnchor, coded)
+			if perAnchor > 2048 {
+				t.Errorf("workers %d QP %d: warm Enhance and release allocate %.0f B per anchor, want at most 2048",
+					workers, q, perAnchor)
 			}
 		}
 	}
 }
 
 // TestRemoteEnhanceAllocs guards the anchor RPC's memory: once warm, a
-// two-anchor RemoteEnhancer → EnhancerServer round trip allocates, across
-// both ends, at most the reply payload the origin reads (its outcomes
-// alias it) plus 2 KB. The job frame goes out from the frames' planes,
-// the replica reads it into a pooled payload and decodes into the frame
-// arena, and its reply goes out from pooled coded anchors.
+// two-anchor RemoteEnhancer → EnhancerServer round trip plus the release
+// of its coded anchors allocates at most 2 KB across both ends. The job
+// frame goes out from the frames' planes, the replica reads it into a
+// pooled payload and decodes into the frame arena, its reply goes out
+// from pooled coded anchors, and the origin reads that reply into a
+// pooled payload and copies each anchor into a coded-anchor buffer.
 func TestRemoteEnhanceAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool sheds entries under the race detector")
@@ -102,32 +107,24 @@ func TestRemoteEnhanceAllocs(t *testing.T) {
 		{Packet: 1, DisplayIndex: 1, QP: qp, Frame: lr[1]},
 		{Packet: 2, DisplayIndex: 2, QP: qp, Frame: lr[2]},
 	}
-	reply := 0
 	roundTrip := func() {
 		outs, err := remote.EnhanceBatch(streamID, jobs)
 		if err != nil {
 			t.Fatal(err)
 		}
-		reply = 4
 		for _, o := range outs {
 			if o.Err != nil {
 				t.Fatal(o.Err)
 			}
-			reply += 4 + 2 + 4 + len(o.Res.Encoded)
+			codedAnchors.Put(o.Res.Encoded)
 		}
 	}
 	perCall := allocBytesPerRun(runs, roundTrip)
-	// What the reply payload itself costs the heap: its length rounded up
-	// to the allocator's size class.
-	payload := allocBytesPerRun(runs, func() { allocSink = make([]byte, reply) })
-	t.Logf("%.0f B per two-anchor round trip, %.0f B of it the %d B reply payload", perCall, payload, reply)
-	if perCall > payload+2048 {
-		t.Errorf("warm round trip allocates %.0f B, want at most the reply payload's %.0f B + 2048", perCall, payload)
+	t.Logf("%.0f B per two-anchor round trip", perCall)
+	if perCall > 2048 {
+		t.Errorf("warm round trip and release allocate %.0f B, want at most 2048", perCall)
 	}
 }
-
-// allocSink keeps a measured allocation on the heap.
-var allocSink []byte
 
 // TestEnhancerReplyHoldsCodedBuffersUntilWritten: a reply's coded anchors
 // are parts of its frame, so they go back to the pool only once the write
@@ -226,4 +223,139 @@ func allocBytesPerRun(runs int, f func()) float64 {
 	}
 	runtime.ReadMemStats(&after)
 	return float64(after.TotalAlloc-before.TotalAlloc) / float64(runs)
+}
+
+// TestCodedAnchorsHeldUntilMarshal: the origin owns a chunk's coded
+// anchors until the container marshal has copied them, and only then
+// returns them to codedAnchors; a RemoteEnhancer's anchors are copied out
+// of its reply payload before the payload goes back. Several streams'
+// chunks are enhanced and assembled at once on one P, where a pool hands
+// the buffer put back last to the next Get, in process and over RPC, and
+// every stored container must match a serial origin's byte for byte and
+// hold only anchors that parse. A buffer put back before its last read
+// would carry another anchor's bytes by then, or, in a race build, the
+// zeros SlabPool clears it to. At quiescence every coded anchor taken
+// from the pool is back.
+func TestCodedAnchorsHeldUntilMarshal(t *testing.T) {
+	const streams, chunks = 3, 4
+	provider, store := contentOracle(t, chunks*testGOP)
+	local, err := NewLocalEnhancer(provider)
+	if err != nil {
+		t.Fatal(err)
+	}
+	run := func(enh AnchorEnhancer, cfg ServerConfig, concurrent bool) [][][]byte {
+		t.Helper()
+		cfg.AnchorFraction = 0.15
+		cfg.Logf = t.Logf
+		srv, err := NewServer("127.0.0.1:0", enh, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer srv.Close()
+		send := func(id uint32) error {
+			streamer, err := NewStreamer(srv.Addr(), id, testHello())
+			if err != nil {
+				return err
+			}
+			defer streamer.Close()
+			lr := lrFromHR(t, store.get(id))
+			var acks []*PendingAck
+			for c := 0; c < chunks; c++ {
+				p, err := streamer.SendChunkAsync(lr[c*testGOP : (c+1)*testGOP])
+				if err != nil {
+					return err
+				}
+				acks = append(acks, p)
+			}
+			if err := streamer.Flush(); err != nil {
+				return err
+			}
+			for _, p := range acks {
+				if _, err := p.Wait(); err != nil {
+					return err
+				}
+			}
+			return nil
+		}
+		errs := make(chan error, streams)
+		var wg sync.WaitGroup
+		for id := uint32(1); id <= streams; id++ {
+			if !concurrent {
+				errs <- send(id)
+				continue
+			}
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				errs <- send(id)
+			}()
+		}
+		wg.Wait()
+		close(errs)
+		for err := range errs {
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+		requireAnchorLedger(t, srv.Counters())
+		out := make([][][]byte, streams)
+		for id := uint32(1); id <= streams; id++ {
+			for seq := 0; seq < chunks; seq++ {
+				data, degraded, _, err := srv.Store().ChunkState(id, seq)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if degraded {
+					t.Errorf("stream %d chunk %d degraded: an anchor was lost or corrupted", id, seq)
+				}
+				// The serial origin runs the same assembly, so each anchor is
+				// also checked on its own: one put back before the marshal in
+				// both runs must not pass as a match.
+				var c hybrid.Container
+				if err := c.UnmarshalBinary(data); err != nil {
+					t.Fatal(err)
+				}
+				for i, f := range c.Frames {
+					if f.Anchor == nil {
+						continue
+					}
+					if _, _, err := icodec.Validate(f.Anchor); err != nil {
+						t.Errorf("stream %d chunk %d frame %d: stored anchor is corrupt: %v", id, seq, i, err)
+					}
+				}
+				out[id-1] = append(out[id-1], data)
+			}
+		}
+		return out
+	}
+	serial := run(local, ServerConfig{MaxInFlightAnchors: -1, PipelineDepth: -1}, false)
+
+	replica, err := NewEnhancerServer("127.0.0.1:0", local, t.Logf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer replica.Close()
+	remote, err := DialEnhancer(replica.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer remote.Close()
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	for _, tc := range []struct {
+		name string
+		enh  AnchorEnhancer
+	}{{"in-process", local}, {"rpc", remote}} {
+		before := codedAnchors.Outstanding()
+		got := run(tc.enh, ServerConfig{MaxInFlightAnchors: 8, MaxAnchorBatch: 1, PipelineDepth: 4}, true)
+		for s := range serial {
+			for seq := range serial[s] {
+				if !bytes.Equal(got[s][seq], serial[s][seq]) {
+					t.Errorf("%s: stream %d chunk %d: container differs from the serial origin's", tc.name, s+1, seq)
+				}
+			}
+		}
+		if after := codedAnchors.Outstanding(); after != before {
+			t.Errorf("%s: %d coded anchors outstanding at quiescence, want %d", tc.name, after, before)
+		}
+	}
 }

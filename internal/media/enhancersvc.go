@@ -42,6 +42,13 @@ const (
 
 // AnchorEnhancer super-resolves and image-encodes one anchor frame. The
 // media server is configured with one (local, remote, or a pool).
+//
+// A successful result's Encoded belongs to the caller, as an sr.Model's
+// output does: the enhancer keeps no reference to it. The enhancers in
+// this package code it into a buffer borrowed from the coded-anchor pool
+// (codedAnchors), and the origin puts every successful outcome's buffer
+// there once the container marshal has copied it; a buffer of any other
+// enhancer's making simply joins the pool then.
 type AnchorEnhancer interface {
 	Enhance(streamID uint32, job wire.AnchorJob) (wire.AnchorResult, error)
 }
@@ -55,7 +62,8 @@ type AnchorOutcome = wire.AnchorOutcome
 // device dispatch for a local engine). EnhanceBatch returns one outcome
 // per job, in job order; the error return is batch-level (transport or
 // protocol failure voiding every outcome). A batch of one must behave
-// exactly like Enhance.
+// exactly like Enhance. Each successful outcome's Encoded belongs to the
+// caller, as Enhance's does.
 type BatchAnchorEnhancer interface {
 	AnchorEnhancer
 	EnhanceBatch(streamID uint32, jobs []wire.AnchorJob) ([]AnchorOutcome, error)
@@ -132,20 +140,20 @@ func (e *LocalEnhancer) Register(streamID uint32, h wire.Hello) error {
 	return nil
 }
 
-// Enhance implements AnchorEnhancer. A job whose deadline has already
-// passed is skipped with ErrDeadlineExceeded before any inference runs:
-// enhancing a frame nobody can ship is pure waste under overload.
-func (e *LocalEnhancer) Enhance(streamID uint32, job wire.AnchorJob) (wire.AnchorResult, error) {
-	return e.enhance(streamID, job, nil)
-}
+// codedAnchors recycles coded anchors from coder to container. Every
+// LocalEnhancer codes into a buffer from it, in process and behind an
+// EnhancerServer, and a RemoteEnhancer copies each anchor of a reply into
+// one. Whoever holds a successful outcome owns its buffer and puts it
+// back once nothing reads it: the origin after the container marshal
+// (pendingChunk.release), an EnhancerServer once the reply that carries
+// it is written (sendReply).
+var codedAnchors par.SlabPool[byte]
 
-// enhance is Enhance with the coded anchor appended to a buffer borrowed
-// from coded when coded is non-nil (a fresh one otherwise). The caller
-// owns a successful result's Encoded and returns it to coded once the
-// bytes are no longer read.
-//
-//nslint:slab-borrow coded
-func (e *LocalEnhancer) enhance(streamID uint32, job wire.AnchorJob, coded *par.SlabPool[byte]) (wire.AnchorResult, error) {
+// Enhance implements AnchorEnhancer, coding the anchor into a buffer from
+// codedAnchors. A job whose deadline has already passed is skipped with
+// ErrDeadlineExceeded before any inference runs: enhancing a frame nobody
+// can ship is pure waste under overload.
+func (e *LocalEnhancer) Enhance(streamID uint32, job wire.AnchorJob) (wire.AnchorResult, error) {
 	if expired(job.Deadline, time.Now()) {
 		return wire.AnchorResult{}, fmt.Errorf("media: enhance stream %d packet %d: %w", streamID, job.Packet, ErrDeadlineExceeded)
 	}
@@ -162,15 +170,12 @@ func (e *LocalEnhancer) enhance(streamID uint32, job wire.AnchorJob, coded *par.
 	if err != nil {
 		return wire.AnchorResult{}, fmt.Errorf("media: enhance stream %d packet %d: %w", streamID, job.Packet, err)
 	}
-	var dst []byte
-	if coded != nil {
-		dst = coded.Get(icodec.Reserve(hr.W, hr.H, job.QP))[:0]
-	}
 	// The model's output is ours (sr.Model's contract); once coded it goes
 	// back to the frame arena for the next anchor of this geometry.
-	data, _, err := icodec.Append(dst, hr, icodec.Options{Quality: job.QP})
+	data, _, err := icodec.Append(codedAnchors.Get(icodec.Reserve(hr.W, hr.H, job.QP))[:0], hr, icodec.Options{Quality: job.QP})
 	frame.Release(hr)
 	if err != nil {
+		codedAnchors.Put(data)
 		return wire.AnchorResult{}, err
 	}
 	return wire.AnchorResult{Packet: job.Packet, Encoded: data}, nil
@@ -224,9 +229,8 @@ type EnhancerServer struct {
 	// srv owns the listener, the live connections and their handlers.
 	srv *wire.Server
 	// payloads recycles the batch payloads serveConn reads, each back the
-	// moment its frames are decoded; coded recycles the coded anchors a
-	// reply is sent from, each back once its reply is written.
-	payloads, coded par.SlabPool[byte]
+	// moment its frames are decoded.
+	payloads par.SlabPool[byte]
 
 	jobsShed    atomic.Uint64
 	jobsExpired atomic.Uint64
@@ -403,8 +407,8 @@ func (s *EnhancerServer) jobWorker(queue *jobQueue, conn *wire.Conn) {
 
 // batchReply is one job worker's answer to a dispatch, reused from one
 // dispatch to the next: the reply frame's header fields, and for a batch
-// result its outcomes, whose coded anchors are borrowed from the server's
-// coded pool, laid out as the frame's parts.
+// result its outcomes, whose coded anchors are borrowed from codedAnchors,
+// laid out as the frame's parts.
 type batchReply struct {
 	msg  wire.Message
 	outs []AnchorOutcome
@@ -413,7 +417,7 @@ type batchReply struct {
 
 // runBatch serves one dequeued dispatch into r: a typed deadline error
 // when the entry expired in the queue, otherwise the per-anchor outcomes
-// of one run on the enhancer, each coded into a buffer from s.coded.
+// of one run on the enhancer, each coded into a buffer from codedAnchors.
 func (s *EnhancerServer) runBatch(e *jobEntry, r *batchReply) {
 	if expired(e.deadline, time.Now()) {
 		s.jobsExpired.Add(1)
@@ -423,7 +427,7 @@ func (s *EnhancerServer) runBatch(e *jobEntry, r *batchReply) {
 	}
 	for _, job := range e.batch {
 		var o AnchorOutcome
-		o.Res, o.Err = s.enhancer.enhance(e.msg.StreamID, job, &s.coded)
+		o.Res, o.Err = s.enhancer.Enhance(e.msg.StreamID, job)
 		if o.Err != nil {
 			if errors.Is(o.Err, ErrDeadlineExceeded) {
 				s.jobsExpired.Add(1)
@@ -438,8 +442,8 @@ func (s *EnhancerServer) runBatch(e *jobEntry, r *batchReply) {
 
 // sendReply writes r's frame on conn — a batch result as one vectored
 // write from the coded anchors, no payload built — and only then returns
-// the coded anchors to s.coded, since the write reads them. It leaves r
-// empty for the next dispatch.
+// the coded anchors to codedAnchors, since the write reads them. It
+// leaves r empty for the next dispatch.
 func (s *EnhancerServer) sendReply(conn *wire.Conn, r *batchReply) error {
 	var err error
 	if r.msg.Type == wire.TypeAnchorBatchResult {
@@ -448,7 +452,7 @@ func (s *EnhancerServer) sendReply(conn *wire.Conn, r *batchReply) error {
 		err = conn.Write(r.msg)
 	}
 	for _, o := range r.outs {
-		s.coded.Put(o.Res.Encoded)
+		codedAnchors.Put(o.Res.Encoded)
 	}
 	clear(r.outs)
 	r.outs = r.outs[:0]
@@ -468,6 +472,9 @@ type RemoteEnhancer struct {
 	addr        string
 	callTimeout time.Duration
 	dial        func() (net.Conn, error)
+	// replies recycles the reply payloads every connection generation's
+	// Mux reads, each back once call's caller is done with it.
+	replies par.SlabPool[byte]
 
 	mu sync.Mutex
 	// mux is the current connection generation, hellos the encoded hello
@@ -529,7 +536,8 @@ func (r *RemoteEnhancer) Register(streamID uint32, h wire.Hello) error {
 	r.mu.Lock()
 	r.hellos[streamID] = payload
 	r.mu.Unlock()
-	_, err = r.call(wire.Message{Type: wire.TypeHello, StreamID: streamID}, wire.TypeAck, payload)
+	reply, err := r.call(wire.Message{Type: wire.TypeHello, StreamID: streamID}, wire.TypeAck, payload)
+	r.replies.Put(reply.Payload)
 	return err
 }
 
@@ -572,17 +580,28 @@ func (r *RemoteEnhancer) EnhanceBatch(streamID uint32, jobs []wire.AnchorJob) ([
 		return nil, err
 	}
 	outs, err := wire.DecodeAnchorBatchResult(reply.Payload)
+	if err == nil && len(outs) != len(jobs) {
+		err = fmt.Errorf("media: enhance batch: %d outcomes for %d jobs", len(outs), len(jobs))
+	}
 	if err != nil {
+		r.replies.Put(reply.Payload)
 		return nil, err
 	}
-	if len(outs) != len(jobs) {
-		return nil, fmt.Errorf("media: enhance batch: %d outcomes for %d jobs", len(outs), len(jobs))
-	}
-	for i, o := range outs {
+	// The outcomes alias the reply payload. Each anchor moves into a
+	// coded-anchor buffer of its own, which the caller owns, and the
+	// payload goes back at once.
+	for i := range outs {
+		o := &outs[i]
 		if o.Err != nil {
-			outs[i].Err = remoteError("media: remote", []byte(o.Err.Error()))
+			o.Res.Encoded = nil
+			o.Err = remoteError("media: remote", []byte(o.Err.Error()))
+			continue
 		}
+		enc := codedAnchors.Get(len(o.Res.Encoded))
+		copy(enc, o.Res.Encoded)
+		o.Res.Encoded = enc
 	}
+	r.replies.Put(reply.Payload)
 	return outs, nil
 }
 
@@ -592,7 +611,8 @@ var jobVecs = sync.Pool{New: func() any { return new(wire.Vec) }}
 
 // Ping performs a liveness probe (heartbeat health checks).
 func (r *RemoteEnhancer) Ping() error {
-	_, err := r.call(wire.Message{Type: wire.TypePing}, wire.TypePong)
+	reply, err := r.call(wire.Message{Type: wire.TypePing}, wire.TypePong)
+	r.replies.Put(reply.Payload)
 	return err
 }
 
@@ -608,15 +628,17 @@ func (r *RemoteEnhancer) connectLocked() error {
 	if err != nil {
 		return err
 	}
-	mux := wire.NewMux(wire.NewConn(nc, 0, r.callTimeout), nil)
+	mux := wire.NewMux(wire.NewConn(nc, 0, r.callTimeout), &r.replies, nil)
 	for streamID, payload := range r.hellos {
 		// A TypeError reply (e.g. the replica cannot resolve the model)
 		// leaves the connection usable; the stream's own jobs will surface
 		// the failure.
-		if _, err := mux.Call(wire.Message{Type: wire.TypeHello, StreamID: streamID, Payload: payload}, r.callTimeout); err != nil {
+		reply, err := mux.Call(wire.Message{Type: wire.TypeHello, StreamID: streamID, Payload: payload}, r.callTimeout)
+		if err != nil {
 			_ = mux.Close()
 			return fmt.Errorf("re-register stream %d: %w", streamID, err)
 		}
+		r.replies.Put(reply.Payload)
 	}
 	r.mux = mux
 	return nil
@@ -642,7 +664,8 @@ func (r *RemoteEnhancer) live() (*wire.Mux, error) {
 }
 
 // call performs one request/response over the multiplexed connection and
-// returns the reply, which must be of type want. The request's payload is
+// returns the reply, which must be of type want; its payload is borrowed
+// from r.replies, and the caller puts it back. The request's payload is
 // the concatenation of parts (msg.Payload is not sent). It waits at most
 // the call timeout — tightened to the frame's deadline budget when one is
 // set, since waiting past the chunk's deadline for a reply nobody can use
@@ -660,11 +683,14 @@ func (r *RemoteEnhancer) call(msg wire.Message, want wire.Type, parts ...[]byte)
 	if err != nil {
 		return wire.Message{}, fmt.Errorf("media: enhancer call: %v: %w", err, ErrEnhancerUnavailable)
 	}
-	if reply.Type == wire.TypeError {
-		return wire.Message{}, remoteError("media: remote", reply.Payload)
-	}
 	if reply.Type != want {
-		return wire.Message{}, fmt.Errorf("media: %v: unexpected reply %v", msg.Type, reply.Type)
+		if reply.Type == wire.TypeError {
+			err = remoteError("media: remote", reply.Payload)
+		} else {
+			err = fmt.Errorf("media: %v: unexpected reply %v", msg.Type, reply.Type)
+		}
+		r.replies.Put(reply.Payload)
+		return wire.Message{}, err
 	}
 	return reply, nil
 }

@@ -761,10 +761,12 @@ func (s *Server) dispatchAnchors(pc *pendingChunk) {
 // matter which replica finishes first.
 //
 // It owns its jobs' frames, borrowed from the frame arena by the decode,
-// until it releases them with wire.ReleaseFrames: at the end of
-// assembleChunk (after the rescue pass, which dispatches them again, and
-// the marshal), on a prepareChunk error, or after the fan-out of a chunk
-// a fatal connection abandons.
+// and its successful outcomes' coded anchors, borrowed from codedAnchors
+// by the enhancers (AnchorEnhancer's contract). release gives both back:
+// at the end of assembleChunk (after the rescue pass, which dispatches the
+// frames again, and the marshal, which copies the anchors), or after the
+// fan-out of a chunk a fatal connection abandons. A prepareChunk error
+// releases the frames decoded so far; nothing was dispatched then.
 type pendingChunk struct {
 	streamID  uint32
 	st        *serverStream
@@ -781,6 +783,19 @@ type pendingChunk struct {
 	pending bool
 	// expired marks a chunk that lost an anchor to its deadline budget.
 	expired bool
+}
+
+// release returns the chunk's job frames to the frame arena and every
+// successful outcome's coded anchor to codedAnchors, once nothing reads
+// either. Failed outcomes carry no buffer of the caller's.
+func (pc *pendingChunk) release() {
+	wire.ReleaseFrames(pc.jobs)
+	for i := range pc.outcomes {
+		if pc.outcomes[i].Err == nil {
+			codedAnchors.Put(pc.outcomes[i].Res.Encoded)
+		}
+	}
+	clear(pc.outcomes)
 }
 
 // enhanceJobs is the server's one dispatch: it runs jobs as a single
@@ -828,7 +843,7 @@ func (s *Server) packageStage(p *ingestPipeline, job *ingestJob) {
 		// server after close.
 		if job.pc != nil {
 			job.pc.wg.Wait()
-			wire.ReleaseFrames(job.pc.jobs)
+			job.pc.release()
 		}
 		return
 	}
@@ -916,8 +931,9 @@ func (s *Server) registerStream(msg wire.Message) error {
 func (s *Server) assembleChunk(pc *pendingChunk, deadline time.Time) ([]byte, bool, error) {
 	start := time.Now()
 	pc.wg.Wait()
-	// The rescue pass below is the last dispatch of the job frames.
-	defer wire.ReleaseFrames(pc.jobs)
+	// The rescue pass below is the last dispatch of the job frames, and the
+	// marshal the last read of the coded anchors.
+	defer pc.release()
 	s.stages.enhanceWaitNanos.Add(int64(time.Since(start)))
 	s.stages.enhanceWaitCount.Add(1)
 

@@ -192,9 +192,9 @@ func fitLogRate(pts []RatePoint) ([]float64, error) {
 		}
 		for i := 0; i < n; i++ {
 			for j := 0; j < n; j++ {
-				ata[i][j] += powers[i] * powers[j]
+				ata[i][j] += float64(powers[i] * powers[j])
 			}
-			aty[i] += powers[i] * y
+			aty[i] += float64(powers[i] * y)
 		}
 	}
 	return solveGauss(ata, aty)
@@ -219,16 +219,16 @@ func solveGauss(a [][]float64, b []float64) ([]float64, error) {
 		for r := col + 1; r < n; r++ {
 			f := a[r][col] / a[col][col]
 			for c := col; c < n; c++ {
-				a[r][c] -= f * a[col][c]
+				a[r][c] -= float64(f * a[col][c])
 			}
-			b[r] -= f * b[col]
+			b[r] -= float64(f * b[col])
 		}
 	}
 	x := make([]float64, n)
 	for r := n - 1; r >= 0; r-- {
 		x[r] = b[r]
 		for c := r + 1; c < n; c++ {
-			x[r] -= a[r][c] * x[c]
+			x[r] -= float64(a[r][c] * x[c])
 		}
 		x[r] /= a[r][r]
 	}
@@ -268,9 +268,9 @@ func Pearson(x, y []float64) (float64, error) {
 	var sxy, sxx, syy float64
 	for i := range x {
 		dx, dy := x[i]-mx, y[i]-my
-		sxy += dx * dy
-		sxx += dx * dx
-		syy += dy * dy
+		sxy += float64(dx * dy)
+		sxx += float64(dx * dx)
+		syy += float64(dy * dy)
 	}
 	if sxx == 0 || syy == 0 {
 		return 0, errors.New("metrics: pearson undefined for constant sample")
@@ -300,7 +300,7 @@ func Summarize(xs []float64) (Summary, error) {
 	var varSum float64
 	for _, v := range s {
 		d := v - mean
-		varSum += d * d
+		varSum += float64(d * d)
 	}
 	return Summary{
 		Mean: mean,
@@ -325,13 +325,13 @@ func Percentile(sorted []float64, p float64) float64 {
 	if p >= 100 {
 		return sorted[len(sorted)-1]
 	}
-	pos := p / 100 * float64(len(sorted)-1)
+	pos := float64(p / 100 * float64(len(sorted)-1))
 	lo := int(pos)
 	fracPart := pos - float64(lo)
 	if lo+1 >= len(sorted) {
 		return sorted[lo]
 	}
-	return sorted[lo] + fracPart*(sorted[lo+1]-sorted[lo])
+	return sorted[lo] + float64(fracPart*(sorted[lo+1]-sorted[lo]))
 }
 
 // Normalize01 linearly rescales xs to span [0, 1]. A constant sample maps

@@ -43,18 +43,20 @@ func SSIM(a, b *frame.Frame) (float64, error) {
 						pa, pb := float64(ra[x]), float64(rb[x])
 						sumA += pa
 						sumB += pb
-						sumAA += pa * pa
-						sumBB += pb * pb
-						sumAB += pa * pb
+						sumAA += float64(pa * pa)
+						sumBB += float64(pb * pb)
+						sumAB += float64(pa * pb)
 					}
 				}
 				n := float64(win * win)
-				muA, muB := sumA/n, sumB/n
-				varA := sumAA/n - muA*muA
-				varB := sumBB/n - muB*muB
-				cov := sumAB/n - muA*muB
-				vals[wr*wx+wc] = ((2*muA*muB + c1) * (2*cov + c2)) /
-					((muA*muA + muB*muB + c1) * (varA + varB + c2))
+				// n is a power of two, so the compiler turns each /n into a
+				// product; the conversions keep those from fusing too.
+				muA, muB := float64(sumA/n), float64(sumB/n)
+				varA := float64(sumAA/n) - float64(muA*muA)
+				varB := float64(sumBB/n) - float64(muB*muB)
+				cov := float64(sumAB/n) - float64(muA*muB)
+				vals[wr*wx+wc] = ((float64(2*muA*muB) + c1) * (float64(2*cov) + c2)) /
+					((float64(muA*muA) + float64(muB*muB) + c1) * (varA + varB + c2))
 			}
 		}
 	})

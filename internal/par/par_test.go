@@ -201,3 +201,28 @@ func TestSlabPoolReuse(t *testing.T) {
 		t.Fatalf("Get(128) returned len %d", len(d))
 	}
 }
+
+// TestSlabPoolNilAndOutstanding: a nil pool allocates and drops, and
+// Outstanding counts what Get handed out and Put has not taken back.
+func TestSlabPoolNilAndOutstanding(t *testing.T) {
+	var none *SlabPool[byte]
+	b := none.Get(16)
+	if len(b) != 16 {
+		t.Fatalf("nil pool Get(16) returned len %d", len(b))
+	}
+	none.Put(b)
+	if n := none.Outstanding(); n != 0 {
+		t.Fatalf("nil pool Outstanding = %d, want 0", n)
+	}
+
+	var p SlabPool[byte]
+	x, y := p.Get(8), p.Get(0)
+	if n := p.Outstanding(); n != 1 {
+		t.Fatalf("Outstanding = %d after Get(8) and an empty Get(0), want 1", n)
+	}
+	p.Put(y)
+	p.Put(x)
+	if n := p.Outstanding(); n != 0 {
+		t.Fatalf("Outstanding = %d after both Puts, want 0", n)
+	}
+}

@@ -345,8 +345,9 @@ var quantizers [101]atomic.Pointer[Quantizer]
 
 // QuantizerFor returns the shared quantizer for quality q (clamped to
 // [1, 100] as in QuantTable). The encoders code every frame and anchor
-// with one, and its tables depend only on q, so they are built once per
-// quality instead of once per frame. The result must not be modified.
+// with one and the decoders dequantize with its Table; its tables depend
+// only on q, so they are built once per quality instead of once per
+// frame. The result must not be modified.
 func QuantizerFor(q int) *Quantizer {
 	q = min(max(q, 1), 100)
 	if z := quantizers[q].Load(); z != nil {

@@ -286,7 +286,7 @@ func decodeIntraPlanes(r *bitstream.Reader, w, h, quality int) (*frame.Frame, er
 		return nil, frame.ErrBadDimensions
 	}
 	f := frame.Borrow(w, h)
-	table := transform.QuantTable(quality)
+	table := &transform.QuantizerFor(quality).Table
 	for _, p := range f.Planes() {
 		nbx, _, n := planeBlocks(p)
 		if par.Workers() == 1 {
@@ -302,7 +302,7 @@ func decodeIntraPlanes(r *bitstream.Reader, w, h, quality int) (*frame.Frame, er
 				}
 				scan[0] += prevDC
 				prevDC = scan[0]
-				transform.UnzigzagDequant(&b, scan, &table)
+				transform.UnzigzagDequant(&b, scan, table)
 				transform.IDCT(&b, &b)
 				storeShifted(&b, p, bx, by)
 			}
@@ -325,7 +325,7 @@ func decodeIntraPlanes(r *bitstream.Reader, w, h, quality int) (*frame.Frame, er
 			var b transform.Block
 			for i := lo; i < hi; i++ {
 				bx, by := (i%nbx)*transform.BlockSize, (i/nbx)*transform.BlockSize
-				transform.UnzigzagDequant(&b, coeffs[i*64:(i+1)*64], &table)
+				transform.UnzigzagDequant(&b, coeffs[i*64:(i+1)*64], table)
 				transform.IDCT(&b, &b)
 				storeShifted(&b, p, bx, by)
 			}
@@ -344,7 +344,7 @@ func decodeResidualInto(r *bitstream.Reader, pred *frame.Frame, quality int) err
 // and, when capture is non-nil, also stores the residual samples in
 // biased (+128) form into capture.
 func decodeResidualWithCapture(r *bitstream.Reader, pred *frame.Frame, quality int, capture *frame.Frame) error {
-	table := transform.QuantTable(quality)
+	table := &transform.QuantizerFor(quality).Table
 	pp := pred.Planes()
 	var cp [3]*frame.Plane
 	if capture != nil {
@@ -369,7 +369,7 @@ func decodeResidualWithCapture(r *bitstream.Reader, pred *frame.Frame, quality i
 				if allZero(scan) {
 					continue
 				}
-				transform.UnzigzagDequant(&b, scan, &table)
+				transform.UnzigzagDequant(&b, scan, table)
 				transform.IDCT(&b, &b)
 				addBlock(&b, p, bx, by)
 				if capture != nil {
@@ -396,7 +396,7 @@ func decodeResidualWithCapture(r *bitstream.Reader, pred *frame.Frame, quality i
 					continue
 				}
 				bx, by := (i%nbx)*transform.BlockSize, (i/nbx)*transform.BlockSize
-				transform.UnzigzagDequant(&b, scan, &table)
+				transform.UnzigzagDequant(&b, scan, table)
 				transform.IDCT(&b, &b)
 				addBlock(&b, p, bx, by)
 				if capture != nil {

@@ -132,7 +132,7 @@ func TestAnchorBatchPartsMatchWrite(t *testing.T) {
 
 	// The origin's side: a Mux call whose request is the job Vec's parts.
 	a, b := net.Pipe()
-	mux := NewMux(NewConn(a, 0, testTimeout), nil)
+	mux := NewMux(NewConn(a, 0, testTimeout), nil, nil)
 	defer mux.Close()
 	type result struct {
 		reply Message

@@ -120,12 +120,11 @@ func (c *Conn) writeLocked(m Message, sum uint32, parts ...[]byte) error {
 // Read returns the next frame, waiting at most the idle timeout for it.
 // The payload is allocated for this frame alone.
 func (c *Conn) Read(maxPayload int) (Message, error) {
-	_ = c.nc.SetReadDeadline(deadlineIn(c.idleTimeout))
-	return readFrame(c.nc, &c.rhdr, maxPayload)
+	return c.ReadPooled(maxPayload, nil)
 }
 
 // ReadPooled is Read with the payload borrowed from pool (see the
-// package-level ReadPooled for the ownership rule).
+// package-level ReadPooled for the ownership rule; a nil pool allocates).
 //
 //nslint:slab-borrow pool
 func (c *Conn) ReadPooled(maxPayload int, pool *par.SlabPool[byte]) (Message, error) {
@@ -173,8 +172,10 @@ var ErrClosed = errors.New("wire: connection closed")
 // number of goroutines Call concurrently, each request goes out under a
 // fresh Seq, and one reader goroutine hands every reply to the call
 // registered under the Seq it echoes. Frames with Seq 0 are unsolicited
-// and go to the push callback, never to a caller. Each delivered Message
-// owns its Payload: it was allocated for that frame alone.
+// and go to the push callback, never to a caller. Whoever a Message is
+// delivered to owns its Payload: without a pool it was allocated for that
+// frame alone; with one it is borrowed from the pool, and the caller (or
+// the push callback) returns it there once nothing reads it.
 //
 // A Mux is one connection generation: once it has failed it stays failed,
 // every pending call has been failed exactly once with the cause, later
@@ -196,6 +197,7 @@ var ErrClosed = errors.New("wire: connection closed")
 type Mux struct {
 	conn *Conn
 	seqs SeqSource
+	pool *par.SlabPool[byte]
 	push func(Message)
 
 	mu sync.Mutex
@@ -209,11 +211,13 @@ type Mux struct {
 	reader sync.WaitGroup
 }
 
-// NewMux starts demultiplexing conn, which it owns from here on. push,
-// when non-nil, receives every Seq-0 frame on the reader goroutine and
-// must not block.
-func NewMux(conn *Conn, push func(Message)) *Mux {
-	m := &Mux{conn: conn, push: push, pending: make(map[uint32]chan Message), failed: make(chan struct{})}
+// NewMux starts demultiplexing conn, which it owns from here on. Its
+// reader borrows each payload from pool and hands it over with the
+// Message (see Mux); a nil pool allocates each one instead, for callers
+// that keep the bytes they are given. push, when non-nil, receives every
+// Seq-0 frame on the reader goroutine and must not block.
+func NewMux(conn *Conn, pool *par.SlabPool[byte], push func(Message)) *Mux {
+	m := &Mux{conn: conn, pool: pool, push: push, pending: make(map[uint32]chan Message), failed: make(chan struct{})}
 	m.reader.Add(1)
 	go m.readLoop()
 	return m
@@ -269,7 +273,7 @@ func (m *Mux) Close() error {
 func (m *Mux) readLoop() {
 	defer m.reader.Done()
 	for {
-		msg, err := m.conn.Read(DefaultMaxPayload)
+		msg, err := m.conn.ReadPooled(DefaultMaxPayload, m.pool)
 		if err != nil {
 			m.fail(err)
 			return
@@ -277,6 +281,8 @@ func (m *Mux) readLoop() {
 		if msg.Seq == 0 {
 			if m.push != nil {
 				m.push(msg)
+			} else {
+				m.pool.Put(msg.Payload)
 			}
 			continue
 		}
@@ -285,7 +291,9 @@ func (m *Mux) readLoop() {
 		delete(m.pending, msg.Seq)
 		m.mu.Unlock()
 		if !ok {
-			m.fail(fmt.Errorf("wire: reply seq %d matches no pending call", msg.Seq))
+			err := fmt.Errorf("wire: reply seq %d matches no pending call", msg.Seq)
+			m.pool.Put(msg.Payload)
+			m.fail(err)
 			return
 		}
 		ch <- msg // buffered: the slot left pending under mu, so this is its only send

@@ -29,7 +29,7 @@ const testTimeout = 5 * time.Second
 func muxPair(t *testing.T, push func(Message)) (*Mux, *Conn) {
 	t.Helper()
 	a, b := net.Pipe()
-	m := NewMux(NewConn(a, 0, testTimeout), push)
+	m := NewMux(NewConn(a, 0, testTimeout), nil, push)
 	peer := NewConn(b, testTimeout, testTimeout)
 	t.Cleanup(func() {
 		_ = peer.Close()
@@ -194,7 +194,7 @@ func TestMuxCloseJoinsItsReader(t *testing.T) {
 	defer b.Close()
 	go func() { _, _ = io.Copy(io.Discard, b) }() // takes the goodbye
 	lc := &lingeringConn{Conn: a, entered: make(chan struct{})}
-	m := NewMux(NewConn(lc, 0, testTimeout), nil)
+	m := NewMux(NewConn(lc, 0, testTimeout), nil, nil)
 	select {
 	case <-lc.entered:
 	case <-time.After(testTimeout):
@@ -240,6 +240,38 @@ func TestMuxSeqZeroFramesGoToPushNeverToACaller(t *testing.T) {
 	wg.Wait()
 	if results[0].err != nil {
 		t.Errorf("call beside an unclaimed push: %v", results[0].err)
+	}
+}
+
+// TestMuxPooledPayloadsHaveOneOwner: with a pool, the reader borrows each
+// payload for whoever the frame goes to, and puts back the ones nobody
+// receives: a Seq-0 frame with no callback, and a reply that matches no
+// call (which also fails the connection).
+func TestMuxPooledPayloadsHaveOneOwner(t *testing.T) {
+	var pool par.SlabPool[byte]
+	a, b := net.Pipe()
+	m := NewMux(NewConn(a, 0, testTimeout), &pool, nil)
+	peer := NewConn(b, testTimeout, testTimeout)
+	t.Cleanup(func() {
+		_ = peer.Close()
+		_ = m.Close()
+	})
+	results, wg := startCalls(m, 1, testTimeout)
+	req := readRequests(t, peer, 1)[0]
+	_ = peer.Write(Message{Type: TypeChunkData, Payload: []byte("unclaimed")})
+	_ = peer.Write(Message{Type: TypePong, Seq: req.Seq, Payload: []byte("reply")})
+	wg.Wait()
+	if r := results[0]; r.err != nil || string(r.reply.Payload) != "reply" {
+		t.Fatalf("caller got %q, %v; want its own reply", r.reply.Payload, r.err)
+	}
+	if n := pool.Outstanding(); n != 1 {
+		t.Fatalf("%d payloads borrowed after a reply and an unclaimed push, want the reply's 1", n)
+	}
+	pool.Put(results[0].reply.Payload)
+	_ = peer.Write(Message{Type: TypePong, Seq: req.Seq + 1000, Payload: []byte("stray")})
+	<-m.Failed()
+	if n := pool.Outstanding(); n != 0 {
+		t.Errorf("%d payloads borrowed after the unmatched reply failed the Mux, want 0", n)
 	}
 }
 

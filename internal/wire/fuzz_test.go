@@ -6,21 +6,40 @@ import (
 	"testing"
 
 	"github.com/neuroscaler/neuroscaler/internal/frame"
+	"github.com/neuroscaler/neuroscaler/internal/par"
 )
 
 // FuzzRead exercises the frame parser with arbitrary bytes; it must
-// never panic and must round-trip anything Write produced.
+// never panic and must round-trip anything Write produced. ReadPooled
+// must accept and refuse exactly what Read does, return the same
+// message, and leave nothing borrowed from its pool when it refuses.
 func FuzzRead(f *testing.F) {
 	var seed bytes.Buffer
 	_ = Write(&seed, Message{Type: TypeChunk, StreamID: 7, Seq: 9, Payload: []byte("payload")})
 	f.Add(seed.Bytes())
 	f.Add([]byte{})
 	f.Add([]byte{0x4E, 0x53, 1, 0, 0, 0, 0})
+	// A header that promises more payload than follows.
+	f.Add(seed.Bytes()[:seed.Len()-2])
+	var pool par.SlabPool[byte]
 	f.Fuzz(func(t *testing.T, data []byte) {
 		m, err := Read(bytes.NewReader(data), 1<<20)
+		before := pool.Outstanding()
+		pm, perr := ReadPooled(bytes.NewReader(data), 1<<20, &pool)
+		if (err == nil) != (perr == nil) {
+			t.Fatalf("Read err %v, ReadPooled err %v", err, perr)
+		}
 		if err != nil {
+			if n := pool.Outstanding() - before; n != 0 {
+				t.Fatalf("refused frame left %d payload buffers borrowed", n)
+			}
 			return
 		}
+		if pm.Type != m.Type || pm.StreamID != m.StreamID || pm.Seq != m.Seq || pm.Budget != m.Budget ||
+			!bytes.Equal(pm.Payload, m.Payload) {
+			t.Fatal("ReadPooled returned a different message than Read")
+		}
+		pool.Put(pm.Payload)
 		// Anything that parsed must re-serialize to an equivalent frame.
 		var buf bytes.Buffer
 		if err := Write(&buf, m); err != nil {

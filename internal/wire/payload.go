@@ -577,7 +577,8 @@ func EncodeChunkData(c ChunkData) []byte {
 // immutable prefix (everything before the trailing flags byte, aliasing
 // payload) and the flags byte, validating the framing. An edge caches
 // the prefix and re-emits it with Conn.WriteShared plus a fresh flags
-// tail (ChunkDataTail).
+// tail (ChunkDataTail). A flags byte with a bit no flag owns is refused,
+// so every payload it accepts re-encodes to itself.
 func ChunkDataPrefix(payload []byte) (prefix []byte, flags byte, err error) {
 	if len(payload) < 10 {
 		return nil, 0, errors.New("wire: truncated chunk-data")
@@ -586,7 +587,11 @@ func ChunkDataPrefix(payload []byte) (prefix []byte, flags byte, err error) {
 	if uint32(len(payload)-10) != n {
 		return nil, 0, errors.New("wire: chunk-data length mismatch")
 	}
-	return payload[:len(payload)-1], payload[len(payload)-1], nil
+	flags = payload[len(payload)-1]
+	if flags&^(chunkDataFlagDegraded|chunkDataFlagCacheHit) != 0 {
+		return nil, 0, fmt.Errorf("wire: unknown chunk-data flags %#x", flags)
+	}
+	return payload[:len(payload)-1], flags, nil
 }
 
 // DecodeChunkData parses a ChunkData payload, copying the container

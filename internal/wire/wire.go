@@ -303,35 +303,18 @@ func readHeader(r io.Reader, hdr *[headerLen + budgetLen]byte, maxPayload int) (
 
 // Read parses the next message from r, rejecting frames larger than
 // maxPayload (use DefaultMaxPayload when in doubt). Both v1 and v2
-// (deadline-bearing) frames are accepted.
+// (deadline-bearing) frames are accepted. The payload is allocated for
+// this frame alone: Read is ReadPooled with no pool.
 func Read(r io.Reader, maxPayload int) (Message, error) {
-	var hdr [headerLen + budgetLen]byte
-	return readFrame(r, &hdr, maxPayload)
-}
-
-// readFrame is Read with the header parsed into hdr.
-func readFrame(r io.Reader, hdr *[headerLen + budgetLen]byte, maxPayload int) (Message, error) {
-	m, n, sum, err := readHeader(r, hdr, maxPayload)
-	if err != nil {
-		return Message{}, err
-	}
-	if n > 0 {
-		m.Payload = make([]byte, n)
-		if _, err := io.ReadFull(r, m.Payload); err != nil {
-			return Message{}, fmt.Errorf("wire: read payload: %w", err)
-		}
-	}
-	if crc32.ChecksumIEEE(m.Payload) != sum {
-		return Message{}, ErrBadFrame
-	}
-	return m, nil
+	return ReadPooled(r, maxPayload, nil)
 }
 
 // ReadPooled parses the next message from r like Read, but borrows the
-// payload buffer from pool instead of allocating it. On success, ownership
-// of m.Payload transfers to the caller, who must return it to the same
-// pool once every slice derived from it (see DecodeChunkAlias) is dead.
-// On error nothing stays borrowed.
+// payload buffer from pool instead of allocating it (a nil pool
+// allocates, as Read does). On success, ownership of m.Payload transfers
+// to the caller, who must return it to the same pool once every slice
+// derived from it (see DecodeChunkAlias) is dead. On error nothing stays
+// borrowed.
 //
 //nslint:slab-borrow pool
 func ReadPooled(r io.Reader, maxPayload int, pool *par.SlabPool[byte]) (Message, error) {
