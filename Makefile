@@ -64,10 +64,11 @@ delivery-fanout:
 # cmd/nsbench is a module of its own, so build/test/nslint above never
 # compile it although it wraps media's public types (EnhancerPool, the
 # ModelProvider and AnchorEnhancer seams). This builds it, runs its
-# self-test, and makes three short runs whose result lines must say
+# self-test, and makes four short runs whose result lines must say
 # "correct":true — ingest_gpu over TCP replicas, ingest_cpu over
-# in-process ones, and delivery_zipf, whose viewers byte-check every
-# container they fetch through edge → edge.Client; byte-identity against
+# in-process ones, delivery_zipf, whose viewers byte-check every
+# container they fetch through edge → edge.Client, and live_mixed, the
+# one workload that ingests beside delivery; byte-identity against
 # the serial origin and a closed anchor ledger are checked inside each run
 # (mirrors the bench-selftest CI job). The allocation gate is nsbench's
 # allocs_per_op under its 2% bound, on every PR.
@@ -76,6 +77,7 @@ bench-selftest:
 	sh cmd/nsbench/run.sh --workload ingest_gpu --seed 1 --seconds 5 --trace 0 | tail -n 1 | grep -q '"correct":true'
 	sh cmd/nsbench/run.sh --workload ingest_cpu --seed 1 --seconds 5 --trace 0 | tail -n 1 | grep -q '"correct":true'
 	sh cmd/nsbench/run.sh --workload delivery_zipf --seed 1 --seconds 5 --trace 0 | tail -n 1 | grep -q '"correct":true'
+	sh cmd/nsbench/run.sh --workload live_mixed --seed 1 --seconds 5 --trace 0 | tail -n 1 | grep -q '"correct":true'
 
 # Non-test lines of the three serving-path packages, then their sum
 # (ROADMAP "One serving path, one world" sets its target against the

@@ -10,7 +10,7 @@ import (
 // cache-resident chunk. The interesting number is allocs/op: the hit is
 // written as the cached prefix plus a flags tail and read into one
 // payload the client keeps, so no container copy is made on either side
-// (5 allocs/op and 24.7 KB/op for a 24 KB container on a 2-core host;
+// (2 allocs/op and 24.6 KB/op for a 24 KB container on a 2-core host;
 // the gate is nsbench's allocs_per_op @ delivery_zipf).
 func BenchmarkEdgeServe(b *testing.B) {
 	origin := startOrigin(b, true, []uint32{5}, 1)

@@ -17,8 +17,8 @@ type Key struct {
 	Quality uint8
 }
 
-// hash folds the key into one 64-bit value; shard choice and sketch
-// indices both derive from it (the sketch applies its own mixing).
+// hash folds the key into one 64-bit value the sketch indexes by (it
+// applies its own mixing on top).
 func (k Key) hash() uint64 {
 	return mix(uint64(k.Stream)<<40 ^ uint64(k.Seq)<<8 ^ uint64(k.Quality))
 }
@@ -53,65 +53,56 @@ func (e *entry) release() {
 	}
 }
 
-// Cache is a sharded LRU over refcounted container entries with
-// popularity-weighted admission: on pressure, a candidate enters only
-// by outbidding the eviction victim's access frequency (estimated by a
-// per-shard count-min sketch). This is the TinyLFU admission rule — a
+// Cache is one LRU over refcounted container entries, behind one mutex,
+// with popularity-weighted admission: on pressure, a candidate enters
+// only by outbidding the eviction victim's access frequency (estimated
+// by a count-min sketch). This is the TinyLFU admission rule — a
 // one-hit wonder during a flash crowd cannot displace a chunk that is
 // being re-fetched every few hundred milliseconds by a steady audience.
+//
+// The cache is deliberately not split into hash shards: a shard holds a
+// fraction of the capacity and sees a fraction of the traffic, so a
+// fresh chunk competes only with the few residents of its own shard and
+// a small sketch whose estimates reset before a live audience arrives.
+// The lock is cheap by comparison (see DESIGN.md "Cache keying and
+// layout").
 type Cache struct {
-	shards    []*cacheShard
-	perShard  int64
+	mu        sync.Mutex
+	items     map[Key]*list.Element
+	lru       *list.List // front = most recently used
+	bytes     int64
+	capacity  int64
+	sketch    *sketch
 	evictions atomic.Uint64
 }
 
-type cacheShard struct {
-	mu     sync.Mutex
-	items  map[Key]*list.Element
-	lru    *list.List // front = most recently used
-	bytes  int64
-	sketch *sketch
-}
-
-// NewCache builds a cache bounded to capacityBytes across `shards`
-// lock domains (shards is rounded up to at least 1; capacity splits
-// evenly).
-func NewCache(capacityBytes int64, shards int) *Cache {
-	if shards < 1 {
-		shards = 1
+// NewCache builds a cache bounded to capacityBytes of resident payload.
+func NewCache(capacityBytes int64) *Cache {
+	// Size the sketch for twice the entry population the cache can
+	// plausibly hold, assuming ~32KiB containers; newSketch rounds up
+	// from there. The factor doubles the halving period too, which
+	// favours frequency over recency: DESIGN.md "Admission (TinyLFU)"
+	// has the trade-off as measured on live and VOD traffic.
+	return &Cache{
+		items:    make(map[Key]*list.Element),
+		lru:      list.New(),
+		capacity: capacityBytes,
+		sketch:   newSketch(int(2 * capacityBytes / (32 << 10))),
 	}
-	c := &Cache{shards: make([]*cacheShard, shards), perShard: capacityBytes / int64(shards)}
-	// Size each sketch for the entry population its shard can plausibly
-	// hold, assuming ~32KiB containers; newSketch rounds up from there.
-	per := int(c.perShard / (32 << 10))
-	for i := range c.shards {
-		c.shards[i] = &cacheShard{
-			items:  make(map[Key]*list.Element),
-			lru:    list.New(),
-			sketch: newSketch(per),
-		}
-	}
-	return c
-}
-
-func (c *Cache) shard(h uint64) *cacheShard {
-	return c.shards[h%uint64(len(c.shards))]
 }
 
 // Get returns the cached entry for k with a reference retained for the
 // caller (who must release it after the delivery write). Every lookup —
 // hit or miss — counts toward k's popularity.
 func (c *Cache) Get(k Key) (*entry, bool) {
-	h := k.hash()
-	sh := c.shard(h)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	sh.sketch.touch(h)
-	el, ok := sh.items[k]
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.sketch.touch(k.hash())
+	el, ok := c.items[k]
 	if !ok {
 		return nil, false
 	}
-	sh.lru.MoveToFront(el)
+	c.lru.MoveToFront(el)
 	ent := el.Value.(*entry)
 	ent.retain()
 	return ent, true
@@ -120,49 +111,47 @@ func (c *Cache) Get(k Key) (*entry, bool) {
 // Admit offers a freshly fetched entry to the cache. Under pressure it
 // evicts LRU victims only while the candidate's sketch frequency is at
 // least each victim's; the first victim that outranks the candidate
-// wins and the candidate is rejected instead. On admission the cache
-// retains its own reference and returns true; on rejection the entry is
-// untouched (the caller's reference still serves the in-flight
+// wins and the candidate is rejected instead, as is an entry larger
+// than the whole cache. On admission the
+// cache retains its own reference and returns true; on rejection the
+// entry is untouched (the caller's reference still serves the in-flight
 // deliveries, then the slab recycles).
 func (c *Cache) Admit(ent *entry) bool {
 	size := int64(len(ent.slab))
-	h := ent.key.hash()
-	sh := c.shard(h)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	if size > c.perShard {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if size > c.capacity {
 		return false
 	}
-	if el, ok := sh.items[ent.key]; ok {
+	if el, ok := c.items[ent.key]; ok {
 		// A concurrent flight already admitted this key (e.g. a late
 		// re-fetch after an eviction raced). Keep the incumbent.
-		sh.lru.MoveToFront(el)
+		c.lru.MoveToFront(el)
 		return false
 	}
-	freq := sh.sketch.estimate(h)
-	for sh.bytes+size > c.perShard {
-		back := sh.lru.Back()
-		if back == nil {
-			break
-		}
+	freq := c.sketch.estimate(ent.key.hash())
+	for c.bytes+size > c.capacity {
+		back := c.lru.Back()
 		victim := back.Value.(*entry)
-		if sh.sketch.estimate(victim.key.hash()) > freq {
+		if c.sketch.estimate(victim.key.hash()) > freq {
 			return false
 		}
-		sh.evictLocked(back, victim)
-		c.evictions.Add(1)
+		c.evictLocked(back, victim)
 	}
 	ent.retain()
-	sh.items[ent.key] = sh.lru.PushFront(ent)
-	sh.bytes += size
+	c.items[ent.key] = c.lru.PushFront(ent)
+	c.bytes += size
 	return true
 }
 
-func (sh *cacheShard) evictLocked(el *list.Element, ent *entry) {
-	sh.lru.Remove(el)
-	delete(sh.items, ent.key)
-	sh.bytes -= int64(len(ent.slab))
+// evictLocked drops one resident entry and the cache's reference to it.
+// Callers hold mu.
+func (c *Cache) evictLocked(el *list.Element, ent *entry) {
+	c.lru.Remove(el)
+	delete(c.items, ent.key)
+	c.bytes -= int64(len(ent.slab))
 	ent.release()
+	c.evictions.Add(1)
 }
 
 // Evictions reports how many entries pressure has pushed out.
@@ -170,22 +159,14 @@ func (c *Cache) Evictions() uint64 { return c.evictions.Load() }
 
 // Len reports the resident entry count.
 func (c *Cache) Len() int {
-	n := 0
-	for _, sh := range c.shards {
-		sh.mu.Lock()
-		n += sh.lru.Len()
-		sh.mu.Unlock()
-	}
-	return n
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.lru.Len()
 }
 
 // Bytes reports the resident payload bytes.
 func (c *Cache) Bytes() int64 {
-	var n int64
-	for _, sh := range c.shards {
-		sh.mu.Lock()
-		n += sh.bytes
-		sh.mu.Unlock()
-	}
-	return n
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.bytes
 }

@@ -1,6 +1,8 @@
 package edge
 
 import (
+	"math/rand"
+	"sort"
 	"testing"
 
 	"github.com/neuroscaler/neuroscaler/internal/par"
@@ -59,7 +61,7 @@ func TestCacheAdmissionOutranking(t *testing.T) {
 	var pool par.SlabPool[byte]
 	const size = 1 << 10
 	entryBytes := len(wire.EncodeChunkData(wire.ChunkData{Data: make([]byte, size)}))
-	cache := NewCache(int64(2*entryBytes), 1)
+	cache := NewCache(int64(2 * entryBytes))
 
 	hotA, hotB := Key{Stream: 1}, Key{Stream: 2}
 	cold, warm := Key{Stream: 3}, Key{Stream: 4}
@@ -111,7 +113,7 @@ func TestCacheRefcountAcrossEviction(t *testing.T) {
 	var pool par.SlabPool[byte]
 	const size = 1 << 10
 	entryBytes := len(wire.EncodeChunkData(wire.ChunkData{Data: make([]byte, size)}))
-	cache := NewCache(int64(entryBytes), 1) // room for exactly one entry
+	cache := NewCache(int64(entryBytes)) // room for exactly one entry
 
 	k1, k2 := Key{Stream: 1}, Key{Stream: 2}
 	cache.Get(k1)
@@ -160,7 +162,7 @@ func TestCacheRefcountAcrossEviction(t *testing.T) {
 // and reports rejection.
 func TestCacheKeepsIncumbentOnDoubleAdmit(t *testing.T) {
 	var pool par.SlabPool[byte]
-	cache := NewCache(1<<20, 1)
+	cache := NewCache(1 << 20)
 	k := Key{Stream: 7, Seq: 3}
 	first := makeEntry(t, &pool, k, 256)
 	second := makeEntry(t, &pool, k, 256)
@@ -181,14 +183,102 @@ func TestCacheKeepsIncumbentOnDoubleAdmit(t *testing.T) {
 	}
 }
 
-// TestCacheOversizeEntry: an entry larger than a whole shard can never
+// TestCacheOversizeEntry: an entry larger than the whole cache can never
 // be admitted (it would evict everything and still not fit).
 func TestCacheOversizeEntry(t *testing.T) {
 	var pool par.SlabPool[byte]
-	cache := NewCache(512, 1)
+	cache := NewCache(512)
 	ent := makeEntry(t, &pool, Key{Stream: 1}, 4<<10)
 	if cache.Admit(ent) {
 		t.Fatal("oversize entry admitted")
 	}
 	ent.release()
+}
+
+// policyEntryBytes is a container of the benchmark's live geometry.
+const policyEntryBytes = 44 << 10
+
+// replayHitRate plays a fetch trace through the cache the way a leader
+// fetch does: a hit is served from memory, a miss fetches a fresh entry
+// and offers it to Admit. It returns the hits' share of the trace.
+func replayHitRate(cache *Cache, trace []Key) float64 {
+	var pool par.SlabPool[byte]
+	hits := 0
+	for _, k := range trace {
+		if ent, ok := cache.Get(k); ok {
+			hits++
+			ent.release()
+			continue
+		}
+		ent := &entry{key: k, slab: pool.Get(policyEntryBytes), pool: &pool}
+		ent.refs.Store(1)
+		cache.Admit(ent)
+		ent.release()
+	}
+	return float64(hits) / float64(len(trace))
+}
+
+// liveTrace is the live_mixed benchmark's fetch shape: streams publish
+// chunks in turn, a follower fetches every chunk as it is published,
+// and late joiners (100 per published chunk) fetch 1+⌊Exp(6)⌋ chunks
+// behind the newest of a random stream, capped at 48.
+func liveTrace(seed int64, chunks int) []Key {
+	const streams, preload, joinersPerChunk = 4, 8, 100
+	rng := rand.New(rand.NewSource(seed))
+	var newest [streams]int64
+	for s := range newest {
+		newest[s] = preload - 1
+	}
+	trace := make([]Key, 0, chunks*(1+joinersPerChunk))
+	for i := 0; i < chunks; i++ {
+		s := i % streams
+		newest[s]++
+		trace = append(trace, Key{Stream: uint32(s + 1), Seq: uint32(newest[s])})
+		for j := 0; j < joinersPerChunk; j++ {
+			s := rng.Intn(streams)
+			behind := min(1+int64(rng.ExpFloat64()*6), 48)
+			trace = append(trace, Key{Stream: uint32(s + 1), Seq: uint32(max(newest[s]-behind, 0))})
+		}
+	}
+	return trace
+}
+
+// zipfTrace is the delivery_zipf benchmark's fetch shape: Zipf(1.0)
+// ranks over a catalog of 32 streams × 8 chunks.
+func zipfTrace(seed int64, fetches int) []Key {
+	const catalog = 256
+	cdf := make([]float64, catalog)
+	sum := 0.0
+	for i := range cdf {
+		sum += 1 / float64(i+1)
+		cdf[i] = sum
+	}
+	rng := rand.New(rand.NewSource(seed))
+	trace := make([]Key, fetches)
+	for i := range trace {
+		rank := min(sort.SearchFloat64s(cdf, rng.Float64()*sum), catalog-1)
+		trace[i] = Key{Stream: uint32(rank/8 + 1), Seq: uint32(rank % 8)}
+	}
+	return trace
+}
+
+// TestCachePolicyTrafficShapes pins the admission policy against both
+// traffic shapes the edge serves: live viewers, whose popularity is
+// recency, and a VOD catalog, whose popularity is frequency. The live
+// cache is live_mixed's 2 MiB (about 47 containers); the VOD cache holds
+// 25 % of its catalog's bytes. Most of what the live trace misses is
+// beyond the cache's reach: the newest ~11 chunks of each stream fit,
+// and P(1+⌊Exp(6)⌋ ≤ 11) ≈ 0.84 bounds any policy.
+func TestCachePolicyTrafficShapes(t *testing.T) {
+	for _, seed := range []int64{13, 21, 22} {
+		live := replayHitRate(NewCache(2<<20), liveTrace(seed, 2000))
+		vod := replayHitRate(NewCache(256*policyEntryBytes/4), zipfTrace(seed, 200_000))
+		t.Logf("seed %d: live hit rate %.3f, VOD hit rate %.3f", seed, live, vod)
+		if live < 0.65 {
+			t.Errorf("seed %d: live hit rate %.3f, want >= 0.65", seed, live)
+		}
+		if vod < 0.755 {
+			t.Errorf("seed %d: VOD hit rate %.3f, want >= 0.755", seed, vod)
+		}
+	}
 }

@@ -21,9 +21,6 @@ const (
 	// enough that eviction pressure is a deliberate test knob, not an
 	// accident of defaults.
 	DefaultCacheBytes = 64 << 20
-	// DefaultShards spreads cache locking; fanout-heavy serving touches
-	// the cache from every viewer conn's goroutine.
-	DefaultShards = 8
 	// DefaultUpstreamConns bounds concurrent origin fetches. Misses
 	// beyond it queue for a conn, which is the delivery tier's natural
 	// origin-protection throttle.
@@ -91,10 +88,13 @@ func (c Counters) AmortizedRate() float64 {
 type Edge struct {
 	cfg Config
 	// srv owns the listener, the live viewer conns and their handlers.
-	srv       *wire.Server
-	cache     *Cache
-	flights   *flight.Group[Key, *entry]
-	pool      par.SlabPool[byte]
+	srv     *wire.Server
+	cache   *Cache
+	flights *flight.Group[Key, *entry]
+	pool    par.SlabPool[byte]
+	// reqs lends viewer request payloads (a few bytes each) for the
+	// time it takes to decode them.
+	reqs      par.SlabPool[byte]
 	upstreams chan *upstreamConn
 
 	// closed tells fetches queued for an upstream conn to give up;
@@ -143,7 +143,7 @@ func NewEdge(addr string, cfg Config) (*Edge, error) {
 	}
 	e := &Edge{
 		cfg:         cfg,
-		cache:       NewCache(cfg.CacheBytes, DefaultShards),
+		cache:       NewCache(cfg.CacheBytes),
 		flights:     flight.New[Key, *entry](grant, (*entry).release),
 		upstreams:   make(chan *upstreamConn, DefaultUpstreamConns),
 		closed:      make(chan struct{}),
@@ -207,28 +207,33 @@ type subscriber struct {
 func (e *Edge) serveConn(c *wire.Conn) error {
 	defer e.dropConn(c)
 	for {
-		msg, err := c.Read(maxRequestPayload)
+		msg, err := c.ReadPooled(maxRequestPayload, &e.reqs)
 		if err != nil {
 			return err
 		}
-		switch msg.Type {
-		case wire.TypePing:
-			if err := c.Write(wire.Message{Type: wire.TypePong, StreamID: msg.StreamID, Seq: msg.Seq}); err != nil {
-				return err
-			}
-		case wire.TypeGoodbye:
-			return nil
-		case wire.TypeFetchChunk:
-			if err := e.handleFetch(c, msg); err != nil {
-				return err
-			}
-		case wire.TypeSubscribe:
-			if err := e.handleSubscribe(c, msg); err != nil {
-				return err
-			}
-		default:
-			return fmt.Errorf("edge: unexpected %v frame", msg.Type)
+		done, err := e.serveRequest(c, msg)
+		// Every handler has decoded the payload by now, and no reply or
+		// fanout write keeps a reference to it.
+		e.reqs.Put(msg.Payload)
+		if done || err != nil {
+			return err
 		}
+	}
+}
+
+// serveRequest answers one viewer request; done reports a goodbye.
+func (e *Edge) serveRequest(c *wire.Conn, msg wire.Message) (done bool, err error) {
+	switch msg.Type {
+	case wire.TypePing:
+		return false, c.Write(wire.Message{Type: wire.TypePong, StreamID: msg.StreamID, Seq: msg.Seq})
+	case wire.TypeGoodbye:
+		return true, nil
+	case wire.TypeFetchChunk:
+		return false, e.handleFetch(c, msg)
+	case wire.TypeSubscribe:
+		return false, e.handleSubscribe(c, msg)
+	default:
+		return false, fmt.Errorf("edge: unexpected %v frame", msg.Type)
 	}
 }
 

@@ -541,6 +541,43 @@ func TestEdgeRestartColdCache(t *testing.T) {
 	}
 }
 
+// TestEdgeSmallCacheAdmits pins the cache's capacity as one budget: an
+// edge whose CacheBytes is exactly four containers caches all four,
+// where a cache split into hash shards would give each shard less than
+// one container and admit nothing.
+func TestEdgeSmallCacheAdmits(t *testing.T) {
+	const chunks = 4
+	origin := startOrigin(t, false, []uint32{4}, chunks)
+	fetchAll := func(e *Edge) {
+		t.Helper()
+		c, err := Dial(e.Addr(), 30*time.Second)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer c.Close()
+		for seq := uint32(0); seq < chunks; seq++ {
+			if _, err := c.FetchChunk(4, seq, 0); err != nil {
+				t.Fatalf("chunk %d: %v", seq, err)
+			}
+		}
+	}
+	probe := startEdge(t, origin, Config{})
+	fetchAll(probe)
+	if probe.cache.Len() != chunks {
+		t.Fatalf("probe edge holds %d entries, want %d", probe.cache.Len(), chunks)
+	}
+
+	e := startEdge(t, origin, Config{CacheBytes: probe.cache.Bytes()})
+	fetchAll(e)
+	fetchAll(e)
+	if got := e.cache.Len(); got != chunks {
+		t.Errorf("cache holds %d entries, want %d", got, chunks)
+	}
+	if c := e.Counters(); c.CacheMisses != chunks || c.CacheHits != chunks || c.AdmissionRejects != 0 {
+		t.Errorf("misses/hits/rejects = %d/%d/%d, want %d/%d/0", c.CacheMisses, c.CacheHits, c.AdmissionRejects, chunks, chunks)
+	}
+}
+
 // TestEdgeMetricsEndpoint checks the ops surface: the Prometheus
 // endpoint exposes the delivery counters and both latency histograms.
 func TestEdgeMetricsEndpoint(t *testing.T) {

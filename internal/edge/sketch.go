@@ -1,6 +1,6 @@
 // Package edge implements the fanout delivery tier of NeuroScaler: a
 // cache server that sits between viewers and the media origin, serving
-// enhanced anchor containers out of a sharded in-memory LRU so that one
+// enhanced anchor containers out of one in-memory LRU so that one
 // GPU enhancement pass is amortized across every viewer of a chunk (the
 // paper's core economics, Section 5.3). Cold chunks are fetched from
 // the origin with single-flight coalescing — N concurrent viewers
@@ -15,7 +15,7 @@ package edge
 // style. Admission compares a candidate's estimate against the LRU
 // victim's, so one byte per counter and a periodic halving (which ages
 // stale popularity away) is all the precision needed. Callers hold the
-// owning shard's lock; the sketch itself is not goroutine-safe.
+// cache's lock; the sketch itself is not goroutine-safe.
 type sketch struct {
 	rows [sketchRows][]uint8
 	mask uint64
@@ -29,7 +29,7 @@ const sketchRows = 4
 
 // newSketch sizes the sketch for roughly `counters` tracked keys,
 // rounding the row width up to a power of two. The decay sample is 8x
-// the width: each key is halved after the shard has seen about eight
+// the width: each key is halved after the cache has seen about eight
 // full turnovers of accesses.
 func newSketch(counters int) *sketch {
 	width := 64

@@ -7,7 +7,6 @@ package icodec
 import (
 	"errors"
 	"fmt"
-	"sync/atomic"
 
 	"github.com/neuroscaler/neuroscaler/internal/bitstream"
 	"github.com/neuroscaler/neuroscaler/internal/frame"
@@ -140,24 +139,24 @@ func encodePlane(w *bitstream.Writer, p *frame.Plane, table *transform.Quantizer
 		}
 		return
 	}
-	coeffs := coeffPool.Get(n * 64)
-	var nonZero atomic.Int64
+	// The staging slab holds each block's 64 coefficients, then one slot
+	// per block for its non-zero count, so the parallel pass shares no
+	// counter.
+	staging := coeffPool.Get(n * 65)
 	par.For(n, blockGrain, func(lo, hi int) {
 		var b transform.Block
-		nz := 0
 		for i := lo; i < hi; i++ {
 			loadBlock(&b, p, (i%nbx)*bs, (i/nbx)*bs)
 			transform.FDCT(&b, &b)
-			nz += table.QuantizeZigzag(coeffs[i*64:(i+1)*64], &b)
+			staging[n*64+i] = int32(table.QuantizeZigzag(staging[i*64:(i+1)*64], &b))
 		}
-		nonZero.Add(int64(nz))
 	})
-	st.NonZeroCoefs += int(nonZero.Load())
 	prevDC := int32(0)
 	for i := 0; i < n; i++ {
-		prevDC = writeBlock(coeffs[i*64:(i+1)*64], prevDC)
+		st.NonZeroCoefs += int(staging[n*64+i])
+		prevDC = writeBlock(staging[i*64:(i+1)*64], prevDC)
 	}
-	coeffPool.Put(coeffs)
+	coeffPool.Put(staging)
 }
 
 func loadBlock(b *transform.Block, p *frame.Plane, bx, by int) {

@@ -29,6 +29,10 @@ type Decoder struct {
 	grid   frame.BlockGrid
 	last   *frame.Frame
 	altref *frame.Frame
+	// mvs and refs hold the motion of frames Reconstruct decodes, whose
+	// Info no caller sees; Decode hands out fresh slices instead.
+	mvs  []frame.MotionVector
+	refs []uint8
 
 	// CaptureResidual requests that Decode also return the decoded
 	// residual of inter/altref frames (the paper's extension of
@@ -57,7 +61,7 @@ func NewDecoderFor(s *Stream) (*Decoder, error) {
 // who may Release it once done; decoder reference state keeps its own
 // frames.
 func (d *Decoder) Decode(data []byte) (*Decoded, error) {
-	ref, info, residual, err := d.reconstruct(data)
+	ref, info, residual, err := d.reconstruct(data, true)
 	if err != nil {
 		return nil, err
 	}
@@ -69,7 +73,7 @@ func (d *Decoder) Decode(data []byte) (*Decoded, error) {
 // caller reads but whose successors predict from it. Its errors are
 // Decode's.
 func (d *Decoder) Reconstruct(data []byte) error {
-	_, _, residual, err := d.reconstruct(data)
+	_, _, residual, err := d.reconstruct(data, false)
 	frame.Release(residual)
 	return err
 }
@@ -77,7 +81,9 @@ func (d *Decoder) Reconstruct(data []byte) error {
 // reconstruct decodes one packet into the reference slots and returns
 // the slot frame it wrote (decoder-owned: callers copy before handing
 // it out), the packet's side information, and the captured residual.
-func (d *Decoder) reconstruct(data []byte) (*frame.Frame, Info, *frame.Frame, error) {
+// The Info carries freshly allocated MVs and Refs only with keepMotion;
+// without it the motion is read into decoder scratch and left out.
+func (d *Decoder) reconstruct(data []byte, keepMotion bool) (*frame.Frame, Info, *frame.Frame, error) {
 	r := bitstream.NewReader(data)
 	info, err := readHeader(r, len(data))
 	if err != nil {
@@ -101,8 +107,13 @@ func (d *Decoder) reconstruct(data []byte) (*frame.Frame, Info, *frame.Frame, er
 		return nil, Info{}, nil, errors.New("vcodec: inter frame before any key frame")
 	}
 	n := d.grid.NumBlocks()
-	mvs := make([]frame.MotionVector, n)
-	refs := make([]uint8, n)
+	if d.mvs == nil && !keepMotion {
+		d.mvs, d.refs = make([]frame.MotionVector, n), make([]uint8, n)
+	}
+	mvs, refs := d.mvs, d.refs
+	if keepMotion {
+		mvs, refs = make([]frame.MotionVector, n), make([]uint8, n)
+	}
 	if err := readMotion(r, n, mvs, refs); err != nil {
 		return nil, Info{}, nil, err
 	}
@@ -121,8 +132,10 @@ func (d *Decoder) reconstruct(data []byte) (*frame.Frame, Info, *frame.Frame, er
 		return nil, Info{}, nil, err
 	}
 	info.ResidualBytes = (r.BitsRead() - residualStart + 7) / 8
-	info.MVs = mvs
-	info.Refs = refs
+	if keepMotion {
+		info.MVs = mvs
+		info.Refs = refs
+	}
 
 	switch info.Type {
 	case AltRef:

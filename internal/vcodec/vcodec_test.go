@@ -1,6 +1,8 @@
 package vcodec
 
 import (
+	"bytes"
+	"math"
 	"testing"
 
 	"github.com/neuroscaler/neuroscaler/internal/frame"
@@ -348,6 +350,75 @@ func TestCaptureResidualDisabledByDefault(t *testing.T) {
 	for _, d := range decoded {
 		if d.Residual != nil {
 			t.Fatal("residual returned without CaptureResidual")
+		}
+	}
+}
+
+// TestReconstructLeavesDecodedMotion pins the split between Decode and
+// Reconstruct: frames Reconstruct advances through read their motion
+// into decoder scratch, which must neither change the MVs and Refs an
+// earlier Decode handed out nor the reference state later frames
+// predict from.
+func TestReconstructLeavesDecodedMotion(t *testing.T) {
+	// The synthetic profiles barely move, so give the first inter frame a
+	// motion no later frame has: a 4-pixel pan of a wave pattern, then
+	// a still one.
+	cfg := testConfig()
+	frames := make([]*frame.Frame, 12)
+	for i := range frames {
+		f, err := frame.New(cfg.Width, cfg.Height)
+		if err != nil {
+			t.Fatal(err)
+		}
+		dx := min(i, 1) * 4
+		for _, p := range f.Planes() {
+			for y := 0; y < p.H; y++ {
+				for x := 0; x < p.W; x++ {
+					sx := float64(x + dx*p.W/cfg.Width)
+					p.Set(x, y, byte(128+90*math.Sin(sx/2.5)*math.Cos(float64(y)/3.5)))
+				}
+			}
+		}
+		frames[i] = f
+	}
+	stream, want := encodeDecode(t, testConfig(), frames)
+	d, err := NewDecoderFor(stream)
+	if err != nil {
+		t.Fatal(err)
+	}
+	last := len(stream.Packets) - 1
+	var kept []*Decoded
+	for i, pkt := range stream.Packets {
+		if i < 2 || i == last {
+			got, err := d.Decode(pkt.Data)
+			if err != nil {
+				t.Fatal(err)
+			}
+			kept = append(kept, got)
+			continue
+		}
+		if err := d.Reconstruct(pkt.Data); err != nil {
+			t.Fatal(err)
+		}
+	}
+	inter := kept[1].Info
+	panned := 0
+	for _, mv := range inter.MVs {
+		if mv.DX != 0 {
+			panned++
+		}
+	}
+	if inter.Type == Key || panned < len(inter.MVs)/2 {
+		t.Fatalf("packet 1 (%v) carries the pan in %d of %d blocks", inter.Type, panned, len(inter.MVs))
+	}
+	for i, mv := range inter.MVs {
+		if mv != want[1].Info.MVs[i] || inter.Refs[i] != want[1].Info.Refs[i] {
+			t.Fatalf("block %d: decoded motion %v/%d changed to %v/%d", i, want[1].Info.MVs[i], want[1].Info.Refs[i], mv, inter.Refs[i])
+		}
+	}
+	for i, p := range kept[2].Frame.Planes() {
+		if !bytes.Equal(p.Pix, want[last].Frame.Planes()[i].Pix) {
+			t.Errorf("plane %d of the last frame differs from a Decode of every packet", i)
 		}
 	}
 }
