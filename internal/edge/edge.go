@@ -398,17 +398,22 @@ type upstreamConn struct {
 // lazily, which is what lets the edge ride out an origin restart).
 func (e *Edge) fetchUpstream(k Key, deadline time.Time) (*entry, error) {
 	var u *upstreamConn
-	// Checking out a conn spends the same budget the fetch does: under
-	// origin slowness the pool drains, and an unbounded wait here would
-	// queue requests past the point their viewers have given up.
-	wait := time.NewTimer(time.Until(deadline))
-	defer wait.Stop()
 	select {
 	case u = <-e.upstreams:
-	case <-e.closed:
-		return nil, errors.New("edge: shutting down")
-	case <-wait.C:
-		return nil, fmt.Errorf("edge: budget exhausted waiting for an upstream conn (stream %d chunk %d)", k.Stream, k.Seq)
+		// An idle conn: no wait, so no timer to arm.
+	default:
+		// Checking out a conn spends the same budget the fetch does: under
+		// origin slowness the pool drains, and an unbounded wait here would
+		// queue requests past the point their viewers have given up.
+		wait := time.NewTimer(time.Until(deadline))
+		defer wait.Stop()
+		select {
+		case u = <-e.upstreams:
+		case <-e.closed:
+			return nil, errors.New("edge: shutting down")
+		case <-wait.C:
+			return nil, fmt.Errorf("edge: budget exhausted waiting for an upstream conn (stream %d chunk %d)", k.Stream, k.Seq)
+		}
 	}
 	ent, err := e.fetchOn(u, k, deadline)
 	e.upstreams <- u

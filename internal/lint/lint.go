@@ -279,6 +279,20 @@ func collectSuppressions(pkg *Package) (*suppressions, []Diagnostic) {
 	return s, bad
 }
 
+// Suppressions counts the //nslint:disable directives in pkgs: the
+// ledger a tree can cap so that suppressions only ever go away.
+func Suppressions(pkgs []*Package) int {
+	n := 0
+	for _, pkg := range pkgs {
+		sup, bad := collectSuppressions(pkg)
+		n += len(bad)
+		for _, lines := range sup.byFileLine {
+			n += len(lines)
+		}
+	}
+	return n
+}
+
 func (s *suppressions) covers(d Diagnostic) bool {
 	lines := s.byFileLine[d.Pos.Filename]
 	if lines == nil {

@@ -12,22 +12,13 @@ import (
 // every stream sharing the structure.
 var lockHoldPkgs = []string{"media", "sched"}
 
-// allowedLockOrder is the documented lock hierarchy (DESIGN.md,
-// "Invariants"): an edge A -> B means code holding A may acquire B.
-// Nested acquisitions between documented mutexes outside this list are
-// reported; either fix the nesting or extend the documented order.
-var allowedLockOrder = map[string]bool{
-	// Replica registration syncs hello state into the pool while the
-	// replica's own mutex pins its registration epoch.
-	"poolReplica.mu->EnhancerPool.helloMu": true,
-}
-
 // LockHold flags blocking operations inside lexical critical sections:
 // sends/receives on provably unbuffered channels, WaitGroup/Cond Wait,
 // and time.Sleep (conn I/O cannot happen there at all: connio confines
 // it to package wire). It also checks nested mutex acquisitions against
-// the documented lock order. Methods named *Locked are analyzed as if
-// their receiver's mu is held.
+// the documented lock order: the source's //nslint:lock-order
+// directives, read as lockorder reads them. Methods named *Locked are
+// analyzed as if their receiver's mu is held.
 var LockHold = &Analyzer{
 	Name: "lockhold",
 	Doc: "forbid blocking calls (unbuffered channel ops, Wait, Sleep) " +
@@ -40,6 +31,7 @@ func runLockHold(pass *Pass) {
 		return
 	}
 	unbuffered := unbufferedChans(pass)
+	documented := documentedLockOrder(pass.Prog)
 	pass.eachFunc(func(fd *ast.FuncDecl) {
 		var held []string
 		// The *Locked suffix is the repo's convention for "caller holds the
@@ -49,7 +41,7 @@ func runLockHold(pass *Pass) {
 				held = append(held, r+".mu")
 			}
 		}
-		walkLockStmts(pass, fd.Body.List, held, unbuffered)
+		walkLockStmts(pass, fd.Body.List, held, unbuffered, documented)
 	})
 }
 
@@ -57,7 +49,7 @@ func runLockHold(pass *Pass) {
 // mutexes. Lock pushes, Unlock pops; `defer mu.Unlock()` leaves the
 // mutex held to the end of the enclosing list, which is exactly the
 // lexical region the convention protects.
-func walkLockStmts(pass *Pass, stmts []ast.Stmt, held []string, unbuffered map[types.Object]bool) {
+func walkLockStmts(pass *Pass, stmts []ast.Stmt, held []string, unbuffered map[types.Object]bool, documented map[string]bool) {
 	held = append([]string(nil), held...)
 	for _, s := range stmts {
 		switch s := s.(type) {
@@ -65,7 +57,7 @@ func walkLockStmts(pass *Pass, stmts []ast.Stmt, held []string, unbuffered map[t
 			if key, op := lockOp(pass, s.X); op != "" {
 				switch op {
 				case "Lock", "RLock":
-					reportLockEdge(pass, s.Pos(), held, key)
+					reportLockEdge(pass, s.Pos(), held, key, documented)
 					held = append(held, key)
 				case "Unlock", "RUnlock":
 					held = removeLast(held, key)
@@ -90,26 +82,26 @@ func walkLockStmts(pass *Pass, stmts []ast.Stmt, held []string, unbuffered map[t
 				checkChanOp(pass, s.Chan, s.Pos(), held, unbuffered, "send on")
 			}
 		case *ast.BlockStmt:
-			walkLockStmts(pass, s.List, held, unbuffered)
+			walkLockStmts(pass, s.List, held, unbuffered, documented)
 		case *ast.IfStmt:
-			walkLockStmts(pass, s.Body.List, held, unbuffered)
+			walkLockStmts(pass, s.Body.List, held, unbuffered, documented)
 			if s.Else != nil {
-				walkLockStmts(pass, []ast.Stmt{s.Else}, held, unbuffered)
+				walkLockStmts(pass, []ast.Stmt{s.Else}, held, unbuffered, documented)
 			}
 		case *ast.ForStmt:
-			walkLockStmts(pass, s.Body.List, held, unbuffered)
+			walkLockStmts(pass, s.Body.List, held, unbuffered, documented)
 		case *ast.RangeStmt:
-			walkLockStmts(pass, s.Body.List, held, unbuffered)
+			walkLockStmts(pass, s.Body.List, held, unbuffered, documented)
 		case *ast.SwitchStmt:
 			for _, c := range s.Body.List {
 				if cc, ok := c.(*ast.CaseClause); ok {
-					walkLockStmts(pass, cc.Body, held, unbuffered)
+					walkLockStmts(pass, cc.Body, held, unbuffered, documented)
 				}
 			}
 		case *ast.TypeSwitchStmt:
 			for _, c := range s.Body.List {
 				if cc, ok := c.(*ast.CaseClause); ok {
-					walkLockStmts(pass, cc.Body, held, unbuffered)
+					walkLockStmts(pass, cc.Body, held, unbuffered, documented)
 				}
 			}
 		case *ast.SelectStmt:
@@ -119,7 +111,7 @@ func walkLockStmts(pass *Pass, stmts []ast.Stmt, held []string, unbuffered map[t
 			// bodies only.
 			for _, c := range s.Body.List {
 				if cc, ok := c.(*ast.CommClause); ok {
-					walkLockStmts(pass, cc.Body, held, unbuffered)
+					walkLockStmts(pass, cc.Body, held, unbuffered, documented)
 				}
 			}
 		case *ast.GoStmt:
@@ -282,10 +274,10 @@ func lockOp(pass *Pass, e ast.Expr) (key, op string) {
 	return k, sel.Sel.Name
 }
 
-// reportLockEdge checks a nested acquisition against allowedLockOrder.
+// reportLockEdge checks a nested acquisition against the documented order.
 // Only edges between named Owner.field mutexes are judged; bare local
 // mutexes carry no documented order.
-func reportLockEdge(pass *Pass, pos token.Pos, held []string, acquiring string) {
+func reportLockEdge(pass *Pass, pos token.Pos, held []string, acquiring string, documented map[string]bool) {
 	if strings.HasPrefix(acquiring, ".") {
 		return
 	}
@@ -293,7 +285,7 @@ func reportLockEdge(pass *Pass, pos token.Pos, held []string, acquiring string) 
 		if h == acquiring || strings.HasPrefix(h, ".") {
 			continue
 		}
-		if !allowedLockOrder[h+"->"+acquiring] {
+		if !documented[h+"->"+acquiring] {
 			pass.Reportf(pos, "acquiring %s while holding %s is outside the documented lock order (see DESIGN.md Invariants); fix the nesting or document the edge", acquiring, h)
 		}
 	}

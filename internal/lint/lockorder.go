@@ -30,8 +30,8 @@ var LockOrder = &Analyzer{
 	RunProgram: runLockOrder,
 }
 
-// lockOrderRe matches the in-source documentation directive, e.g.
-// //nslint:lock-order poolReplica.mu -> EnhancerPool.helloMu
+// lockOrderDirective opens the in-source documentation directive, e.g.
+// //nslint:lock-order RemoteEnhancer.mu -> Mux.mu
 var lockOrderDirective = "nslint:lock-order "
 
 // lockEdge is one observed may-happen acquisition order: to is acquired
@@ -120,13 +120,12 @@ func isFieldLockKey(k string) bool {
 	return !strings.HasPrefix(k, ".")
 }
 
-// documentedLockOrder merges the built-in allowed order with
-// //nslint:lock-order directives found anywhere in the loaded sources.
+// documentedLockOrder collects the //nslint:lock-order directives found
+// anywhere in the loaded sources: the documented lock hierarchy
+// (DESIGN.md "Invariants"), each edge declared beside the code that
+// takes it.
 func documentedLockOrder(prog *Program) map[string]bool {
-	out := make(map[string]bool, len(allowedLockOrder))
-	for k := range allowedLockOrder {
-		out[k] = true
-	}
+	out := make(map[string]bool)
 	for _, pkg := range prog.Pkgs {
 		for _, f := range pkg.Files {
 			for _, cg := range f.Comments {
@@ -153,8 +152,8 @@ func documentedLockOrder(prog *Program) map[string]bool {
 }
 
 // witnessChain renders how callee reaches the acquisition of key:
-// "pool.go:210 -> EnhancerPool.syncRegistrationsLocked acquires
-// EnhancerPool.helloMu at pool.go:173".
+// "Server.handle calls Server.register at server.go:210, Server.register
+// acquires Store.mu at server.go:173".
 func witnessChain(prog *Program, callee *FuncNode, key string) string {
 	var parts []string
 	cur := callee

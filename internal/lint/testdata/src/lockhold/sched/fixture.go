@@ -51,8 +51,8 @@ func (q *queue) sleepOutsideLock() {
 	time.Sleep(time.Millisecond)
 }
 
-// Lock-order fixtures named after the real types so the documented
-// hierarchy applies verbatim.
+// Lock-order fixtures: one edge declared the way real code declares it,
+// and one nesting nothing declares.
 type EnhancerPool struct {
 	helloMu sync.Mutex
 	mu      sync.Mutex
@@ -65,6 +65,8 @@ type poolReplica struct {
 
 // syncRegistrationsLocked runs with r.mu held (the *Locked convention);
 // taking helloMu under it is the documented edge.
+//
+//nslint:lock-order poolReplica.mu -> EnhancerPool.helloMu -- fixture: the documented edge
 func (r *poolReplica) syncRegistrationsLocked() {
 	r.pool.helloMu.Lock()
 	r.pool.helloMu.Unlock()

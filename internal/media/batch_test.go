@@ -61,6 +61,12 @@ func TestBatchMidChaosDegradesOnlyAffectedAnchors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// The replica knows the stream already, so no anchor comes back
+	// ErrUnknownStream and runs twice: the draws map one-to-one onto the
+	// four anchors.
+	if err := local.Register(streamID, testHello()); err != nil {
+		t.Fatal(err)
+	}
 	flaky := &faults.FlakyEnhancer{
 		Inner: local,
 		Inj:   faults.MustInjector(11, faults.Config{CorruptRate: 0.5}),

@@ -444,7 +444,7 @@ func TestChaosCorruptAnchorsRejected(t *testing.T) {
 // TestRemoteEnhancerReconnectsThroughFaultyConn drives the net.Conn
 // fault boundary: the client's wire connection dies (gate), calls fail
 // with the typed ErrEnhancerUnavailable, and the next call after revival
-// transparently redials and replays stream registrations.
+// transparently redials.
 func TestRemoteEnhancerReconnectsThroughFaultyConn(t *testing.T) {
 	provider, _ := contentOracle(t, 4)
 	local, err := NewLocalEnhancer(provider)
@@ -490,9 +490,57 @@ func TestRemoteEnhancerReconnectsThroughFaultyConn(t *testing.T) {
 	if err := remote.Ping(); err != nil {
 		t.Fatalf("ping after revival: %v", err)
 	}
-	// The reconnect replayed the hello: a second registration of the same
-	// stream is idempotent server-side, so re-registering succeeds too.
+	// Registration is idempotent server-side, so registering the stream
+	// again on the new connection succeeds too.
 	if err := remote.Register(8, testHello()); err != nil {
 		t.Fatalf("re-register after reconnect: %v", err)
+	}
+}
+
+// TestRemoteEnhancerRestartRegistersOnDemand: the enhancer process behind
+// an origin's bare RemoteEnhancer restarts between two chunks, with no
+// streams. Nothing replays the hello; the next chunk's anchors come back
+// ErrUnknownStream, the origin registers the stream from its hello and
+// runs them again, and the chunk ships whole, byte-identical to a serial
+// origin's.
+func TestRemoteEnhancerRestartRegistersOnDemand(t *testing.T) {
+	const chunks = 3
+	serial := runStream(t, ServerConfig{AnchorFraction: 0.15, MaxInFlightAnchors: -1, PipelineDepth: -1},
+		chunks, false, fourReplicaPool, nil)
+	var provider ModelProvider
+	var enhSrv *EnhancerServer
+	start := func(addr string) {
+		local, err := NewLocalEnhancer(provider)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if enhSrv, err = NewEnhancerServer(addr, local, func(string, ...any) {}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	t.Cleanup(func() { enhSrv.Close() })
+	got := runStream(t, ServerConfig{AnchorFraction: 0.15}, chunks, false,
+		func(t *testing.T, p ModelProvider) AnchorEnhancer {
+			provider = p
+			start("127.0.0.1:0")
+			remote, err := DialEnhancerTimeout(enhSrv.Addr(), time.Second, 5*time.Second)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return remote
+		}, func(chunk int) {
+			if chunk == chunks-1 {
+				addr := enhSrv.Addr()
+				if err := enhSrv.Close(); err != nil {
+					t.Fatal(err)
+				}
+				start(addr) // a fresh process: an empty LocalEnhancer
+			}
+		})
+	requireIdenticalRuns(t, serial, got, "enhancer restart")
+	for seq, deg := range got.degraded {
+		if deg {
+			t.Errorf("chunk %d shipped degraded", seq)
+		}
 	}
 }

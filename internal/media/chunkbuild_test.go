@@ -145,25 +145,34 @@ func (b *chunkBuilder) build(t *testing.T, prepare chunkBuild, dec *vcodec.Decod
 }
 
 // requireBuildsMatch streams chunks of chunkFrames frames through the
-// reference on a pinned decoder, prepareChunk on a pinned decoder (eager
-// ingest) and prepareChunk on a fresh decoder per chunk (the lazy build).
-// All three must agree on the selection, on every job — packet, display
-// index, QP, deadline and frame pixels — and on the container bytes. It
-// returns the packets and selection of each chunk.
+// reference on a reused decoder, prepareChunk on a reused decoder (a
+// decoder the pool hands back after it built the previous chunk),
+// prepareChunk on a fresh decoder per chunk (a pool miss), and prepare
+// itself. All four must agree on the selection, on every job — packet,
+// display index, QP, deadline and frame pixels — and on the container
+// bytes. It returns the packets and selection of each chunk.
 func requireBuildsMatch(t *testing.T, frac float64, altRef, chunkFrames, chunks int) ([][][]byte, [][]anchor.Candidate) {
 	t.Helper()
 	b := newChunkBuilder(t, frac, altRef, chunkFrames*chunks)
-	refDec, eagerDec := b.decoder(t), b.decoder(t)
+	refDec, reusedDec := b.decoder(t), b.decoder(t)
+	pooled := func(s *Server, pc *pendingChunk, _ *vcodec.Decoder, deadline time.Time) error {
+		return s.prepare(pc, deadline)
+	}
 	var packets [][][]byte
 	var selected [][]anchor.Candidate
 	for c := 0; c < chunks; c++ {
 		pkts := b.encode(t, c*chunkFrames, (c+1)*chunkFrames)
 		want, wantData := b.build(t, referencePrepareChunk, refDec, pkts)
 		for _, run := range []struct {
-			name string
-			dec  *vcodec.Decoder
-		}{{"eager", eagerDec}, {"lazy", b.decoder(t)}} {
-			got, gotData := b.build(t, (*Server).prepareChunk, run.dec, pkts)
+			name    string
+			prepare chunkBuild
+			dec     *vcodec.Decoder
+		}{
+			{"reused", (*Server).prepareChunk, reusedDec},
+			{"fresh", (*Server).prepareChunk, b.decoder(t)},
+			{"pooled", pooled, nil},
+		} {
+			got, gotData := b.build(t, run.prepare, run.dec, pkts)
 			if !reflect.DeepEqual(got.selected, want.selected) {
 				t.Fatalf("chunk %d %s: selected %+v, reference %+v", c, run.name, got.selected, want.selected)
 			}
@@ -226,9 +235,9 @@ func TestPrepareChunkMatchesWholeChunkDecode(t *testing.T) {
 }
 
 // TestPrepareChunkRejectsNonKeyFirstBeforeReconstructing: a chunk that
-// does not start with a key frame is refused on its scan alone, so the
-// pinned decoder's reference slots are exactly what the previous chunk
-// left them.
+// does not start with a key frame is refused on its scan alone, so a
+// decoder the pool hands out, whose reference slots hold whatever chunk
+// it built before, neither reads those slots nor changes them.
 func TestPrepareChunkRejectsNonKeyFirstBeforeReconstructing(t *testing.T) {
 	b := newChunkBuilder(t, 0.15, 0, testGOP)
 	first := b.encode(t, 0, testGOP/2)

@@ -120,7 +120,8 @@ func TestRemoteEnhancerMultiplexedGateAndCorrupt(t *testing.T) {
 	}
 
 	// Revival: same client, no new wiring, full recovery with routed
-	// replies and the registration replayed.
+	// replies. Only the connection died: the enhancer behind it still
+	// knows the stream, so nothing is registered again.
 	gate.Revive()
 	for i, err := range burst() {
 		if err != nil {
