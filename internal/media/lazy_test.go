@@ -2,6 +2,7 @@ package media
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"net"
 	"sync"
@@ -322,6 +323,10 @@ func TestFetchErrorsAreNonFatal(t *testing.T) {
 		}
 		if reply.Type != wire.TypeError {
 			t.Fatalf("%+v: reply = %+v, want typed error", bad, reply)
+		}
+		// An origin's refusal is never an enhancer's unknown stream.
+		if err := remoteError("media: fetch", reply.Payload); errors.Is(err, ErrUnknownStream) {
+			t.Fatalf("%+v: %v wraps ErrUnknownStream", bad, err)
 		}
 	}
 	// The connection survived all three: a real fetch still succeeds.

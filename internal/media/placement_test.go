@@ -332,7 +332,7 @@ func TestReplicaBreakerHearsWholeGroupFailuresOnly(t *testing.T) {
 						t.Fatal("breaker admitted nothing")
 					}
 					outs := make([]AnchorOutcome, size)
-					p.runGroup(rep, 1, jobs, assign, outs)
+					p.runGroup(rep, nil, 1, jobs, assign, outs)
 					return outs
 				}
 				if halfOpen {
