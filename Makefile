@@ -31,23 +31,17 @@ nslint:
 	go build -o /tmp/nslint ./cmd/nslint
 	timeout 60 /tmp/nslint ./internal/... ./cmd/... ./examples/... .
 
+# Every Fuzz* target in the tree for 30 s each, the structured ones behind
+# the fuzz build tag included. `go test -list` finds the targets, so one
+# added later runs here (and in CI) without being listed anywhere.
 fuzz-smoke:
-	go test -tags fuzz -run xxx -fuzz FuzzContainerRoundTrip -fuzztime 30s ./internal/hybrid
-	go test -tags fuzz -run xxx -fuzz FuzzWireFrame -fuzztime 30s ./internal/wire
-	go test -run xxx -fuzz '^FuzzDecode$$' -fuzztime 30s ./internal/vcodec
-	go test -run xxx -fuzz '^FuzzScan$$' -fuzztime 30s ./internal/vcodec
-	go test -run xxx -fuzz '^FuzzSkipCoeffs$$' -fuzztime 30s ./internal/bitstream
-	go test -run xxx -fuzz '^FuzzDecode$$' -fuzztime 30s ./internal/icodec
-	go test -run xxx -fuzz '^FuzzDecodeFrame$$' -fuzztime 30s ./internal/wire
-	go test -run xxx -fuzz '^FuzzDecodeAnchorBatchJob$$' -fuzztime 30s ./internal/wire
-	go test -run xxx -fuzz '^FuzzDecodeAnchorBatchResult$$' -fuzztime 30s ./internal/wire
-	go test -run xxx -fuzz '^FuzzUnmarshal$$' -fuzztime 30s ./internal/hybrid
-	go test -run xxx -fuzz '^FuzzRead$$' -fuzztime 30s ./internal/wire
-	go test -run xxx -fuzz '^FuzzDecodeHello$$' -fuzztime 30s ./internal/wire
-	go test -run xxx -fuzz '^FuzzDecodeChunk$$' -fuzztime 30s ./internal/wire
-	go test -run xxx -fuzz '^FuzzDecodeFetchChunk$$' -fuzztime 30s ./internal/wire
-	go test -run xxx -fuzz '^FuzzDecodeSubscribe$$' -fuzztime 30s ./internal/wire
-	go test -run xxx -fuzz '^FuzzDecodeChunkData$$' -fuzztime 30s ./internal/wire
+	@set -e; \
+	list=$$(go test -tags fuzz -list '^Fuzz' ./...); \
+	echo "$$list" | awk '/^Fuzz/ { t[n++] = $$1 } /^ok/ { for (i = 0; i < n; i++) print $$2, t[i]; n = 0 }' | \
+	while read pkg target; do \
+		echo "fuzz $$target $$pkg"; \
+		go test -tags fuzz -run xxx -fuzz "^$$target\$$" -fuzztime 30s $$pkg; \
+	done
 
 # Overload-control tier under the race detector: deadline propagation,
 # queue discipline, brownout ladder, on-demand stream registration, and

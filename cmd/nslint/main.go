@@ -1,8 +1,7 @@
 // Command nslint runs the repo's static-analysis suite (internal/lint):
-// determinism, arenapair, connio, budgetflow, framecase, lockhold,
-// seqsafe, errwrap, and the interprocedural ownership, refbalance,
-// lockorder, and goleak analyzers, over the whole loaded program at
-// once.
+// determinism, arenapair, connio, budgetflow, lockhold, seqsafe,
+// errwrap, and the interprocedural ownership, refbalance, lockorder, and
+// goleak analyzers, over the whole loaded program at once.
 //
 //	go run ./cmd/nslint ./...            # whole tree, all analyzers
 //	go run ./cmd/nslint -only connio ./internal/media

@@ -110,7 +110,7 @@ func (c *Client) roundTrip(m wire.Message, want wire.Type) (wire.Message, error)
 func (c *Client) FetchChunk(streamID uint32, seq uint32, quality uint8) (wire.ChunkData, error) {
 	reply, err := c.roundTrip(wire.Message{
 		Type: wire.TypeFetchChunk, StreamID: streamID, Budget: c.timeout,
-		Payload: wire.EncodeFetchChunk(wire.FetchChunk{Seq: seq, Quality: quality}),
+		Payload: wire.AppendFetchChunk(nil, wire.FetchChunk{Seq: seq, Quality: quality}),
 	}, wire.TypeChunkData)
 	if err != nil {
 		return wire.ChunkData{}, err

@@ -391,6 +391,8 @@ func (e *Edge) dropConn(c *wire.Conn) {
 type upstreamConn struct {
 	conn *wire.Conn
 	seqs wire.SeqSource
+	// req holds the request payload; one request at a time is its guard.
+	req [5]byte
 }
 
 // fetchUpstream checks out a pooled origin conn, runs one fetch on it,
@@ -443,7 +445,7 @@ func (e *Edge) fetchOn(u *upstreamConn, k Key, deadline time.Time) (*entry, erro
 	seq := u.seqs.Next()
 	msg, err := u.conn.RoundTrip(wire.Message{
 		Type: wire.TypeFetchChunk, StreamID: k.Stream, Seq: seq, Budget: budget,
-		Payload: wire.EncodeFetchChunk(wire.FetchChunk{Seq: k.Seq, Quality: k.Quality}),
+		Payload: wire.AppendFetchChunk(u.req[:0], wire.FetchChunk{Seq: k.Seq, Quality: k.Quality}),
 	}, deadline, wire.DefaultMaxPayload, &e.pool)
 	if err != nil {
 		u.breakConn()
@@ -498,11 +500,9 @@ func newEntry(k Key, slab []byte, pool *par.SlabPool[byte]) (*entry, error) {
 		pool.Put(slab)
 		return nil, fmt.Errorf("edge: origin sent chunk %d, want %d", cd.Seq, k.Seq)
 	}
-	prefix, _, err := wire.ChunkDataPrefix(slab)
-	if err != nil {
-		pool.Put(slab)
-		return nil, fmt.Errorf("edge: upstream chunk data: %w", err)
-	}
+	// The decode validated the framing, so the prefix is everything
+	// before the flags byte (see wire.ChunkDataPrefix).
+	prefix := slab[:len(slab)-1]
 	ent := &entry{key: k, degraded: cd.Degraded, pool: pool}
 	ent.prefix = prefix
 	ent.crcPrefix = crc32.ChecksumIEEE(prefix)

@@ -189,11 +189,6 @@ func TestBudgetFlowFixture(t *testing.T) { runFixture(t, BudgetFlow, "budgetflow
 // waits must not be flagged.
 func TestBudgetFlowCleanFixture(t *testing.T) { runFixture(t, BudgetFlow, "budgetflow/media") }
 
-func TestFrameCaseFixture(t *testing.T) { runFixture(t, FrameCase, "framecase/wire") }
-
-// Exhaustive and defaulted switches over the imported enum are clean.
-func TestFrameCaseCleanFixture(t *testing.T) { runFixture(t, FrameCase, "framecase/reader") }
-
 // TestStaleSuppression pins stale-directive reporting: a justified
 // directive that suppresses nothing is reported.
 func TestStaleSuppression(t *testing.T) {
@@ -208,9 +203,9 @@ func TestStaleSuppression(t *testing.T) {
 }
 
 // TestTreeCleanUnderNewAnalyzers pins the shipping tree (internal, cmd,
-// examples, root) clean under the path-sensitive round — refbalance,
-// budgetflow, framecase — including the stale-suppression check over
-// their directives.
+// examples, root) clean under the path-sensitive round — refbalance and
+// budgetflow — including the stale-suppression check over their
+// directives.
 func TestTreeCleanUnderNewAnalyzers(t *testing.T) {
 	if testing.Short() {
 		t.Skip("loads and type-checks the whole module")
@@ -219,7 +214,7 @@ func TestTreeCleanUnderNewAnalyzers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	diags := Run(pkgs, []*Analyzer{RefBalance, BudgetFlow, FrameCase})
+	diags := Run(pkgs, []*Analyzer{RefBalance, BudgetFlow})
 	for _, d := range diags {
 		t.Errorf("unexpected finding: %s", d)
 	}

@@ -110,7 +110,6 @@ var All = []*Analyzer{
 	ArenaPair,
 	ConnIO,
 	BudgetFlow,
-	FrameCase,
 	LockHold,
 	SeqSafe,
 	ErrWrap,

@@ -27,26 +27,18 @@ type Package struct {
 	// best-effort basis when non-empty, mirroring go/analysis with
 	// RunDespiteErrors unset elsewhere.
 	TypeErrors []error
-	// TestFiles lists the package's test files (absolute paths,
-	// in-package and external test package both). They are never parsed
-	// into Files or type-checked — analyzers that need a syntax-only view
-	// of the tests (framecase's fuzz-symmetry check) parse them on
-	// demand.
-	TestFiles []string
 }
 
 // listedPkg is the subset of `go list -json` output the loader needs.
 type listedPkg struct {
-	Dir          string
-	ImportPath   string
-	Name         string
-	GoFiles      []string
-	TestGoFiles  []string
-	XTestGoFiles []string
-	Export       string
-	DepOnly      bool
-	Standard     bool
-	Error        *struct{ Err string }
+	Dir        string
+	ImportPath string
+	Name       string
+	GoFiles    []string
+	Export     string
+	DepOnly    bool
+	Standard   bool
+	Error      *struct{ Err string }
 }
 
 // Load resolves patterns (e.g. "./...") relative to dir into type-checked
@@ -139,14 +131,6 @@ func checkPackage(fset *token.FileSet, imp types.Importer, t *listedPkg) (*Packa
 	if err != nil && tpkg == nil {
 		return nil, fmt.Errorf("lint: typecheck %s: %w", t.ImportPath, err)
 	}
-	var testFiles []string
-	for _, name := range append(append([]string(nil), t.TestGoFiles...), t.XTestGoFiles...) {
-		path := name
-		if !filepath.IsAbs(path) {
-			path = filepath.Join(t.Dir, name)
-		}
-		testFiles = append(testFiles, path)
-	}
 	return &Package{
 		Path:       t.ImportPath,
 		Fset:       fset,
@@ -154,6 +138,5 @@ func checkPackage(fset *token.FileSet, imp types.Importer, t *listedPkg) (*Packa
 		Types:      tpkg,
 		Info:       info,
 		TypeErrors: softErrs,
-		TestFiles:  testFiles,
 	}, nil
 }

@@ -37,9 +37,8 @@ type Streamer struct {
 
 	// ChunkBudget, when positive, stamps every uploaded chunk with a
 	// deadline budget: the server's whole admit-to-store allowance for
-	// the chunk (decode, enhancement, packaging). Budgeted chunks travel
-	// in a versioned frame extension; zero keeps the upload bytes
-	// identical to the legacy wire format.
+	// the chunk (decode, enhancement, packaging), carried in the frame
+	// header's budget field. Zero sends chunks without a deadline.
 	ChunkBudget time.Duration
 
 	// Ack correlation for pipelined sends: the server replies in arrival

@@ -164,7 +164,9 @@ func TestEnhancerReplyHoldsCodedBuffersUntilWritten(t *testing.T) {
 			}
 			want = append(want, AnchorOutcome{Res: res})
 		}
-		return e, wire.EncodeAnchorBatchResult(want)
+		var v wire.Vec
+		v.PutAnchorBatchResult(want)
+		return e, bytes.Join(v.Parts(), nil)
 	}
 	entryA, wantA := entry(1, 0, 1)
 	entryB, wantB := entry(2, 2, 3)

@@ -26,7 +26,7 @@ func fetchChunkRaw(t testing.TB, addr string, streamID uint32, seq int, budget t
 		Type:     wire.TypeFetchChunk,
 		StreamID: streamID,
 		Seq:      1,
-		Payload:  wire.EncodeFetchChunk(wire.FetchChunk{Seq: uint32(seq)}),
+		Payload:  wire.AppendFetchChunk(nil, wire.FetchChunk{Seq: uint32(seq)}),
 		Budget:   budget,
 	}
 	if err := wire.Write(conn, req); err != nil {
@@ -294,7 +294,7 @@ func TestFetchErrorsAreNonFatal(t *testing.T) {
 		s := seqs.Next()
 		err := wire.Write(conn, wire.Message{
 			Type: wire.TypeFetchChunk, StreamID: stream, Seq: s,
-			Payload: wire.EncodeFetchChunk(wire.FetchChunk{Seq: seq, Quality: quality}),
+			Payload: wire.AppendFetchChunk(nil, wire.FetchChunk{Seq: seq, Quality: quality}),
 		})
 		if err != nil {
 			return wire.Message{}, err

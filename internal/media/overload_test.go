@@ -442,9 +442,10 @@ func TestEnhancerServerTypedOverloadReplies(t *testing.T) {
 	lr := lrFromHR(t, store.get(streamID))
 	sendJob := func(seq uint32, budget time.Duration) {
 		t.Helper()
-		job := wire.AnchorJob{Packet: 0, DisplayIndex: 0, QP: 30, Frame: lr[0]}
+		var job wire.Vec
+		job.PutAnchorBatchJob([]wire.AnchorJob{{Packet: 0, DisplayIndex: 0, QP: 30, Frame: lr[0]}})
 		msg := wire.Message{Type: wire.TypeAnchorBatchJob, StreamID: streamID, Seq: seq,
-			Payload: wire.EncodeAnchorBatchJob([]wire.AnchorJob{job}), Budget: budget}
+			Payload: bytes.Join(job.Parts(), nil), Budget: budget}
 		if err := wire.Write(conn, msg); err != nil {
 			t.Fatalf("send job %d: %v", seq, err)
 		}
@@ -493,21 +494,21 @@ func TestEnhancerServerTypedOverloadReplies(t *testing.T) {
 		t.Fatalf("counters = %+v, want one shed and one expired", c)
 	}
 
-	// A frame of a retired type (3 was the per-anchor job) never reaches a
-	// handler: the server's reader refuses it as corrupt and drops the
-	// connection without a reply.
+	// A frame of an unassigned type never reaches a handler: the server's
+	// reader refuses it as corrupt and drops the connection without a
+	// reply.
 	var frame bytes.Buffer
 	if err := wire.Write(&frame, wire.Message{Type: wire.TypePing, Seq: 9}); err != nil {
 		t.Fatal(err)
 	}
 	raw := frame.Bytes()
-	raw[2] = 3
+	raw[2] = 0
 	if _, err := conn.Write(raw); err != nil {
 		t.Fatal(err)
 	}
 	_ = conn.SetReadDeadline(time.Now().Add(2 * time.Second))
 	if reply, err := wire.Read(conn, wire.DefaultMaxPayload); err == nil {
-		t.Fatalf("retired frame type answered with %v", reply.Type)
+		t.Fatalf("unassigned frame type answered with %v", reply.Type)
 	}
 }
 

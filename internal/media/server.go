@@ -587,7 +587,7 @@ func (s *Server) decodeStage(job *ingestJob) {
 	// Packets alias the pooled payload rather than copying out of it; the
 	// aliases die when assembleChunk finishes marshaling, strictly before
 	// the package stage recycles the payload.
-	packets, err := wire.DecodeChunkAlias(msg.Payload)
+	packets, err := wire.DecodeChunk(msg.Payload)
 	if err != nil {
 		job.err = err
 		return

@@ -2,13 +2,11 @@ package media
 
 import (
 	"fmt"
-	"net"
 	"net/http/httptest"
 	"sync"
 	"testing"
 
 	"github.com/neuroscaler/neuroscaler/internal/metrics"
-	"github.com/neuroscaler/neuroscaler/internal/wire"
 )
 
 // TestConcurrentStreams drives several broadcasters and viewers through
@@ -107,55 +105,4 @@ func TestConcurrentStreams(t *testing.T) {
 	for err := range verr {
 		t.Fatal(err)
 	}
-}
-
-// TestMalformedWireTraffic throws protocol garbage at both servers.
-func TestMalformedWireTraffic(t *testing.T) {
-	provider, _ := contentOracle(t, 4)
-	local, _ := NewLocalEnhancer(provider)
-	srv, err := NewServer("127.0.0.1:0", local, ServerConfig{Logf: t.Logf})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-	enh, err := NewEnhancerServer("127.0.0.1:0", local, t.Logf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer enh.Close()
-
-	for _, addr := range []string{srv.Addr(), enh.Addr()} {
-		conn, err := net.Dial("tcp", addr)
-		if err != nil {
-			t.Fatal(err)
-		}
-		// Raw garbage bytes (bad magic): server should drop the
-		// connection without crashing.
-		if _, err := conn.Write([]byte("GET / HTTP/1.1\r\n\r\n")); err != nil {
-			t.Fatal(err)
-		}
-		conn.Close()
-
-		// A well-framed message of an unexpected type: server should
-		// reply with a protocol error.
-		conn, err = net.Dial("tcp", addr)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := wire.Write(conn, wire.Message{Type: wire.TypeAck, StreamID: 5}); err != nil {
-			t.Fatal(err)
-		}
-		reply, err := wire.Read(conn, wire.DefaultMaxPayload)
-		if err == nil && reply.Type != wire.TypeError {
-			t.Errorf("%s: unexpected reply %v to stray ack", addr, reply.Type)
-		}
-		conn.Close()
-	}
-
-	// The server must still serve real clients afterwards.
-	streamer, err := NewStreamer(srv.Addr(), 77, testHello())
-	if err != nil {
-		t.Fatalf("server unusable after garbage: %v", err)
-	}
-	streamer.Close()
 }

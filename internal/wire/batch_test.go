@@ -66,20 +66,17 @@ func batchFixtures() ([]AnchorJob, []AnchorOutcome) {
 // TestAnchorBatchPartsMatchWrite pins the vectored anchor RPC to the
 // copying one: a job batch and a result batch laid out on a Vec and sent
 // with Conn.WriteParts (the replica's reply) or Mux.CallParts (the
-// origin's request) are byte-identical to Write of the Encode payload, on
-// both transports and in both header layouts. The joined Vec is the
-// Encode payload, and the payloads decode back to what was sent.
+// origin's request) are byte-identical to Write of the joined payload, on
+// both transports, with and without a budget. The joined payloads decode
+// back to what was sent.
 func TestAnchorBatchPartsMatchWrite(t *testing.T) {
 	jobs, outs := batchFixtures()
 	var jv, rv Vec
 	jv.PutAnchorBatchJob(jobs)
 	rv.PutAnchorBatchResult(outs)
-	jobPayload, resPayload := EncodeAnchorBatchJob(jobs), EncodeAnchorBatchResult(outs)
-	if !bytes.Equal(jv.join(), jobPayload) || jv.Len() != len(jobPayload) {
-		t.Fatal("job Vec does not join to EncodeAnchorBatchJob")
-	}
-	if !bytes.Equal(rv.join(), resPayload) || rv.Len() != len(resPayload) {
-		t.Fatal("result Vec does not join to EncodeAnchorBatchResult")
+	jobPayload, resPayload := joinParts(&jv), joinParts(&rv)
+	if jv.Len() != len(jobPayload) || rv.Len() != len(resPayload) {
+		t.Fatalf("Vec lengths %d and %d, joined %d and %d", jv.Len(), rv.Len(), len(jobPayload), len(resPayload))
 	}
 	back, err := DecodeAnchorBatchJob(jobPayload)
 	if err != nil || len(back) != len(jobs) {
@@ -177,8 +174,8 @@ func TestVecReset(t *testing.T) {
 		}
 	}
 	v.PutAnchorBatchResult(outs)
-	if !bytes.Equal(v.join(), EncodeAnchorBatchResult(outs)) {
-		t.Fatal("reused Vec does not join to EncodeAnchorBatchResult")
+	if !bytes.Equal(joinParts(&v), batchResultPayload(outs)) {
+		t.Fatal("reused Vec does not join to a fresh one's payload")
 	}
 }
 
@@ -195,8 +192,8 @@ func TestDecodeFrameRefusesLyingHeader(t *testing.T) {
 		name   string
 		decode func() error
 	}{
-		{"frame 4096x4096", func() error { _, err := DecodeFrame(lyingFrame); return err }},
-		{"frame 65535x65535", func() error { _, err := DecodeFrame(huge); return err }},
+		{"frame 4096x4096", func() error { _, err := decodeFrame(lyingFrame); return err }},
+		{"frame 65535x65535", func() error { _, err := decodeFrame(huge); return err }},
 		{"batch job", func() error { _, err := DecodeAnchorBatchJob(lyingBatchJob); return err }},
 	} {
 		var err error

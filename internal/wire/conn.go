@@ -33,7 +33,7 @@ type Conn struct {
 	fw   frameWriter
 	head [chunkDataHeadLen]byte
 	// rhdr is the read scratch; the one-reader rule is its only guard.
-	rhdr [headerLen + budgetLen]byte
+	rhdr [headerLen]byte
 
 	closeOnce sync.Once
 	closeErr  error

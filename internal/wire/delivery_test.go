@@ -10,7 +10,7 @@ import (
 
 func TestFetchChunkRoundTrip(t *testing.T) {
 	f := FetchChunk{Seq: 0xDEADBEEF, Quality: 3}
-	got, err := DecodeFetchChunk(EncodeFetchChunk(f))
+	got, err := DecodeFetchChunk(AppendFetchChunk(nil, f))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,11 +101,11 @@ func TestChunkDataPrefixSharing(t *testing.T) {
 
 // TestWriteSharedMatchesWrite pins every frame a Conn writes to the bytes
 // of the package-level Write of the same Message, on both transports (one
-// writev, or one Write per part), in the v1 and the budget-bearing v2
-// layouts: Conn.Write; Conn.WriteShared for any split of the payload into
-// prefix+tail with the precomputed prefix CRC (the edge's hit path);
-// Conn.WriteChunkData against EncodeChunkData (the origin's fetch reply);
-// and empty payloads, written with no parts and with empty ones.
+// writev, or one Write per part), with and without a budget: Conn.Write;
+// Conn.WriteShared for any split of the payload into prefix+tail with the
+// precomputed prefix CRC (the edge's hit path); Conn.WriteChunkData
+// against EncodeChunkData (the origin's fetch reply); and empty payloads,
+// written with no parts and with empty ones.
 func TestWriteSharedMatchesWrite(t *testing.T) {
 	container := []byte("the cached container")
 	payload := EncodeChunkData(ChunkData{Seq: 3, Data: container})
@@ -156,12 +156,12 @@ func TestWriteSharedMatchesWrite(t *testing.T) {
 	}
 }
 
-// TestDeliveryFrameBudgetRoundTrip pins the v2 budget field on the new
-// delivery frame types: fetches and pushes carry their remaining budget
+// TestDeliveryFrameBudgetRoundTrip pins the budget field on the delivery
+// frame types: fetches and pushes carry their remaining budget
 // across the edge hop exactly like ingest chunks do.
 func TestDeliveryFrameBudgetRoundTrip(t *testing.T) {
 	cases := []Message{
-		{Type: TypeFetchChunk, StreamID: 2, Seq: 9, Payload: EncodeFetchChunk(FetchChunk{Seq: 4}), Budget: 120 * time.Millisecond},
+		{Type: TypeFetchChunk, StreamID: 2, Seq: 9, Payload: AppendFetchChunk(nil, FetchChunk{Seq: 4}), Budget: 120 * time.Millisecond},
 		{Type: TypeChunkData, StreamID: 2, Seq: 9, Payload: EncodeChunkData(ChunkData{Seq: 4, Data: []byte("c")}), Budget: 80 * time.Millisecond},
 		{Type: TypeSubscribe, StreamID: 2, Seq: 1, Payload: EncodeSubscribe(Subscribe{FromSeq: 0}), Budget: time.Second},
 	}

@@ -11,8 +11,7 @@ import (
 )
 
 // FuzzWireFrame is the structured complement to FuzzRead: it builds a
-// frame from fuzzed fields — including the v2 budget extension — writes
-// it, and requires the reader to hand back exactly the same message,
+// frame from fuzzed fields — including the budget — writes it, and requires the reader to hand back exactly the same message,
 // including the maxPayload boundary (a frame at the limit parses; one
 // past it must be rejected, never mis-framed). Non-empty payloads are
 // also re-emitted through Conn.WriteShared at a fuzzed prefix/tail split
@@ -31,12 +30,11 @@ func FuzzWireFrame(f *testing.F) {
 		c, peer := tr.conns(f)
 		conns = append(conns, conn{tr.name, c, peer})
 	}
-	f.Add(uint8(2), uint32(7), uint32(9), uint64(0), []byte("payload"))
+	// Every assigned type's seed frame, every other one with a budget.
+	for i, m := range seedFrames() {
+		f.Add(uint8(m.Type), m.StreamID, m.Seq, uint64(i%2)*250_000, m.Payload)
+	}
 	f.Add(uint8(255), uint32(0), uint32(0), uint64(1500), []byte{})
-	f.Add(uint8(TypeFetchChunk), uint32(3), uint32(1), uint64(250_000), EncodeFetchChunk(FetchChunk{Seq: 8, Quality: 1}))
-	f.Add(uint8(TypeSubscribe), uint32(3), uint32(2), uint64(0), EncodeSubscribe(Subscribe{FromSeq: 4}))
-	f.Add(uint8(TypeChunkData), uint32(3), uint32(0), uint64(90_000),
-		EncodeChunkData(ChunkData{Seq: 8, Data: []byte("container"), CacheHit: true}))
 	f.Fuzz(func(t *testing.T, typ uint8, streamID, seq uint32, budgetMicros uint64, payload []byte) {
 		if budgetMicros > uint64(1<<62)/uint64(time.Microsecond) {
 			budgetMicros %= 1 << 40

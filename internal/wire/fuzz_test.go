@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"testing"
+	"time"
 
 	"github.com/neuroscaler/neuroscaler/internal/frame"
 	"github.com/neuroscaler/neuroscaler/internal/par"
@@ -13,13 +14,21 @@ import (
 // never panic and must round-trip anything Write produced. ReadPooled
 // must accept and refuse exactly what Read does, return the same
 // message, and leave nothing borrowed from its pool when it refuses.
+// The seeds are one frame of every assigned type, with and without a
+// budget.
 func FuzzRead(f *testing.F) {
 	var seed bytes.Buffer
-	_ = Write(&seed, Message{Type: TypeChunk, StreamID: 7, Seq: 9, Payload: []byte("payload")})
-	f.Add(seed.Bytes())
+	for _, m := range seedFrames() {
+		for _, budget := range []time.Duration{0, 250 * time.Millisecond} {
+			m.Budget = budget
+			seed.Reset()
+			_ = Write(&seed, m)
+			f.Add(bytes.Clone(seed.Bytes()))
+		}
+	}
 	f.Add([]byte{})
-	f.Add([]byte{0x4E, 0x53, 1, 0, 0, 0, 0})
-	// A header that promises more payload than follows.
+	// A header cut short, and one that promises more payload than follows.
+	f.Add([]byte{0x4E, 0x57, 1, 0, 0, 0, 0})
 	f.Add(seed.Bytes()[:seed.Len()-2])
 	var pool par.SlabPool[byte]
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -56,13 +65,20 @@ func FuzzRead(f *testing.F) {
 	})
 }
 
-// FuzzDecodeHello exercises the hello payload parser.
+// FuzzDecodeHello exercises the hello payload parser: whatever it
+// accepts encodes back to the same bytes.
 func FuzzDecodeHello(f *testing.F) {
 	good, _ := EncodeHello(Hello{Content: "lol", Scale: 3})
 	f.Add(good)
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		_, _ = DecodeHello(data) // must not panic
+		h, err := DecodeHello(data)
+		if err != nil {
+			return
+		}
+		if back, err := EncodeHello(h); err != nil || !bytes.Equal(back, data) {
+			t.Fatalf("hello round trip diverged: %v", err)
+		}
 	})
 }
 
@@ -88,7 +104,7 @@ func FuzzDecodeFrame(f *testing.F) {
 	f.Add([]byte{0, 2, 0, 2, 1, 2, 3, 4, 5, 6})
 	f.Add(lyingFrame)
 	f.Fuzz(func(t *testing.T, data []byte) {
-		_, _ = DecodeFrame(data) // must not panic
+		_, _ = decodeFrame(data) // must not panic
 	})
 }
 
@@ -96,7 +112,7 @@ func FuzzDecodeFrame(f *testing.F) {
 // a job whose frame header lies about its size among others.
 func FuzzDecodeAnchorBatchJob(f *testing.F) {
 	f.Add(lyingBatchJob)
-	f.Add(EncodeAnchorBatchJob([]AnchorJob{
+	f.Add(batchJobPayload([]AnchorJob{
 		{Packet: 0, DisplayIndex: 3, QP: 80, Frame: frame.MustNew(16, 16)},
 		{Packet: 4, DisplayIndex: 11, QP: 95, Frame: frame.MustNew(24, 8)},
 	}))
@@ -107,7 +123,7 @@ func FuzzDecodeAnchorBatchJob(f *testing.F) {
 		if err != nil {
 			return
 		}
-		if !bytes.Equal(EncodeAnchorBatchJob(jobs), data) {
+		if !bytes.Equal(batchJobPayload(jobs), data) {
 			t.Fatal("anchor batch job round trip diverged")
 		}
 	})
@@ -115,7 +131,7 @@ func FuzzDecodeAnchorBatchJob(f *testing.F) {
 
 // FuzzDecodeAnchorBatchResult exercises the batched outcome parser.
 func FuzzDecodeAnchorBatchResult(f *testing.F) {
-	f.Add(EncodeAnchorBatchResult([]AnchorOutcome{
+	f.Add(batchResultPayload([]AnchorOutcome{
 		{Res: AnchorResult{Packet: 1, Encoded: []byte{9}}},
 		{Res: AnchorResult{Packet: 4}, Err: errors.New("enhancer: deadline exceeded")},
 		{Res: AnchorResult{Packet: 6, Encoded: []byte{7, 7}}},
@@ -126,7 +142,7 @@ func FuzzDecodeAnchorBatchResult(f *testing.F) {
 		if err != nil {
 			return
 		}
-		if !bytes.Equal(EncodeAnchorBatchResult(outs), data) {
+		if !bytes.Equal(batchResultPayload(outs), data) {
 			t.Fatal("anchor batch result round trip diverged")
 		}
 	})
@@ -134,14 +150,14 @@ func FuzzDecodeAnchorBatchResult(f *testing.F) {
 
 // FuzzDecodeFetchChunk exercises the fetch-request payload parser.
 func FuzzDecodeFetchChunk(f *testing.F) {
-	f.Add(EncodeFetchChunk(FetchChunk{Seq: 3, Quality: 1}))
+	f.Add(AppendFetchChunk(nil, FetchChunk{Seq: 3, Quality: 1}))
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		req, err := DecodeFetchChunk(data)
 		if err != nil {
 			return
 		}
-		if !bytes.Equal(EncodeFetchChunk(req), data) {
+		if !bytes.Equal(AppendFetchChunk(nil, req), data) {
 			t.Fatal("fetch-chunk round trip diverged")
 		}
 	})

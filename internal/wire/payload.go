@@ -23,9 +23,7 @@ type Hello struct {
 	Content string
 	// Priority classes the stream for overload control: 0 is foreground
 	// (never floored by brownout), higher values are background tiers the
-	// server may degrade to the bilinear floor first. It rides as a
-	// trailing byte so pre-priority decoders (which stop after Content)
-	// keep accepting new hellos, and old hellos decode as foreground.
+	// server may degrade to the bilinear floor first.
 	Priority uint8
 }
 
@@ -40,24 +38,18 @@ func EncodeHello(h Hello) ([]byte, error) {
 	buf = binary.BigEndian.AppendUint16(buf, uint16(h.Model.Blocks))
 	buf = binary.BigEndian.AppendUint16(buf, uint16(h.Model.Channels))
 	buf = binary.BigEndian.AppendUint16(buf, uint16(h.Model.Scale))
-	buf = append(buf, byte(len(h.Content)))
-	buf = append(buf, h.Content...)
-	if h.Priority != 0 {
-		// Emitted only when set, so foreground hellos stay byte-identical
-		// to the pre-priority encoding.
-		buf = append(buf, h.Priority)
-	}
-	return buf, nil
+	buf = append(buf, h.Priority, byte(len(h.Content)))
+	return append(buf, h.Content...), nil
 }
 
-// DecodeHello parses a Hello payload.
+// DecodeHello parses a Hello payload, refusing any bytes after Content.
 func DecodeHello(data []byte) (Hello, error) {
 	var h Hello
 	cfg, rest, err := readConfig(data)
 	if err != nil {
 		return h, err
 	}
-	if len(rest) < 9 {
+	if len(rest) < 10 {
 		return h, errors.New("wire: truncated hello")
 	}
 	h.Config = cfg
@@ -65,14 +57,11 @@ func DecodeHello(data []byte) (Hello, error) {
 	h.Model.Blocks = int(binary.BigEndian.Uint16(rest[2:]))
 	h.Model.Channels = int(binary.BigEndian.Uint16(rest[4:]))
 	h.Model.Scale = int(binary.BigEndian.Uint16(rest[6:]))
-	n := int(rest[8])
-	if len(rest) < 9+n {
-		return h, errors.New("wire: truncated hello content")
+	h.Priority = rest[8]
+	if n := int(rest[9]); len(rest) != 10+n {
+		return h, fmt.Errorf("wire: hello content is %d bytes, header says %d", len(rest)-10, n)
 	}
-	h.Content = string(rest[9 : 9+n])
-	if len(rest) > 9+n {
-		h.Priority = rest[9+n]
-	}
+	h.Content = string(rest[10:])
 	return h, nil
 }
 
@@ -121,38 +110,11 @@ func EncodeChunk(packets [][]byte) []byte {
 	return buf
 }
 
-// DecodeChunk parses a chunk payload.
+// DecodeChunk parses a chunk payload into packet slices that alias data
+// instead of copying it. The caller owns data and must keep it alive (and
+// unrecycled) for as long as any returned packet is referenced; pooled
+// payloads may only go back to their pool after the last packet use.
 func DecodeChunk(data []byte) ([][]byte, error) {
-	if len(data) < 4 {
-		return nil, errors.New("wire: truncated chunk")
-	}
-	n := binary.BigEndian.Uint32(data)
-	if n > 1<<20 {
-		return nil, fmt.Errorf("wire: unreasonable packet count %d", n)
-	}
-	data = data[4:]
-	out := make([][]byte, 0, n)
-	for i := uint32(0); i < n; i++ {
-		if len(data) < 4 {
-			return nil, errors.New("wire: truncated packet length")
-		}
-		l := binary.BigEndian.Uint32(data)
-		data = data[4:]
-		if uint32(len(data)) < l {
-			return nil, errors.New("wire: truncated packet body")
-		}
-		out = append(out, append([]byte(nil), data[:l]...))
-		data = data[l:]
-	}
-	return out, nil
-}
-
-// DecodeChunkAlias parses a chunk payload like DecodeChunk but returns
-// packet slices that alias data instead of copying it. The caller owns
-// data and must keep it alive (and unrecycled) for as long as any
-// returned packet is referenced; pooled payloads may only go back to
-// their pool after the last packet use.
-func DecodeChunkAlias(data []byte) ([][]byte, error) {
 	if len(data) < 4 {
 		return nil, errors.New("wire: truncated chunk")
 	}
@@ -233,15 +195,6 @@ func (v *Vec) Parts() [][]byte {
 	return v.parts
 }
 
-// join returns the payload as one right-sized buffer.
-func (v *Vec) join() []byte {
-	buf := make([]byte, 0, v.Len())
-	for _, p := range v.Parts() {
-		buf = append(buf, p...)
-	}
-	return buf
-}
-
 // putFrame adds f as a raw YUV frame: its size, then each plane's rows,
 // one body per plane when the plane is compact.
 func (v *Vec) putFrame(f *frame.Frame) {
@@ -258,24 +211,17 @@ func (v *Vec) putFrame(f *frame.Frame) {
 	}
 }
 
-// EncodeFrame serializes a raw YUV frame.
-func EncodeFrame(f *frame.Frame) []byte {
-	var v Vec
-	v.putFrame(f)
-	return v.join()
-}
-
 // frameBodySize is the body length of a w×h raw YUV 4:2:0 frame.
 func frameBodySize(w, h int) int {
 	cw, ch := (w+1)/2, (h+1)/2
 	return w*h + 2*cw*ch
 }
 
-// DecodeFrame parses a raw YUV frame into a frame borrowed from the frame
+// decodeFrame parses a raw YUV frame into a frame borrowed from the frame
 // arena, which the caller owns and may Release. The header's size is
 // checked against the body before anything is borrowed, so a payload that
 // lies about its size costs nothing.
-func DecodeFrame(data []byte) (*frame.Frame, error) {
+func decodeFrame(data []byte) (*frame.Frame, error) {
 	if len(data) < 4 {
 		return nil, errors.New("wire: truncated frame header")
 	}
@@ -326,7 +272,7 @@ func decodeAnchorJob(data []byte) (AnchorJob, error) {
 	j.Packet = int(binary.BigEndian.Uint32(data))
 	j.DisplayIndex = int(binary.BigEndian.Uint32(data[4:]))
 	j.QP = int(binary.BigEndian.Uint32(data[8:]))
-	f, err := DecodeFrame(data[12:])
+	f, err := decodeFrame(data[12:])
 	if err != nil {
 		return j, err
 	}
@@ -345,18 +291,11 @@ type AnchorResult struct {
 // in-flight anchor cap, far below this.
 const maxAnchorBatch = 4096
 
-// EncodeAnchorBatchJob serializes a batch of anchor jobs into one
-// payload: count(4) then length-prefixed job entries. It is the join of
-// the parts PutAnchorBatchJob lays out.
-func EncodeAnchorBatchJob(jobs []AnchorJob) []byte {
-	var v Vec
-	v.PutAnchorBatchJob(jobs)
-	return v.join()
-}
-
-// PutAnchorBatchJob adds the EncodeAnchorBatchJob payload of jobs to v,
-// each frame's planes as bodies: the batch goes out without its frames
-// being copied, and they must not change until it has.
+// PutAnchorBatchJob adds the TypeAnchorBatchJob payload of jobs to v:
+// count(4), then each job as a length-prefixed entry of packet(4)
+// display(4) qp(4) and its raw frame, whose planes are bodies. The batch
+// goes out without its frames being copied, and they must not change
+// until it has.
 func (v *Vec) PutAnchorBatchJob(jobs []AnchorJob) {
 	v.head = binary.BigEndian.AppendUint32(v.head, uint32(len(jobs)))
 	for _, j := range jobs {
@@ -378,7 +317,7 @@ func ReleaseFrames(jobs []AnchorJob) {
 }
 
 // DecodeAnchorBatchJob parses a batch anchor job payload. The jobs'
-// frames are borrowed from the frame arena (see DecodeFrame); on error
+// frames are borrowed from the frame arena (see decodeFrame); on error
 // none stays borrowed.
 func DecodeAnchorBatchJob(data []byte) ([]AnchorJob, error) {
 	if len(data) < 4 {
@@ -425,18 +364,11 @@ type AnchorOutcome struct {
 	Err error
 }
 
-// EncodeAnchorBatchResult serializes per-anchor batch outcomes. It is the
-// join of the parts PutAnchorBatchResult lays out.
-func EncodeAnchorBatchResult(outs []AnchorOutcome) []byte {
-	var v Vec
-	v.PutAnchorBatchResult(outs)
-	return v.join()
-}
-
-// PutAnchorBatchResult adds the EncodeAnchorBatchResult payload of outs
-// to v, each coded anchor as a body. An error message longer than its
-// 16-bit length field is cut to fit rather than voiding the frame, and
-// with it the siblings' results.
+// PutAnchorBatchResult adds the TypeAnchorBatchResult payload of outs to
+// v: count(4), then per outcome packet(4), an error message behind a
+// 16-bit length, and the coded anchor behind a 32-bit length, as a body.
+// An error message longer than its length field is cut to fit rather
+// than voiding the frame, and with it the siblings' results.
 func (v *Vec) PutAnchorBatchResult(outs []AnchorOutcome) {
 	v.head = binary.BigEndian.AppendUint32(v.head, uint32(len(outs)))
 	for _, o := range outs {
@@ -464,11 +396,9 @@ type FetchChunk struct {
 	Quality uint8
 }
 
-// EncodeFetchChunk serializes a FetchChunk payload.
-func EncodeFetchChunk(f FetchChunk) []byte {
-	buf := make([]byte, 0, 5)
-	buf = binary.BigEndian.AppendUint32(buf, f.Seq)
-	return append(buf, f.Quality)
+// AppendFetchChunk appends the 5-byte FetchChunk payload of f to dst.
+func AppendFetchChunk(dst []byte, f FetchChunk) []byte {
+	return append(binary.BigEndian.AppendUint32(dst, f.Seq), f.Quality)
 }
 
 // DecodeFetchChunk parses a FetchChunk payload.

@@ -2,40 +2,24 @@ package wire
 
 import "testing"
 
-// TestHelloPriorityRoundTrip pins the trailing-byte priority extension:
-// background hellos round-trip their priority, foreground hellos encode
-// byte-identically to the pre-priority format and old payloads (no
-// trailing byte) decode as foreground.
+// TestHelloPriorityRoundTrip pins the hello's priority field: foreground
+// and background hellos both round-trip their priority beside Content.
 func TestHelloPriorityRoundTrip(t *testing.T) {
 	base := Hello{Scale: 3, Content: "lol"}
 	base.Config.Width, base.Config.Height, base.Config.FPS = 96, 64, 30
-
-	fg, err := EncodeHello(base)
-	if err != nil {
-		t.Fatal(err)
-	}
-	bg := base
-	bg.Priority = 2
-	bgp, err := EncodeHello(bg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(bgp) != len(fg)+1 {
-		t.Fatalf("background hello is %d bytes, want foreground+1 (%d)", len(bgp), len(fg)+1)
-	}
-	got, err := DecodeHello(bgp)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Priority != 2 || got.Content != "lol" {
-		t.Errorf("decoded %+v, want priority 2 content lol", got)
-	}
-	// Legacy payload (no trailing byte) decodes as foreground.
-	old, err := DecodeHello(fg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if old.Priority != 0 {
-		t.Errorf("legacy hello priority = %d, want 0", old.Priority)
+	for _, prio := range []uint8{0, 2} {
+		in := base
+		in.Priority = prio
+		data, err := EncodeHello(in)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := DecodeHello(data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.Priority != prio || got.Content != "lol" {
+			t.Errorf("decoded %+v, want priority %d content lol", got, prio)
+		}
 	}
 }

@@ -28,12 +28,6 @@ const (
 	TypeHello Type = iota + 1
 	// TypeChunk carries one encoded ingest chunk.
 	TypeChunk
-	// Values 3 and 4 were the per-anchor job/result pair. A batch of one
-	// is a batch (TypeAnchorBatchJob), so they are retired; the slots stay
-	// reserved so every later type keeps its number, and valid refuses
-	// them like any unassigned value.
-	retiredAnchorJob
-	retiredAnchorResult
 	// TypeAck acknowledges a chunk or job.
 	TypeAck
 	// TypeError reports a failure; the payload is a human-readable reason.
@@ -64,46 +58,33 @@ const (
 	TypeSubscribe
 )
 
-// maxType is the highest assigned message type. Keep it on the last
-// constant above.
-const maxType = TypeSubscribe
+// typeNames names every assigned message type, indexed by value: a type
+// is assigned exactly when it indexes this array.
+var typeNames = [...]string{
+	TypeHello:             "hello",
+	TypeChunk:             "chunk",
+	TypeAck:               "ack",
+	TypeError:             "error",
+	TypeGoodbye:           "goodbye",
+	TypePing:              "ping",
+	TypePong:              "pong",
+	TypeAnchorBatchJob:    "anchor-batch-job",
+	TypeAnchorBatchResult: "anchor-batch-result",
+	TypeFetchChunk:        "fetch-chunk",
+	TypeChunkData:         "chunk-data",
+	TypeSubscribe:         "subscribe",
+}
 
 // valid reports whether t is an assigned message type; Read and Write
 // reject every frame whose type is not.
-func (t Type) valid() bool {
-	return t != 0 && t <= maxType && t != retiredAnchorJob && t != retiredAnchorResult
-}
+func (t Type) valid() bool { return t != 0 && int(t) < len(typeNames) }
 
 // String implements fmt.Stringer.
 func (t Type) String() string {
-	switch t {
-	case TypeHello:
-		return "hello"
-	case TypeChunk:
-		return "chunk"
-	case TypeAck:
-		return "ack"
-	case TypeError:
-		return "error"
-	case TypeGoodbye:
-		return "goodbye"
-	case TypePing:
-		return "ping"
-	case TypePong:
-		return "pong"
-	case TypeAnchorBatchJob:
-		return "anchor-batch-job"
-	case TypeAnchorBatchResult:
-		return "anchor-batch-result"
-	case TypeFetchChunk:
-		return "fetch-chunk"
-	case TypeChunkData:
-		return "chunk-data"
-	case TypeSubscribe:
-		return "subscribe"
-	default:
-		return fmt.Sprintf("Type(%d)", uint8(t))
+	if t.valid() {
+		return typeNames[t]
 	}
+	return fmt.Sprintf("Type(%d)", uint8(t))
 }
 
 // Message is one protocol frame.
@@ -130,9 +111,7 @@ type Message struct {
 	// receiver for this message's work. It is relative (remaining time,
 	// not absolute wall clock) so clock skew between peers never corrupts
 	// it; each hop re-derives its local deadline as now+Budget. Zero
-	// means "no deadline" and the frame is emitted in the legacy v1
-	// layout, byte-identical to the pre-deadline protocol; a positive
-	// budget rides the extended v2 header.
+	// means "no deadline".
 	Budget time.Duration
 }
 
@@ -154,15 +133,13 @@ func (s *SeqSource) Next() uint32 {
 }
 
 const (
-	frameMagic = 0x4E53 // "NS": v1 frame, no deadline field
-	// frameMagicV2 marks the deadline-bearing frame: the v1 header plus a
-	// trailing budget field. Readers accept both magics, so v2-aware
-	// peers interoperate with v1 senders frame by frame.
-	frameMagicV2 = 0x4E44 // "ND"
-	headerLen    = 2 + 1 + 4 + 4 + 4 + 4
-	// budgetLen is the size of the v2 budget extension: remaining
-	// microseconds as a big-endian uint64, appended after the v1 header.
-	budgetLen = 8
+	frameMagic = 0x4E57 // "NW"
+	// headerLen is the frame header: magic(2) type(1) stream(4) seq(4)
+	// budget_us(8) len(4) crc(4), big-endian. budget_us is the Budget in
+	// microseconds, zero for none; crc is the payload's CRC-32 (IEEE).
+	headerLen = 2 + 1 + 4 + 4 + 8 + 4 + 4
+	// maxBudgetMicros keeps a decoded Budget clear of Duration overflow.
+	maxBudgetMicros = uint64(1<<62) / uint64(time.Microsecond)
 	// DefaultMaxPayload bounds frame size against malicious peers.
 	DefaultMaxPayload = 64 << 20
 )
@@ -173,39 +150,31 @@ var ErrFrameTooLarge = errors.New("wire: frame exceeds payload limit")
 // ErrBadFrame reports a corrupt frame (magic or checksum mismatch).
 var ErrBadFrame = errors.New("wire: corrupt frame")
 
-// putHeader fills hdr for m carrying an n-byte payload with checksum sum
-// and returns the header length. A message without a budget gets a v1
-// header, so deadline-free traffic stays byte-identical to the legacy
-// protocol.
-func putHeader(hdr *[headerLen + budgetLen]byte, m Message, n int, sum uint32) (int, error) {
+// putHeader fills hdr for m carrying an n-byte payload with checksum sum.
+func putHeader(hdr *[headerLen]byte, m Message, n int, sum uint32) error {
 	// Mirror Read's validation: emitting a frame the peer will reject as
 	// corrupt is a bug at the writer, not the reader.
 	if !m.Type.valid() {
-		return 0, fmt.Errorf("wire: invalid message type %d", m.Type)
+		return fmt.Errorf("wire: invalid message type %d", m.Type)
+	}
+	var micros time.Duration
+	if m.Budget > 0 {
+		// Sub-microsecond remainders still mean "a deadline exists";
+		// round up so the receiver sees expiry, not "no deadline".
+		micros = max(m.Budget/time.Microsecond, 1)
 	}
 	binary.BigEndian.PutUint16(hdr[0:], frameMagic)
 	hdr[2] = byte(m.Type)
 	binary.BigEndian.PutUint32(hdr[3:], m.StreamID)
 	binary.BigEndian.PutUint32(hdr[7:], m.Seq)
-	binary.BigEndian.PutUint32(hdr[11:], uint32(n))
-	binary.BigEndian.PutUint32(hdr[15:], sum)
-	if m.Budget <= 0 {
-		return headerLen, nil
-	}
-	micros := m.Budget / time.Microsecond
-	if micros < 1 {
-		// Sub-microsecond remainders still mean "a deadline exists";
-		// round up so the receiver sees expiry, not "no deadline".
-		micros = 1
-	}
-	binary.BigEndian.PutUint16(hdr[0:], frameMagicV2)
-	binary.BigEndian.PutUint64(hdr[headerLen:], uint64(micros))
-	return headerLen + budgetLen, nil
+	binary.BigEndian.PutUint64(hdr[11:], uint64(micros))
+	binary.BigEndian.PutUint32(hdr[19:], uint32(n))
+	binary.BigEndian.PutUint32(hdr[23:], sum)
+	return nil
 }
 
-// Write serializes a message to w.
-// Frame layout: magic(2) type(1) streamID(4) seq(4) len(4) crc32(4)
-// [budgetMicros(8) if v2] payload.
+// Write serializes a message to w: the header (see headerLen), then the
+// payload.
 func Write(w io.Writer, m Message) error {
 	var fw frameWriter
 	return fw.writeFrame(w, m, crc32.ChecksumIEEE(m.Payload), m.Payload)
@@ -215,7 +184,7 @@ func Write(w io.Writer, m Message) error {
 // vector of parts handed to the writer. A Conn keeps one under its write
 // lock, so its frames allocate nothing once warm.
 type frameWriter struct {
-	hdr [headerLen + budgetLen]byte
+	hdr [headerLen]byte
 	// vec backs bufs. It starts on the inline slots, enough for a frame of
 	// up to three parts, and keeps the capacity of the largest frame since,
 	// so only a Conn's first frame of many parts grows it.
@@ -234,14 +203,13 @@ func (fw *frameWriter) writeFrame(w io.Writer, m Message, sum uint32, parts ...[
 	for _, p := range parts {
 		size += len(p)
 	}
-	n, err := putHeader(&fw.hdr, m, size, sum)
-	if err != nil {
+	if err := putHeader(&fw.hdr, m, size, sum); err != nil {
 		return err
 	}
 	if fw.vec == nil {
 		fw.vec = fw.inline[:0]
 	}
-	fw.bufs = append(fw.vec[:0], fw.hdr[:n])
+	fw.bufs = append(fw.vec[:0], fw.hdr[:])
 	for _, p := range parts {
 		if len(p) > 0 {
 			fw.bufs = append(fw.bufs, p)
@@ -250,7 +218,7 @@ func (fw *frameWriter) writeFrame(w io.Writer, m Message, sum uint32, parts ...[
 	// WriteTo consumes bufs from the front; vec keeps the backing array.
 	fw.vec = fw.bufs[:0]
 	used := len(fw.bufs)
-	_, err = fw.bufs.WriteTo(w)
+	_, err := fw.bufs.WriteTo(w)
 	clear(fw.vec[:used])
 	if err != nil {
 		return fmt.Errorf("wire: write frame: %w", err)
@@ -258,53 +226,35 @@ func (fw *frameWriter) writeFrame(w io.Writer, m Message, sum uint32, parts ...[
 	return nil
 }
 
-// readHeader parses and validates a frame header (and the v2 budget
-// extension) read into hdr, returning the message shell plus the payload
-// length and checksum still to be read.
-func readHeader(r io.Reader, hdr *[headerLen + budgetLen]byte, maxPayload int) (m Message, n, sum uint32, err error) {
-	if _, err := io.ReadFull(r, hdr[:headerLen]); err != nil {
+// readHeader reads and validates a frame header into hdr, returning the
+// message shell plus the payload length and checksum still to be read.
+func readHeader(r io.Reader, hdr *[headerLen]byte, maxPayload int) (m Message, n, sum uint32, err error) {
+	if _, err := io.ReadFull(r, hdr[:]); err != nil {
 		if errors.Is(err, io.EOF) {
 			return m, 0, 0, io.EOF
 		}
 		return m, 0, 0, fmt.Errorf("wire: read header: %w", err)
 	}
-	magic := binary.BigEndian.Uint16(hdr[0:])
-	if magic != frameMagic && magic != frameMagicV2 {
+	micros := binary.BigEndian.Uint64(hdr[11:])
+	if binary.BigEndian.Uint16(hdr[0:]) != frameMagic || !Type(hdr[2]).valid() || micros > maxBudgetMicros {
 		return m, 0, 0, ErrBadFrame
 	}
-	if !Type(hdr[2]).valid() {
-		return m, 0, 0, ErrBadFrame
+	n = binary.BigEndian.Uint32(hdr[19:])
+	if int64(n) > int64(maxPayload) {
+		return m, 0, 0, ErrFrameTooLarge
 	}
 	m = Message{
 		Type:     Type(hdr[2]),
 		StreamID: binary.BigEndian.Uint32(hdr[3:]),
 		Seq:      binary.BigEndian.Uint32(hdr[7:]),
+		Budget:   time.Duration(micros) * time.Microsecond,
 	}
-	n = binary.BigEndian.Uint32(hdr[11:])
-	sum = binary.BigEndian.Uint32(hdr[15:])
-	if int64(n) > int64(maxPayload) {
-		return Message{}, 0, 0, ErrFrameTooLarge
-	}
-	if magic != frameMagicV2 {
-		return m, n, sum, nil
-	}
-	ext := hdr[headerLen:]
-	if _, err := io.ReadFull(r, ext); err != nil {
-		return Message{}, 0, 0, fmt.Errorf("wire: read budget: %w", err)
-	}
-	// The relative budget is never zero in a v2 frame.
-	micros := binary.BigEndian.Uint64(ext)
-	if micros == 0 || micros > uint64(1<<62)/uint64(time.Microsecond) {
-		return Message{}, 0, 0, ErrBadFrame
-	}
-	m.Budget = time.Duration(micros) * time.Microsecond
-	return m, n, sum, nil
+	return m, n, binary.BigEndian.Uint32(hdr[23:]), nil
 }
 
 // Read parses the next message from r, rejecting frames larger than
-// maxPayload (use DefaultMaxPayload when in doubt). Both v1 and v2
-// (deadline-bearing) frames are accepted. The payload is allocated for
-// this frame alone: Read is ReadPooled with no pool.
+// maxPayload (use DefaultMaxPayload when in doubt). The payload is
+// allocated for this frame alone: Read is ReadPooled with no pool.
 func Read(r io.Reader, maxPayload int) (Message, error) {
 	return ReadPooled(r, maxPayload, nil)
 }
@@ -313,19 +263,19 @@ func Read(r io.Reader, maxPayload int) (Message, error) {
 // payload buffer from pool instead of allocating it (a nil pool
 // allocates, as Read does). On success, ownership of m.Payload transfers
 // to the caller, who must return it to the same pool once every slice
-// derived from it (see DecodeChunkAlias) is dead. On error nothing stays
+// derived from it (see DecodeChunk) is dead. On error nothing stays
 // borrowed.
 //
 //nslint:slab-borrow pool
 func ReadPooled(r io.Reader, maxPayload int, pool *par.SlabPool[byte]) (Message, error) {
-	var hdr [headerLen + budgetLen]byte
+	var hdr [headerLen]byte
 	return readPooled(r, &hdr, maxPayload, pool)
 }
 
 // readPooled is ReadPooled with the header parsed into hdr.
 //
 //nslint:slab-borrow pool
-func readPooled(r io.Reader, hdr *[headerLen + budgetLen]byte, maxPayload int, pool *par.SlabPool[byte]) (Message, error) {
+func readPooled(r io.Reader, hdr *[headerLen]byte, maxPayload int, pool *par.SlabPool[byte]) (Message, error) {
 	m, n, sum, err := readHeader(r, hdr, maxPayload)
 	if err != nil {
 		return Message{}, err

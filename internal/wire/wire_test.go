@@ -2,6 +2,7 @@ package wire
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"io"
 	"net"
@@ -45,9 +46,9 @@ func TestFrameRoundTrip(t *testing.T) {
 	}
 }
 
-// TestUnassignedTypesRefused covers the unset type, the two retired
-// per-anchor values (3 and 4) and the first value past maxType: no writer
-// emits them and no reader hands them to a handler.
+// TestUnassignedTypesRefused covers the unset type, the first value past
+// the last assigned one and the largest: no writer emits them and no
+// reader hands them to a handler.
 func TestUnassignedTypesRefused(t *testing.T) {
 	var buf bytes.Buffer
 	_ = Write(&buf, Message{Type: TypeAck, Payload: []byte("x")})
@@ -55,7 +56,7 @@ func TestUnassignedTypesRefused(t *testing.T) {
 	defer b.Close()
 	c := NewConn(a, 0, testTimeout) // a refused frame never reaches the pipe
 	defer c.Close()
-	for _, typ := range []Type{0, 3, 4, maxType + 1} {
+	for _, typ := range []Type{0, Type(len(typeNames)), 255} {
 		if err := Write(io.Discard, Message{Type: typ}); err == nil {
 			t.Errorf("Write accepted type %d", typ)
 		}
@@ -183,6 +184,9 @@ func TestHelloRoundTrip(t *testing.T) {
 	if _, err := DecodeHello(data[:5]); err == nil {
 		t.Error("truncated hello accepted")
 	}
+	if _, err := DecodeHello(append(data, 0)); err == nil {
+		t.Error("hello with a byte after its last field accepted")
+	}
 }
 
 func TestChunkRoundTrip(t *testing.T) {
@@ -213,7 +217,9 @@ func TestFramePayloadRoundTrip(t *testing.T) {
 	for i := range f.Y.Pix {
 		f.Y.Pix[i] = byte(i * 7)
 	}
-	got, err := DecodeFrame(EncodeFrame(f))
+	var v Vec
+	v.putFrame(f)
+	got, err := decodeFrame(joinParts(&v))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -221,7 +227,7 @@ func TestFramePayloadRoundTrip(t *testing.T) {
 	if err != nil || sad != 0 {
 		t.Errorf("frame payload round trip: sad=%d err=%v", sad, err)
 	}
-	if _, err := DecodeFrame([]byte{0, 10, 0, 10, 1}); err == nil {
+	if _, err := decodeFrame([]byte{0, 10, 0, 10, 1}); err == nil {
 		t.Error("wrong-size frame body accepted")
 	}
 }
@@ -229,8 +235,8 @@ func TestFramePayloadRoundTrip(t *testing.T) {
 // Property: any message round-trips bit-exactly through Write/Read.
 func TestQuickMessageRoundTrip(t *testing.T) {
 	f := func(typ uint8, stream, seq uint32, payload []byte) bool {
-		// 5..11: the assigned types from TypeAck up (3 and 4 are retired).
-		m := Message{Type: Type(typ%7 + 5), StreamID: stream, Seq: seq, Payload: payload}
+		// Any assigned type.
+		m := Message{Type: Type(int(typ)%(len(typeNames)-1) + 1), StreamID: stream, Seq: seq, Payload: payload}
 		var buf bytes.Buffer
 		if err := Write(&buf, m); err != nil {
 			return false
@@ -267,7 +273,7 @@ func TestPingPongRoundTrip(t *testing.T) {
 	// One past the last valid type is still a bad frame.
 	_ = Write(&buf, Message{Type: TypePong, Seq: 1})
 	data := buf.Bytes()
-	data[2] = byte(maxType) + 1
+	data[2] = byte(len(typeNames))
 	if _, err := Read(bytes.NewReader(data), DefaultMaxPayload); !errors.Is(err, ErrBadFrame) {
 		t.Errorf("out-of-range type err = %v, want ErrBadFrame", err)
 	}
@@ -280,7 +286,7 @@ func TestAnchorBatchJobRoundTrip(t *testing.T) {
 	}
 	jobs[0].Frame.Y.Fill(12)
 	jobs[1].Frame.Y.Fill(200)
-	got, err := DecodeAnchorBatchJob(EncodeAnchorBatchJob(jobs))
+	got, err := DecodeAnchorBatchJob(batchJobPayload(jobs))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -297,7 +303,7 @@ func TestAnchorBatchJobRoundTrip(t *testing.T) {
 		}
 	}
 	// Empty batches round-trip (degenerate but legal).
-	if got, err := DecodeAnchorBatchJob(EncodeAnchorBatchJob(nil)); err != nil || len(got) != 0 {
+	if got, err := DecodeAnchorBatchJob(batchJobPayload(nil)); err != nil || len(got) != 0 {
 		t.Errorf("empty batch: %v %v", got, err)
 	}
 	for _, bad := range [][]byte{{1}, {0, 0, 0, 1}, {0, 0, 0, 1, 0, 0, 0, 9, 1}, {0, 0, 0, 1, 0, 0, 0, 2, 1, 2}} {
@@ -305,7 +311,7 @@ func TestAnchorBatchJobRoundTrip(t *testing.T) {
 			t.Errorf("malformed batch %v accepted", bad)
 		}
 	}
-	enc := EncodeAnchorBatchJob(jobs[:1])
+	enc := batchJobPayload(jobs[:1])
 	if _, err := DecodeAnchorBatchJob(append(enc, 0)); err == nil {
 		t.Error("trailing bytes accepted")
 	}
@@ -323,7 +329,7 @@ func TestAnchorBatchResultRoundTrip(t *testing.T) {
 		{Res: AnchorResult{Packet: 7}, Err: errors.New("enhancer unavailable")},
 		{Res: AnchorResult{Packet: 9, Encoded: []byte("enhanced-b")}},
 	}
-	enc := EncodeAnchorBatchResult(outs)
+	enc := batchResultPayload(outs)
 	got, err := DecodeAnchorBatchResult(enc)
 	if err != nil {
 		t.Fatal(err)
@@ -340,7 +346,7 @@ func TestAnchorBatchResultRoundTrip(t *testing.T) {
 	// One over-long error message is cut to the field width; it must not
 	// void the frame and with it the siblings' results.
 	outs[1].Err = errors.New(strings.Repeat("x", 70<<10))
-	got, err = DecodeAnchorBatchResult(EncodeAnchorBatchResult(outs))
+	got, err = DecodeAnchorBatchResult(batchResultPayload(outs))
 	if err != nil || len(got) != 3 {
 		t.Fatalf("batch with a 70 KB error: %d outcomes, err %v", len(got), err)
 	}
@@ -405,7 +411,7 @@ func TestReadPooledRecyclesPayloads(t *testing.T) {
 func TestDecodeChunkAlias(t *testing.T) {
 	packets := [][]byte{[]byte("first"), {}, []byte("third packet")}
 	payload := EncodeChunk(packets)
-	got, err := DecodeChunkAlias(payload)
+	got, err := DecodeChunk(payload)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -422,29 +428,27 @@ func TestDecodeChunkAlias(t *testing.T) {
 	if len(got[0]) > 0 {
 		payload[8] ^= 0xFF // first byte of packet 0's body
 		if bytes.Equal(got[0], packets[0]) {
-			t.Error("DecodeChunkAlias copied instead of aliasing")
+			t.Error("DecodeChunk copied instead of aliasing")
 		}
 		payload[8] ^= 0xFF
 	}
 	if cap(got[0]) != len(got[0]) {
 		t.Error("aliased packet capacity not clipped; appends would clobber the payload")
 	}
-	if _, err := DecodeChunkAlias([]byte{0, 0}); err == nil {
+	if _, err := DecodeChunk([]byte{0, 0}); err == nil {
 		t.Error("truncated chunk accepted")
 	}
 }
 
-// TestDeadlineFrameRoundTrip pins the v2 frame: a positive budget
-// survives Write/Read, and a zero budget emits bytes identical to the
-// legacy v1 layout so deadline-free traffic is indistinguishable from
-// the pre-deadline protocol.
+// TestDeadlineFrameRoundTrip pins the header's budget field: a positive
+// budget survives Write/Read, and a zero budget reads back as none.
 func TestDeadlineFrameRoundTrip(t *testing.T) {
-	var v2 bytes.Buffer
+	var buf bytes.Buffer
 	in := Message{Type: TypeChunk, StreamID: 9, Seq: 4, Payload: []byte("abc"), Budget: 1500 * time.Millisecond}
-	if err := Write(&v2, in); err != nil {
+	if err := Write(&buf, in); err != nil {
 		t.Fatal(err)
 	}
-	got, err := Read(&v2, DefaultMaxPayload)
+	got, err := Read(&buf, DefaultMaxPayload)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -465,20 +469,44 @@ func TestDeadlineFrameRoundTrip(t *testing.T) {
 		t.Errorf("tiny budget = %v, %v; want 1µs", got.Budget, err)
 	}
 
-	// Zero budget must produce the v1 bytes exactly.
 	var zero bytes.Buffer
 	if err := Write(&zero, Message{Type: TypeChunk, StreamID: 9, Seq: 4, Payload: []byte("abc")}); err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.HasPrefix(zero.Bytes(), []byte{0x4E, 0x53}) {
-		t.Errorf("zero-budget frame does not start with the v1 magic: % x", zero.Bytes()[:2])
+	if got, err := Read(&zero, DefaultMaxPayload); err != nil || got.Budget != 0 {
+		t.Errorf("zero budget = %v, %v; want none", got.Budget, err)
 	}
 }
 
-// TestDeadlineFramePooledAndTruncated covers ReadPooled's v2 path and
-// the error cases: a truncated budget extension and a zero on-the-wire
-// budget (which only a buggy or malicious writer can produce) are
-// rejected without leaking pooled payloads.
+// countingReader counts the Read calls that reach r.
+type countingReader struct {
+	r     io.Reader
+	reads int
+}
+
+func (c *countingReader) Read(p []byte) (int, error) {
+	c.reads++
+	return c.r.Read(p)
+}
+
+// TestBudgetedFrameReadsTwice pins that a header is one read, budget
+// included: a budgeted frame costs an unbuffered reader two reads, the
+// header and the payload.
+func TestBudgetedFrameReadsTwice(t *testing.T) {
+	var buf bytes.Buffer
+	if err := Write(&buf, Message{Type: TypeChunk, Payload: []byte("abc"), Budget: time.Second}); err != nil {
+		t.Fatal(err)
+	}
+	cr := &countingReader{r: &buf}
+	if _, err := Read(cr, DefaultMaxPayload); err != nil || cr.reads != 2 {
+		t.Errorf("a budgeted frame took %d reads (err %v), want 2", cr.reads, err)
+	}
+}
+
+// TestDeadlineFramePooledAndTruncated covers ReadPooled on a budgeted
+// frame and the error cases: a header cut inside its budget field and a
+// budget past what a Duration holds (which only a buggy or malicious
+// writer can produce) are rejected without leaking pooled payloads.
 func TestDeadlineFramePooledAndTruncated(t *testing.T) {
 	var buf bytes.Buffer
 	in := Message{Type: TypeAnchorBatchJob, StreamID: 1, Seq: 7, Payload: []byte("payload"), Budget: 250 * time.Microsecond}
@@ -493,23 +521,22 @@ func TestDeadlineFramePooledAndTruncated(t *testing.T) {
 		t.Fatal(err)
 	}
 	if got.Budget != in.Budget || !bytes.Equal(got.Payload, in.Payload) {
-		t.Errorf("pooled v2 read mismatch: %+v", got)
+		t.Errorf("pooled budgeted read mismatch: %+v", got)
 	}
 	pool.Put(got.Payload)
 
-	// Truncate inside the budget extension: the reader must error, not
+	// Truncate inside the budget field: the reader must error, not
 	// misparse the remaining bytes as a payload.
-	if _, err := Read(bytes.NewReader(full[:headerLen+3]), DefaultMaxPayload); err == nil {
-		t.Error("truncated budget extension accepted")
+	if _, err := Read(bytes.NewReader(full[:14]), DefaultMaxPayload); err == nil {
+		t.Error("truncated budget field accepted")
 	}
 
-	// A v2 frame with an explicit zero budget is a protocol violation
-	// (zero means "emit v1"): reject it as corrupt.
-	zeroed := append([]byte(nil), full...)
-	for i := headerLen; i < headerLen+budgetLen; i++ {
-		zeroed[i] = 0
+	overflow := append([]byte(nil), full...)
+	binary.BigEndian.PutUint64(overflow[11:], maxBudgetMicros+1)
+	if _, err := ReadPooled(bytes.NewReader(overflow), DefaultMaxPayload, &pool); !errors.Is(err, ErrBadFrame) {
+		t.Errorf("overflowing budget: err = %v, want ErrBadFrame", err)
 	}
-	if _, err := Read(bytes.NewReader(zeroed), DefaultMaxPayload); !errors.Is(err, ErrBadFrame) {
-		t.Errorf("zero v2 budget: err = %v, want ErrBadFrame", err)
+	if n := pool.Outstanding(); n != 0 {
+		t.Errorf("refused frames left %d payload buffers borrowed", n)
 	}
 }
