@@ -11,7 +11,9 @@
 package anchor
 
 import (
+	"cmp"
 	"math"
+	"slices"
 	"sort"
 	"time"
 
@@ -120,69 +122,69 @@ func NEMOGains(metas []FrameMeta, loss []float64) []Candidate {
 }
 
 func gainsFromSignal(metas []FrameMeta, override []float64) []Candidate {
-	signal := make([]float64, len(metas))
+	// One scratch buffer serves both groups: the groups are disjoint, so
+	// each estimate writes the gains of its own frames only.
+	st := make([]frameState, len(metas))
 	for i, m := range metas {
 		if override != nil {
-			signal[i] = override[i]
+			st[i].signal = override[i]
 		} else {
-			signal[i] = m.Residual
+			st[i].signal = m.Residual
 		}
 	}
 	out := make([]Candidate, 0, len(metas))
 	// Per-group estimation, as in Algorithm 1's "candidates: frames
 	// within a group".
-	altGains := estimateGroup(metas, signal, GroupAltRef)
-	normGains := estimateGroup(metas, signal, GroupNormal)
+	estimateGroup(metas, st, GroupAltRef)
+	estimateGroup(metas, st, GroupNormal)
 	for i, m := range metas {
 		c := Candidate{Meta: m, Group: groupOf(m.Type)}
-		switch c.Group {
-		case GroupKey:
+		if c.Group == GroupKey {
 			// Key frames have equal (categorical) gain: they do not
 			// affect accumulated residual but reset it.
 			c.Gain = math.Inf(1)
-		case GroupAltRef:
-			c.Gain = altGains[i]
-		default:
-			c.Gain = normGains[i]
+		} else {
+			c.Gain = st[i].gain
 		}
 		out = append(out, c)
 	}
 	return out
 }
 
+// frameState is Algorithm 1's working state for one frame: its residual
+// signal, its accumulated residual, its estimated gain and whether it was
+// chosen in an earlier iteration.
+type frameState struct {
+	signal, acc, gain float64
+	done              bool
+}
+
 // estimateGroup implements Algorithm 1 (Per-group Anchor Gain Estimation)
-// for the candidates of one group, returning gains indexed by position in
-// metas.
-func estimateGroup(metas []FrameMeta, signal []float64, g Group) []float64 {
-	n := len(metas)
-	gains := make([]float64, n)
+// for the candidates of one group, storing the gain of each in st at its
+// position in metas. It resets the accumulated residuals and the chosen
+// marks of every frame, and writes no gain outside the group.
+func estimateGroup(metas []FrameMeta, st []frameState, g Group) {
 	// CalcResidual: accumulated residual, reset at key frames.
-	acc := make([]float64, n)
 	run := 0.0
+	remaining := 0
 	for i, m := range metas {
 		if m.Type == vcodec.Key {
 			run = 0
 		} else {
-			run += signal[i]
+			run += st[i].signal
 		}
-		acc[i] = run
-	}
-	candidate := make([]bool, n)
-	remaining := 0
-	for i, m := range metas {
+		st[i].acc, st[i].done = run, false
 		if groupOf(m.Type) == g {
-			candidate[i] = true
 			remaining++
 		}
 	}
-	done := make([]bool, n)
 	for ; remaining > 0; remaining-- {
 		best, bestGain := -1, math.Inf(-1)
-		for i := 0; i < n; i++ {
-			if !candidate[i] || done[i] {
+		for i, m := range metas {
+			if groupOf(m.Type) != g || st[i].done {
 				continue
 			}
-			gain := reducedResidual(metas, acc, done, i)
+			gain := reducedResidual(metas, st, i)
 			if gain > bestGain {
 				best, bestGain = i, gain
 			}
@@ -190,41 +192,40 @@ func estimateGroup(metas []FrameMeta, signal []float64, g Group) []float64 {
 		if best < 0 {
 			break
 		}
-		done[best] = true
-		gains[best] = bestGain
-		updateResidual(acc, best)
+		st[best].done = true
+		st[best].gain = bestGain
+		updateResidual(st, best)
 	}
-	return gains
 }
 
 // reducedResidual computes ΔRes(F[i]) = (k - i) × Res[i], where k is the
 // closest later index at which the residual resets: a key frame, a frame
 // already chosen in a previous iteration, or — if neither exists — the
 // predicted key frame of the next chunk (one past the end).
-func reducedResidual(metas []FrameMeta, acc []float64, done []bool, i int) float64 {
+func reducedResidual(metas []FrameMeta, st []frameState, i int) float64 {
 	n := len(metas)
 	k := n // predicted next-chunk key frame
 	for j := i + 1; j < n; j++ {
-		if metas[j].Type == vcodec.Key || done[j] {
+		if metas[j].Type == vcodec.Key || st[j].done {
 			k = j
 			break
 		}
 	}
-	return float64(k-i) * acc[i]
+	return float64(k-i) * st[i].acc
 }
 
 // updateResidual subtracts the chosen frame's accumulated residual from
 // every following frame until the residual next resets (Algorithm 1,
 // UpdateResidual).
-func updateResidual(acc []float64, index int) {
-	delta := acc[index]
-	for i := index; i < len(acc); i++ {
-		if i > index && acc[i] <= 0 {
+func updateResidual(st []frameState, index int) {
+	delta := st[index].acc
+	for i := index; i < len(st); i++ {
+		if i > index && st[i].acc <= 0 {
 			break
 		}
-		acc[i] -= delta
-		if acc[i] < 0 {
-			acc[i] = 0
+		st[i].acc -= delta
+		if st[i].acc < 0 {
+			st[i].acc = 0
 		}
 	}
 }
@@ -235,8 +236,7 @@ func updateResidual(acc []float64, index int) {
 // gain; the iterative estimates of ZeroInferenceGains additionally
 // discount frames selected after their neighbours.
 func OneShotGains(metas []FrameMeta) []float64 {
-	n := len(metas)
-	acc := make([]float64, n)
+	st := make([]frameState, len(metas))
 	run := 0.0
 	for i, m := range metas {
 		if m.Type == vcodec.Key {
@@ -244,12 +244,11 @@ func OneShotGains(metas []FrameMeta) []float64 {
 		} else {
 			run += m.Residual
 		}
-		acc[i] = run
+		st[i].acc = run
 	}
-	done := make([]bool, n)
-	out := make([]float64, n)
+	out := make([]float64, len(metas))
 	for i := range metas {
-		out[i] = reducedResidual(metas, acc, done, i)
+		out[i] = reducedResidual(metas, st, i)
 	}
 	return out
 }
@@ -258,19 +257,23 @@ func OneShotGains(metas []FrameMeta) []float64 {
 // descending gain within a tier; ties keep decode order for determinism.
 // It sorts in place and returns its argument for chaining.
 func SortCandidates(cands []Candidate) []Candidate {
-	sort.SliceStable(cands, func(a, b int) bool {
-		if cands[a].Group != cands[b].Group {
-			return cands[a].Group < cands[b].Group
-		}
-		if cands[a].Gain != cands[b].Gain {
-			return cands[a].Gain > cands[b].Gain
-		}
-		if cands[a].Stream != cands[b].Stream {
-			return cands[a].Stream < cands[b].Stream
-		}
-		return cands[a].Meta.Packet < cands[b].Meta.Packet
-	})
+	slices.SortStableFunc(cands, byPriority)
 	return cands
+}
+
+// byPriority is SortCandidates' order: tier, then descending gain, then
+// stream and packet.
+func byPriority(a, b Candidate) int {
+	if a.Group != b.Group {
+		return cmp.Compare(a.Group, b.Group)
+	}
+	if a.Gain != b.Gain {
+		return cmp.Compare(b.Gain, a.Gain)
+	}
+	if a.Stream != b.Stream {
+		return cmp.Compare(a.Stream, b.Stream)
+	}
+	return cmp.Compare(a.Meta.Packet, b.Meta.Packet)
 }
 
 // SelectWithinBudget picks the maximum prefix of the sorted candidates
@@ -299,12 +302,7 @@ func SelectWithinBudget(cands []Candidate, latencyOf func(Candidate) time.Durati
 // the zero-inference algorithm gets from grouping.
 func SelectTopNByGain(cands []Candidate, n int) []Candidate {
 	sorted := append([]Candidate(nil), cands...)
-	sort.SliceStable(sorted, func(a, b int) bool {
-		if sorted[a].Gain != sorted[b].Gain {
-			return sorted[a].Gain > sorted[b].Gain
-		}
-		return sorted[a].Meta.Packet < sorted[b].Meta.Packet
-	})
+	slices.SortStableFunc(sorted, byGain)
 	if n > len(sorted) {
 		n = len(sorted)
 	}
@@ -312,6 +310,14 @@ func SelectTopNByGain(cands []Candidate, n int) []Candidate {
 		n = 0
 	}
 	return sorted[:n]
+}
+
+// byGain is SelectTopNByGain's order: descending gain, then packet.
+func byGain(a, b Candidate) int {
+	if a.Gain != b.Gain {
+		return cmp.Compare(b.Gain, a.Gain)
+	}
+	return cmp.Compare(a.Meta.Packet, b.Meta.Packet)
 }
 
 // SelectTopN picks the n highest-priority candidates.

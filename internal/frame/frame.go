@@ -163,7 +163,7 @@ func AbsDiffSum(a, b *Frame) (int64, error) {
 	// keeps everything deterministic anyway.
 	grain := par.RowGrain(a.W)
 	partials := make([]int64, par.Chunks(a.H, grain))
-	par.ForChunks(a.H, grain, func(chunk, yLo, yHi int) {
+	par.For(a.H, grain, func(yLo, yHi int) {
 		var s int64
 		for y := yLo; y < yHi; y++ {
 			ra, rb := a.Y.Row(y), b.Y.Row(y)
@@ -175,7 +175,7 @@ func AbsDiffSum(a, b *Frame) (int64, error) {
 				s += int64(d)
 			}
 		}
-		partials[chunk] = s
+		partials[yLo/grain] = s
 	})
 	var sum int64
 	for _, s := range partials {

@@ -212,45 +212,65 @@ func bicubicPlane(dst, src, target *Plane, a int) {
 	// horizontal work amortizes across every destination row that shares a
 	// source row.
 	hbuf := scaleScratch.Get(src.H * dst.W)
-	par.For(src.H, par.RowGrain(dst.W), func(yLo, yHi int) {
-		for y := yLo; y < yHi; y++ {
-			srow := src.Row(y)
-			hrow := hbuf[y*dst.W : (y+1)*dst.W]
-			for x := range hrow {
-				tx := &xTaps[x]
-				hrow[x] = int32(tx.w[0]*int(srow[tx.idx[0]]) + tx.w[1]*int(srow[tx.idx[1]]) +
-					tx.w[2]*int(srow[tx.idx[2]]) + tx.w[3]*int(srow[tx.idx[3]]))
-			}
-		}
-	})
-	par.For(dst.H, par.RowGrain(dst.W), func(yLo, yHi int) {
-		for y := yLo; y < yHi; y++ {
-			ty := &yTaps[y]
-			h0 := hbuf[ty.idx[0]*dst.W : ty.idx[0]*dst.W+dst.W]
-			h1 := hbuf[ty.idx[1]*dst.W : ty.idx[1]*dst.W+dst.W]
-			h2 := hbuf[ty.idx[2]*dst.W : ty.idx[2]*dst.W+dst.W]
-			h3 := hbuf[ty.idx[3]*dst.W : ty.idx[3]*dst.W+dst.W]
-			wy0, wy1, wy2, wy3 := ty.w[0], ty.w[1], ty.w[2], ty.w[3]
-			row := dst.Row(y)
-			// Plain scaling keeps its own store loop: the blend's extra
-			// target load and multiplies show on BenchmarkScaleBicubic.
-			if target == nil {
-				for x := range row {
-					acc := wy0*int(h0[x]) + wy1*int(h1[x]) + wy2*int(h2[x]) + wy3*int(h3[x])
-					row[x] = clampByte((acc + 2048) >> 12)
-				}
-				continue
-			}
-			trow := target.Row(y)[:len(row)]
-			for x := range row {
-				acc := wy0*int(h0[x]) + wy1*int(h1[x]) + wy2*int(h2[x]) + wy3*int(h3[x])
-				s := int(clampByte((acc + 2048) >> 12))
-				row[x] = byte((int(trow[x])*a + s*(256-a) + 128) >> 8)
-			}
-		}
-	})
+	args := bicubicArgs{dst: dst, src: src, target: target, alpha: a, xTaps: xTaps, yTaps: yTaps, hbuf: hbuf}
+	bicubicRowsLoop.For(src.H, par.RowGrain(dst.W), args)
+	bicubicColsLoop.For(dst.H, par.RowGrain(dst.W), args)
 	scaleScratch.Put(hbuf)
 }
+
+// bicubicArgs is what both passes of bicubicPlane read: its planes and
+// blend weight (out of 256), both axes' taps, and the horizontally
+// filtered rows (src.H rows of dst.W samples).
+type bicubicArgs struct {
+	dst, src, target *Plane
+	alpha            int
+	xTaps, yTaps     []bicubicTap
+	hbuf             []int32
+}
+
+// bicubicRowsLoop filters source rows [yLo, yHi) horizontally into hbuf.
+var bicubicRowsLoop = par.Loop[bicubicArgs]{Body: func(a *bicubicArgs, yLo, yHi int) {
+	w := a.dst.W
+	for y := yLo; y < yHi; y++ {
+		srow := a.src.Row(y)
+		hrow := a.hbuf[y*w : (y+1)*w]
+		for x := range hrow {
+			tx := &a.xTaps[x]
+			hrow[x] = int32(tx.w[0]*int(srow[tx.idx[0]]) + tx.w[1]*int(srow[tx.idx[1]]) +
+				tx.w[2]*int(srow[tx.idx[2]]) + tx.w[3]*int(srow[tx.idx[3]]))
+		}
+	}
+}}
+
+// bicubicColsLoop filters hbuf vertically into destination rows
+// [yLo, yHi), blending toward the target when there is one.
+var bicubicColsLoop = par.Loop[bicubicArgs]{Body: func(a *bicubicArgs, yLo, yHi int) {
+	w, hbuf := a.dst.W, a.hbuf
+	for y := yLo; y < yHi; y++ {
+		ty := &a.yTaps[y]
+		h0 := hbuf[ty.idx[0]*w : ty.idx[0]*w+w]
+		h1 := hbuf[ty.idx[1]*w : ty.idx[1]*w+w]
+		h2 := hbuf[ty.idx[2]*w : ty.idx[2]*w+w]
+		h3 := hbuf[ty.idx[3]*w : ty.idx[3]*w+w]
+		wy0, wy1, wy2, wy3 := ty.w[0], ty.w[1], ty.w[2], ty.w[3]
+		row := a.dst.Row(y)
+		// Plain scaling keeps its own store loop: the blend's extra
+		// target load and multiplies show on BenchmarkScaleBicubic.
+		if a.target == nil {
+			for x := range row {
+				acc := wy0*int(h0[x]) + wy1*int(h1[x]) + wy2*int(h2[x]) + wy3*int(h3[x])
+				row[x] = clampByte((acc + 2048) >> 12)
+			}
+			continue
+		}
+		trow := a.target.Row(y)[:len(row)]
+		for x := range row {
+			acc := wy0*int(h0[x]) + wy1*int(h1[x]) + wy2*int(h2[x]) + wy3*int(h3[x])
+			s := int(clampByte((acc + 2048) >> 12))
+			row[x] = byte((int(trow[x])*a.alpha + s*(256-a.alpha) + 128) >> 8)
+		}
+	}
+}}
 
 // Downscale shrinks src by an integer factor using box averaging.
 // The factor must evenly divide neither dimension; remainders are

@@ -143,14 +143,7 @@ func encodePlane(w *bitstream.Writer, p *frame.Plane, table *transform.Quantizer
 	// per block for its non-zero count, so the parallel pass shares no
 	// counter.
 	staging := coeffPool.Get(n * 65)
-	par.For(n, blockGrain, func(lo, hi int) {
-		var b transform.Block
-		for i := lo; i < hi; i++ {
-			loadBlock(&b, p, (i%nbx)*bs, (i/nbx)*bs)
-			transform.FDCT(&b, &b)
-			staging[n*64+i] = int32(table.QuantizeZigzag(staging[i*64:(i+1)*64], &b))
-		}
-	})
+	encodeLoop.For(n, blockGrain, encodeArgs{staging: staging, p: p, table: table, nbx: nbx, n: n})
 	prevDC := int32(0)
 	for i := 0; i < n; i++ {
 		st.NonZeroCoefs += int(staging[n*64+i])
@@ -158,6 +151,27 @@ func encodePlane(w *bitstream.Writer, p *frame.Plane, table *transform.Quantizer
 	}
 	coeffPool.Put(staging)
 }
+
+// encodeArgs is encodePlane's arguments to encodeLoop: the staging slab,
+// the plane, its quantizer, its width in blocks and its block count.
+type encodeArgs struct {
+	staging []int32
+	p       *frame.Plane
+	table   *transform.Quantizer
+	nbx, n  int
+}
+
+// encodeLoop transforms and quantizes blocks [lo, hi) into the staging
+// slab: each block's 64 zigzag coefficients, then its non-zero count.
+var encodeLoop = par.Loop[encodeArgs]{Body: func(a *encodeArgs, lo, hi int) {
+	bs := transform.BlockSize
+	var b transform.Block
+	for i := lo; i < hi; i++ {
+		loadBlock(&b, a.p, (i%a.nbx)*bs, (i/a.nbx)*bs)
+		transform.FDCT(&b, &b)
+		a.staging[a.n*64+i] = int32(a.table.QuantizeZigzag(a.staging[i*64:(i+1)*64], &b))
+	}
+}}
 
 func loadBlock(b *transform.Block, p *frame.Plane, bx, by int) {
 	bs := transform.BlockSize
@@ -255,17 +269,31 @@ func decodePlane(r *bitstream.Reader, p *frame.Plane, table *[64]int32) error {
 		scan[0] += prevDC
 		prevDC = scan[0]
 	}
-	par.For(n, blockGrain, func(lo, hi int) {
-		var b transform.Block
-		for i := lo; i < hi; i++ {
-			transform.UnzigzagDequant(&b, coeffs[i*64:(i+1)*64], table)
-			transform.IDCT(&b, &b)
-			storeBlock(&b, p, (i%nbx)*bs, (i/nbx)*bs)
-		}
-	})
+	decodeLoop.For(n, blockGrain, decodeArgs{coeffs: coeffs, table: table, p: p, nbx: nbx})
 	coeffPool.Put(coeffs)
 	return nil
 }
+
+// decodeArgs is decodePlane's arguments to decodeLoop: the staged
+// coefficients, the dequantization table, the plane and its width in
+// blocks.
+type decodeArgs struct {
+	coeffs []int32
+	table  *[64]int32
+	p      *frame.Plane
+	nbx    int
+}
+
+// decodeLoop dequantizes, inverse-transforms and stores blocks [lo, hi).
+var decodeLoop = par.Loop[decodeArgs]{Body: func(a *decodeArgs, lo, hi int) {
+	bs := transform.BlockSize
+	var b transform.Block
+	for i := lo; i < hi; i++ {
+		transform.UnzigzagDequant(&b, a.coeffs[i*64:(i+1)*64], a.table)
+		transform.IDCT(&b, &b)
+		storeBlock(&b, a.p, (i%a.nbx)*bs, (i/a.nbx)*bs)
+	}
+}}
 
 func storeBlock(b *transform.Block, p *frame.Plane, bx, by int) {
 	bs := transform.BlockSize

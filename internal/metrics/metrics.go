@@ -24,7 +24,7 @@ func MSE(a, b *frame.Frame) (float64, error) {
 	}
 	grain := par.RowGrain(a.W)
 	partials := make([]int64, par.Chunks(a.H, grain))
-	par.ForChunks(a.H, grain, func(chunk, yLo, yHi int) {
+	par.For(a.H, grain, func(yLo, yHi int) {
 		var s int64
 		for y := yLo; y < yHi; y++ {
 			ra, rb := a.Y.Row(y), b.Y.Row(y)
@@ -33,7 +33,7 @@ func MSE(a, b *frame.Frame) (float64, error) {
 				s += d * d
 			}
 		}
-		partials[chunk] = s
+		partials[yLo/grain] = s
 	})
 	var sum int64
 	for _, s := range partials {

@@ -1,22 +1,30 @@
 // Package par is the shared data-parallel execution layer for the pixel
 // pipeline. It provides a persistent worker pool sized from
 // runtime.GOMAXPROCS (overridable via the NEUROSCALER_WORKERS environment
-// variable or SetWorkers), a ParallelFor over index ranges, and ordered
-// chunk decomposition for deterministic reductions.
+// variable or SetWorkers), parallel loops over index ranges split into
+// fixed chunks, and pooled scratch buffers.
+//
+// A loop is a Loop[A] or the package-level For. A Loop's body captures
+// nothing: it reads its arguments from a struct the call copies into a
+// pooled job, so a warm Loop.For allocates nothing. For takes a closure,
+// which escapes to the heap, so it costs one object per call. The rule:
+// a kernel on a per-chunk path declares a package-level Loop; For is for
+// tests and cold callers.
 //
 // Determinism contract: every kernel built on this package must produce
 // bit-identical output for any worker count. Two rules make that hold:
 //
-//  1. Workers only write disjoint index ranges (ParallelFor hands each
-//     invocation a half-open [lo, hi) slice of the index space).
+//  1. Workers only write disjoint index ranges (each body invocation gets
+//     a half-open [lo, hi) slice of the index space).
 //  2. Reductions never fold partial results in completion order. Either
 //     the partials are exact (integer sums carried in int64/float64 below
 //     2^53, where addition is associative), or the caller stores leaf
 //     values into an indexed slice and folds them serially in index order
 //     (see metrics.SSIM).
 //
-// Chunk boundaries depend only on (n, grain), never on the worker count,
-// so even chunk-indexed partials are stable across machines.
+// Chunk boundaries depend only on (n, grain), never on the worker count:
+// chunk lo/grain covers [lo, hi), so even chunk-indexed partials are
+// stable across machines.
 package par
 
 import (
@@ -51,7 +59,7 @@ func Workers() int {
 }
 
 // SetWorkers resizes the pool to n workers (minimum 1). A size of 1 makes
-// every ParallelFor run serially on the calling goroutine. Output is
+// every loop run serially on the calling goroutine. Output is
 // identical for any n; only wall-clock changes.
 func SetWorkers(n int) {
 	if n < 1 {
@@ -86,25 +94,67 @@ func worker(tasks <-chan *loop) {
 	}
 }
 
-// loop is the state one parallel For or ForChunks call shares with the
-// workers that join it: its index space, its body (exactly one of body
-// and rangeBody is set) and the counter chunks are claimed from. Loops
-// are recycled, so a parallel call allocates nothing beyond its body.
+// Loop is a parallel loop whose body captures nothing: a kernel declares
+// one at package level and passes what the body reads as an argument
+// struct A to each For call. For copies the argument into a job taken
+// from the loop's own pool, so a warm call allocates nothing, where a
+// closure handed to the package-level For escapes to the heap on every
+// call. A Loop must not be copied after first use.
+type Loop[A any] struct {
+	// Body runs the loop over the indices [lo, hi) of one chunk with the
+	// call's arguments. It may only write state owned by its own index
+	// range, and must not keep a past its return: the job holding it is
+	// reused once For returns.
+	Body func(a *A, lo, hi int)
+	jobs sync.Pool // *job[A]
+}
+
+// job is one For call of a Loop[A]: the loop state its workers share
+// and the call's arguments, which span hands to the body.
+type job[A any] struct {
+	loop
+	owner *Loop[A]
+	a     A
+}
+
+func (j *job[A]) span(lo, hi int) { j.owner.Body(&j.a, lo, hi) }
+
+// For runs l.Body over the index range [0, n) split into grain-sized
+// chunks, each call seeing its own copy of a. Chunk c always covers
+// [c*grain, min((c+1)*grain, n)), independent of the worker count, so
+// a body that needs the chunk index for an ordered reduction computes
+// it as lo/grain. Chunks execute concurrently on the worker pool; the
+// calling goroutine participates, so nested For calls cannot deadlock
+// even when every resident worker is busy.
+func (l *Loop[A]) For(n, grain int, a A) {
+	if n <= 0 {
+		return
+	}
+	j, _ := l.jobs.Get().(*job[A])
+	if j == nil {
+		j = &job[A]{owner: l}
+		j.body = j
+	}
+	j.a = a
+	j.exec(n, grain)
+	// j goes back to the pool only once every participant is done with
+	// it, which a deferred Put would not wait for if the body panicked;
+	// the zeroed argument keeps nothing it referenced alive.
+	var zero A
+	j.a = zero
+	l.jobs.Put(j)
+}
+
+// spanner is the one method the workers call a loop's body through.
+type spanner interface{ span(lo, hi int) }
+
+// loop is the state one For call shares with the workers that join it:
+// its index space, its body and the counter chunks are claimed from.
 type loop struct {
 	n, grain, chunks int
 	next             atomic.Int64
-	body             func(chunk, lo, hi int)
-	rangeBody        func(lo, hi int)
+	body             spanner
 	wg               sync.WaitGroup
-}
-
-var loops = sync.Pool{New: func() any { return new(loop) }}
-
-// recycle returns l, which no participant may touch any more, to the
-// pool, dropping its body.
-func (l *loop) recycle() {
-	l.body, l.rangeBody = nil, nil
-	loops.Put(l)
 }
 
 // run claims chunks and runs the body on them until none is left.
@@ -121,55 +171,16 @@ func (l *loop) run() {
 // chunk runs the body on chunk c.
 func (l *loop) chunk(c int) {
 	lo := c * l.grain
-	hi := min(lo+l.grain, l.n)
-	if l.rangeBody != nil {
-		l.rangeBody(lo, hi)
-	} else {
-		l.body(c, lo, hi)
-	}
+	l.body.span(lo, min(lo+l.grain, l.n))
 }
 
-// Chunks returns the number of grain-sized chunks covering n indices.
-func Chunks(n, grain int) int {
-	if n <= 0 {
-		return 0
-	}
+// exec runs the body over [0, n) (n > 0) in grain-sized chunks and
+// returns once every chunk is done.
+func (l *loop) exec(n, grain int) {
 	if grain < 1 {
 		grain = 1
 	}
-	return (n + grain - 1) / grain
-}
-
-// For runs fn over the index range [0, n) split into grain-sized chunks,
-// calling fn(lo, hi) for each chunk. Chunks execute concurrently on the
-// worker pool; the calling goroutine participates, so nested For calls
-// cannot deadlock even when every resident worker is busy. fn invocations
-// must only write state owned by their own index range.
-func For(n, grain int, fn func(lo, hi int)) {
-	forChunks(n, grain, nil, fn)
-}
-
-// ForChunks is For with the chunk index exposed, for deterministic
-// reductions: store each chunk's partial at partials[chunk] and fold the
-// slice serially afterwards. Chunk c always covers
-// [c*grain, min((c+1)*grain, n)), independent of the worker count.
-func ForChunks(n, grain int, fn func(chunk, lo, hi int)) {
-	forChunks(n, grain, fn, nil)
-}
-
-// forChunks is For (rangeBody set) and ForChunks (body set).
-func forChunks(n, grain int, body func(chunk, lo, hi int), rangeBody func(lo, hi int)) {
-	if n <= 0 {
-		return
-	}
-	if grain < 1 {
-		grain = 1
-	}
-	l := loops.Get().(*loop)
 	l.n, l.grain, l.chunks = n, grain, (n+grain-1)/grain
-	l.body, l.rangeBody = body, rangeBody
-	// l goes back to the pool only once every participant is done with
-	// it, which a deferred Put would not wait for if the body panicked.
 
 	mu.Lock()
 	w := nworker
@@ -183,7 +194,6 @@ func forChunks(n, grain int, body func(chunk, lo, hi int), rangeBody func(lo, hi
 		for c := 0; c < l.chunks; c++ {
 			l.chunk(c)
 		}
-		l.recycle()
 		return
 	}
 
@@ -201,7 +211,27 @@ func forChunks(n, grain int, body func(chunk, lo, hi int), rangeBody func(lo, hi
 	}
 	l.run()
 	l.wg.Wait()
-	l.recycle()
+}
+
+// Chunks returns the number of grain-sized chunks covering n indices.
+func Chunks(n, grain int) int {
+	if n <= 0 {
+		return 0
+	}
+	if grain < 1 {
+		grain = 1
+	}
+	return (n + grain - 1) / grain
+}
+
+// funcLoop is the Loop behind For: its argument is the closure itself.
+var funcLoop = Loop[func(lo, hi int)]{Body: func(fn *func(lo, hi int), lo, hi int) { (*fn)(lo, hi) }}
+
+// For runs fn(lo, hi) over [0, n) in grain-sized chunks, as Loop.For
+// does. The closure escapes to the heap, one object per call, so For is
+// for tests and cold callers; a kernel on a per-chunk path uses a Loop.
+func For(n, grain int, fn func(lo, hi int)) {
+	funcLoop.For(n, grain, fn)
 }
 
 // RowGrain returns a chunk size (in rows) targeting roughly 32K samples

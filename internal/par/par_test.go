@@ -40,17 +40,27 @@ func TestForCoversEveryIndexOnce(t *testing.T) {
 	}
 }
 
-func TestForChunksLayoutIndependentOfWorkers(t *testing.T) {
+// boundsArgs is the argument of boundsLoop: where to record each
+// chunk's bounds, and the grain that turns lo into the chunk index.
+type boundsArgs struct {
+	bounds [][2]int
+	grain  int
+	seen   *int32
+}
+
+var boundsLoop = Loop[boundsArgs]{Body: func(a *boundsArgs, lo, hi int) {
+	a.bounds[lo/a.grain] = [2]int{lo, hi}
+	atomic.AddInt32(a.seen, 1)
+}}
+
+func TestLoopChunkLayoutIndependentOfWorkers(t *testing.T) {
 	const n, grain = 103, 10
 	want := Chunks(n, grain)
 	for _, workers := range []int{1, 3, 8} {
 		withWorkers(t, workers, func() {
 			bounds := make([][2]int, want)
 			var seen int32
-			ForChunks(n, grain, func(chunk, lo, hi int) {
-				bounds[chunk] = [2]int{lo, hi}
-				atomic.AddInt32(&seen, 1)
-			})
+			boundsLoop.For(n, grain, boundsArgs{bounds: bounds, grain: grain, seen: &seen})
 			if int(seen) != want {
 				t.Fatalf("workers=%d: %d chunks, want %d", workers, seen, want)
 			}
@@ -129,9 +139,23 @@ func TestForConcurrentCallers(t *testing.T) {
 	})
 }
 
+// markArgs is the argument of markLoop: the hit counters one call
+// marks and the value it adds to each.
+type markArgs struct {
+	hits []int32
+	add  int32
+}
+
+var markLoop = Loop[markArgs]{Body: func(a *markArgs, lo, hi int) {
+	for i := lo; i < hi; i++ {
+		atomic.AddInt32(&a.hits[i], a.add)
+	}
+}}
+
 // TestForAllocs pins what the execution layer costs a kernel call once
-// warm: a For, serial or parallel, allocates nothing but its body closure,
-// and a SlabPool Get/Put cycle nothing at all.
+// warm: a Loop.For, serial or parallel, allocates nothing, a closure For
+// nothing beyond its closure, and a SlabPool Get/Put cycle nothing at
+// all.
 func TestForAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool sheds entries under the race detector")
@@ -139,6 +163,11 @@ func TestForAllocs(t *testing.T) {
 	hits := make([]int32, 256)
 	for _, workers := range []int{1, 3} {
 		withWorkers(t, workers, func() {
+			if n := testing.AllocsPerRun(100, func() {
+				markLoop.For(len(hits), 16, markArgs{hits: hits, add: 1})
+			}); n != 0 {
+				t.Errorf("workers %d: a warm Loop.For allocates %.0f times, want 0", workers, n)
+			}
 			n := testing.AllocsPerRun(100, func() {
 				For(len(hits), 16, func(lo, hi int) {
 					for i := lo; i < hi; i++ {
@@ -155,6 +184,33 @@ func TestForAllocs(t *testing.T) {
 	if n := testing.AllocsPerRun(100, func() { p.Put(p.Get(1024)) }); n != 0 {
 		t.Errorf("a warm SlabPool Get/Put cycle allocates %.0f times, want 0", n)
 	}
+}
+
+// TestLoopConcurrentCallers runs one Loop from two goroutines at the
+// same time, each passing arguments of its own: every call must see its
+// own arguments in every chunk, however the pooled jobs and the workers
+// interleave.
+func TestLoopConcurrentCallers(t *testing.T) {
+	withWorkers(t, 3, func() {
+		var wg sync.WaitGroup
+		for g := int32(1); g <= 2; g++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for rep := 0; rep < 200; rep++ {
+					hits := make([]int32, 97+rep%7)
+					markLoop.For(len(hits), 1+rep%5, markArgs{hits: hits, add: g})
+					for i, h := range hits {
+						if h != g {
+							t.Errorf("caller %d pass %d: index %d holds %d, want %d", g, rep, i, h, g)
+							return
+						}
+					}
+				}
+			}()
+		}
+		wg.Wait()
+	})
 }
 
 func TestSetWorkersClampsToOne(t *testing.T) {

@@ -334,15 +334,7 @@ func decodeIntraPlanes(r *bitstream.Reader, w, h, quality int) (*frame.Frame, er
 			scan[0] += prevDC
 			prevDC = scan[0]
 		}
-		par.For(n, blockGrain, func(lo, hi int) {
-			var b transform.Block
-			for i := lo; i < hi; i++ {
-				bx, by := (i%nbx)*transform.BlockSize, (i/nbx)*transform.BlockSize
-				transform.UnzigzagDequant(&b, coeffs[i*64:(i+1)*64], table)
-				transform.IDCT(&b, &b)
-				storeShifted(&b, p, bx, by)
-			}
-		})
+		intraLoop.For(n, blockGrain, blockArgs{coeffs: coeffs, table: table, p: p, nbx: nbx})
 		coeffPool.Put(coeffs)
 	}
 	return f, nil
@@ -399,28 +391,53 @@ func decodeResidualWithCapture(r *bitstream.Reader, pred *frame.Frame, quality i
 				return fmt.Errorf("vcodec: residual block (%d,%d): %w", bx, by, err)
 			}
 		}
-		cplane := cp[pi]
-		par.For(n, blockGrain, func(lo, hi int) {
-			var b transform.Block
-			for i := lo; i < hi; i++ {
-				scan := coeffs[i*64 : (i+1)*64]
-				// Same all-zero skip as the fused path.
-				if allZero(scan) {
-					continue
-				}
-				bx, by := (i%nbx)*transform.BlockSize, (i/nbx)*transform.BlockSize
-				transform.UnzigzagDequant(&b, scan, table)
-				transform.IDCT(&b, &b)
-				addBlock(&b, p, bx, by)
-				if capture != nil {
-					storeShifted(&b, cplane, bx, by)
-				}
-			}
-		})
+		residualLoop.For(n, blockGrain, blockArgs{coeffs: coeffs, table: table, p: p, capture: cp[pi], nbx: nbx})
 		coeffPool.Put(coeffs)
 	}
 	return nil
 }
+
+// blockArgs is what the parallel phase of a plane decode reads: the
+// plane's staged coefficients (64 per block, raster order), its
+// dequantization table, the plane it reconstructs into, the optional
+// plane the residual is captured into, and the plane's width in blocks.
+type blockArgs struct {
+	coeffs     []int32
+	table      *[64]int32
+	p, capture *frame.Plane
+	nbx        int
+}
+
+// intraLoop stores the reconstruction of blocks [lo, hi) of a key frame.
+var intraLoop = par.Loop[blockArgs]{Body: func(a *blockArgs, lo, hi int) {
+	var b transform.Block
+	for i := lo; i < hi; i++ {
+		bx, by := (i%a.nbx)*transform.BlockSize, (i/a.nbx)*transform.BlockSize
+		transform.UnzigzagDequant(&b, a.coeffs[i*64:(i+1)*64], a.table)
+		transform.IDCT(&b, &b)
+		storeShifted(&b, a.p, bx, by)
+	}
+}}
+
+// residualLoop adds the residual of blocks [lo, hi) onto the prediction
+// and, with a capture plane, stores it there in biased form.
+var residualLoop = par.Loop[blockArgs]{Body: func(a *blockArgs, lo, hi int) {
+	var b transform.Block
+	for i := lo; i < hi; i++ {
+		scan := a.coeffs[i*64 : (i+1)*64]
+		// Same all-zero skip as the fused path.
+		if allZero(scan) {
+			continue
+		}
+		bx, by := (i%a.nbx)*transform.BlockSize, (i/a.nbx)*transform.BlockSize
+		transform.UnzigzagDequant(&b, scan, a.table)
+		transform.IDCT(&b, &b)
+		addBlock(&b, a.p, bx, by)
+		if a.capture != nil {
+			storeShifted(&b, a.capture, bx, by)
+		}
+	}
+}}
 
 // allZero reports whether every coefficient in a 64-entry scan is zero.
 func allZero(scan []int32) bool {

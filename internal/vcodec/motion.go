@@ -237,19 +237,30 @@ func estimateMotion(src *frame.Frame, last, altref *frame.Frame, grid frame.Bloc
 // MEBlock is even, so chroma rectangles are disjoint and complete).
 func predictFrame(last, altref *frame.Frame, grid frame.BlockGrid, mvs []frame.MotionVector, refs []uint8) *frame.Frame {
 	pred := frame.Borrow(grid.FrameW, grid.FrameH)
-	cols := grid.Cols()
-	par.For(grid.Rows(), 1, func(rLo, rHi int) {
-		for i := rLo * cols; i < rHi*cols; i++ {
-			ref := last
-			if refs[i] == RefAltRef && altref != nil {
-				ref = altref
-			}
-			x0, y0, w, h := grid.BlockRect(i)
-			warpRectPlanes(pred, ref, x0, y0, w, h, mvs[i])
-		}
-	})
+	predictLoop.For(grid.Rows(), 1, predictArgs{pred: pred, last: last, altref: altref, grid: grid, mvs: mvs, refs: refs})
 	return pred
 }
+
+// predictArgs is predictFrame's arguments to predictLoop.
+type predictArgs struct {
+	pred, last, altref *frame.Frame
+	grid               frame.BlockGrid
+	mvs                []frame.MotionVector
+	refs               []uint8
+}
+
+// predictLoop warps the blocks of block rows [lo, hi) into the prediction.
+var predictLoop = par.Loop[predictArgs]{Body: func(a *predictArgs, rLo, rHi int) {
+	cols := a.grid.Cols()
+	for i := rLo * cols; i < rHi*cols; i++ {
+		ref := a.last
+		if a.refs[i] == RefAltRef && a.altref != nil {
+			ref = a.altref
+		}
+		x0, y0, w, h := a.grid.BlockRect(i)
+		warpRectPlanes(a.pred, ref, x0, y0, w, h, a.mvs[i])
+	}
+}}
 
 // warpRectPlanes copies one motion-compensated block (luma + chroma) from
 // ref into dst.

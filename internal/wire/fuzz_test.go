@@ -91,8 +91,7 @@ func FuzzDecodeChunk(f *testing.F) {
 		if err != nil {
 			return
 		}
-		if !bytes.Equal(EncodeChunk(pkts), data[:len(EncodeChunk(pkts))]) {
-			// Re-encoding must reproduce the consumed prefix.
+		if !bytes.Equal(EncodeChunk(pkts), data) {
 			t.Fatal("chunk round trip diverged")
 		}
 	})

@@ -119,10 +119,12 @@ func DecodeChunk(data []byte) ([][]byte, error) {
 		return nil, errors.New("wire: truncated chunk")
 	}
 	n := binary.BigEndian.Uint32(data)
-	if n > 1<<20 {
-		return nil, fmt.Errorf("wire: unreasonable packet count %d", n)
-	}
 	data = data[4:]
+	// Every packet takes at least its 4-byte length, so a count the
+	// payload cannot hold is refused before anything is sized by it.
+	if uint64(n) > uint64(len(data)/4) {
+		return nil, fmt.Errorf("wire: %d packets claimed in %d bytes", n, len(data))
+	}
 	out := make([][]byte, 0, n)
 	for i := uint32(0); i < n; i++ {
 		if len(data) < 4 {
@@ -135,6 +137,9 @@ func DecodeChunk(data []byte) ([][]byte, error) {
 		}
 		out = append(out, data[:l:l])
 		data = data[l:]
+	}
+	if len(data) != 0 {
+		return nil, fmt.Errorf("wire: %d bytes after the last packet", len(data))
 	}
 	return out, nil
 }

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"io"
 	"net"
+	"runtime"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -209,6 +210,40 @@ func TestChunkRoundTrip(t *testing.T) {
 	bad := EncodeChunk(pkts)
 	if _, err := DecodeChunk(bad[:len(bad)-1]); err == nil {
 		t.Error("truncated packet body accepted")
+	}
+}
+
+// TestDecodeChunkRefusesTrailingBytes: like every other payload decoder,
+// DecodeChunk refuses bytes after its last packet instead of storing the
+// chunk as if they were not there.
+func TestDecodeChunkRefusesTrailingBytes(t *testing.T) {
+	payload := EncodeChunk([][]byte{{1, 2, 3}, {}, {0xFF}})
+	if _, err := DecodeChunk(append(payload, 0)); err == nil {
+		t.Error("chunk with a byte after its last packet accepted")
+	}
+	if _, err := DecodeChunk(append(EncodeChunk(nil), 7, 7)); err == nil {
+		t.Error("empty chunk with a tail accepted")
+	}
+}
+
+// TestDecodeChunkBoundsCountByPayload: a packet count the payload cannot
+// hold (each packet takes at least its 4-byte length) is refused before
+// anything is sized by it; a 4-byte payload claiming 2^20 packets used to
+// allocate 24 MiB of slice headers first.
+func TestDecodeChunkBoundsCountByPayload(t *testing.T) {
+	claim := []byte{0, 0x10, 0, 0} // 1<<20 packets, no bodies
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := DecodeChunk(claim)
+	runtime.ReadMemStats(&after)
+	if err == nil {
+		t.Fatal("chunk claiming 2^20 packets in 0 bytes accepted")
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got > 64<<10 {
+		t.Errorf("refusing the claim allocated %d bytes, want under 64 KiB", got)
+	}
+	if _, err := DecodeChunk(append([]byte{0, 0, 0, 2}, EncodeChunk([][]byte{{1}})[4:]...)); err == nil {
+		t.Error("chunk claiming 2 packets with room for 1 accepted")
 	}
 }
 
